@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonians import TWO_PI
 from .spinops import projections, validate_spin
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)

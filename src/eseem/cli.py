@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import coefficients, general_s_weights, v_center, v_general, v_outer
+from .analytic import coefficients, general_s_weights, v_general
 from .config import ConfigError, RunConfig, load_preset, parse_config
 from .engine import EchoTrace, run_two_pulse_echo
-from .ensemble import (AngleDistribution, average_analytic_outer,
-                       average_trace, averaged_component_weights)
+from .ensemble import (AngleDistribution, average_analytic, average_trace,
+                       averaged_component_weights)
 from .fileio import (read_trace_csv, write_spectrum_csv, write_trace_csv)
 from .hamiltonians import delta_hz
 from .spectral import fft_magnitude, find_peaks, fit_decay
@@ -97,16 +97,10 @@ def cmd_analytic(args) -> int:
         else:
             co = coefficients(theta2)
             meta.update({"a0": co.a0, "a1": co.a1, "a2": co.a2})
-            if cfg.distribution is not None:
-                if abs(m_i) > 1e-9:
-                    v = average_analytic_outer(tau, theta1, cfg.distribution, d)
-                else:
-                    thetas, weights = cfg.distribution.points()
-                    v = sum(w * v_center(tau, theta1, th)
-                            for th, w in zip(thetas, weights))
-            else:
-                v = v_outer(tau, theta1, theta2, d) if abs(m_i) > 1e-9 \
-                    else v_center(tau, theta1, theta2)
+            dist = cfg.distribution or AngleDistribution(kind="delta",
+                                                         mean=theta2)
+            v = average_analytic(tau, m_i, theta1, theta2, dist, d,
+                                 shared_b1=cfg.shared_b1)
         if cfg.t2_s is not None:
             v = v * np.exp(-2.0 * tau / cfg.t2_s)
             meta["t2_s"] = cfg.t2_s

@@ -25,18 +25,35 @@ and equal to the closed-form modulation expressions at every pulse angle.
 
 Engines
 -------
+Each engine only supplies free-evolution propagators.  ``_Propagator.stack``
+builds them for a whole tau grid at once, as an (n_tau, d, d) stack
+(exactly the identity at tau = 0); a single propagator is the one-element
+stack.
+
 average-hamiltonian
     Diagonal evolution under h_avg0 + h_avg1 (second-order secular
-    dynamics; the fast default).
+    dynamics; the fast default): a stack of diagonal phases.
 exact-lab-frame
     Rotating-frame propagator assembled from the exact lab Hamiltonian,
     U(t0, t0+tau) = exp(+i*w_mw*Sz*(t0+tau)) exp(-i*H0*tau) exp(-i*w_mw*Sz*t0);
-    machine-precision reference dynamics.
+    machine-precision reference dynamics, vectorized over tau from one
+    eigendecomposition of H0.
 stepped-rotating-frame
     Time-ordered product of unitary midpoint substeps of the periodic
     rotating-frame Hamiltonian; converges quadratically in the substep to
     the exact engine.  Whole microwave periods are applied through a binary
-    power of the one-period product, so cost is logarithmic in tau.
+    power of the one-period product, so cost is logarithmic in tau.  Built
+    one tau point at a time and stacked.
+
+Echo kernel
+-----------
+One kernel contracts the stacks for every engine.  The free evolution
+enters as U1(tau) = U(0, tau) and G(tau) = U2(tau)^H D U2(tau), with
+U2(tau) = U(tau, tau) and D the detection operator, because
+Tr[U2 Z U2^H D] = Tr[Z G].  Neither depends on the pulses, so an ensemble
+average builds them once and applies only the node's pulse rotations.  The
+stacks are built and contracted in blocks of ``TAU_BLOCK`` points, which
+bounds the scratch memory whatever the grid size.
 """
 
 from __future__ import annotations
@@ -47,8 +64,8 @@ import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import least_squares
 
-from .hamiltonians import (TWO_PI, delta_hz, h0_lab, h_avg0, h_avg1, h_rot_t,
-                           line_center_hz)
+from .hamiltonians import (TWO_PI, _f_mw_effective, delta_hz, h0_lab, h_avg0,
+                           h_avg1, h_rot_t, line_center_hz)
 from .pulses import PulseSpec, rotation_operator
 from .spinops import kron, multiplicity, projector_mi, spin_matrices
 from .system import SpinSystemParams
@@ -56,6 +73,9 @@ from .system import SpinSystemParams
 ENGINES = ("average-hamiltonian", "exact-lab-frame", "stepped-rotating-frame")
 
 MIN_STEPS_PER_PERIOD = 20
+
+# tau points the echo kernel contracts at once (see "Echo kernel" above)
+TAU_BLOCK = 64
 
 
 @dataclass
@@ -163,19 +183,31 @@ class _Propagator:
                     f"{MIN_STEPS_PER_PERIOD} steps per microwave period")
 
     def __call__(self, t_start: float, tau: float) -> np.ndarray:
-        if tau < 0:
+        return self.stack(t_start, np.array([tau]))[0]
+
+    def stack(self, t_start, tau) -> np.ndarray:
+        """Propagators over [t_start[k], t_start[k] + tau[k]], shape
+        (n_tau, d, d).  ``t_start`` may be a scalar; every propagator with
+        tau = 0 is exactly the identity."""
+        tau = np.asarray(tau, dtype=float)
+        t_start = np.broadcast_to(np.asarray(t_start, dtype=float), tau.shape)
+        if np.any(tau < 0):
             raise ValueError("tau must be non-negative")
-        if tau == 0.0:
-            return self._eye.copy()
         if self.engine == "average-hamiltonian":
-            return np.diag(np.exp(-1j * self._phases * tau))
-        if self.engine == "exact-lab-frame":
+            out = np.zeros(tau.shape + self._eye.shape, dtype=complex)
+            diag = np.arange(self._eye.shape[0])
+            out[:, diag, diag] = np.exp(-1j * self._phases * tau[:, None])
+        elif self.engine == "exact-lab-frame":
             w_mw = TWO_PI * self.f_mw_hz
-            core = (self._v0 * np.exp(-1j * self._w0 * tau)) @ self._v0.conj().T
-            w_out = np.exp(1j * w_mw * self._mz * (t_start + tau))
-            w_in = np.exp(-1j * w_mw * self._mz * t_start)
-            return (w_out[:, None] * core) * w_in[None, :]
-        return self._stepped(t_start, tau)
+            phases = np.exp(-1j * self._w0 * tau[:, None])
+            core = (self._v0 * phases[:, None, :]) @ self._v0.conj().T
+            w_out = np.exp(1j * w_mw * self._mz * (t_start + tau)[:, None])
+            w_in = np.exp(-1j * w_mw * self._mz * t_start[:, None])
+            out = (w_out[:, :, None] * core) * w_in[:, None, :]
+        else:
+            out = np.array([self._stepped(t0, t) for t0, t in zip(t_start, tau)])
+        out[tau == 0.0] = self._eye
+        return out
 
     def _substep_product(self, t0: float, n_sub: int, dt: float) -> np.ndarray:
         u = self._eye.copy()
@@ -220,8 +252,7 @@ def free_evolution(engine: str, system: SpinSystemParams, tau: float,
     frequency).  For one-off calls; batch users should reuse
     :class:`_Propagator` via :func:`run_two_pulse_echo`.
     """
-    f_mw = f_mw_hz if f_mw_hz is not None else (
-        system.f_mw_hz if system.f_mw_hz is not None else system.f_e_hz)
+    f_mw = _f_mw_effective(system, f_mw_hz)
     return _Propagator(engine, system, f_mw, steps_per_period)(t_start, tau)
 
 
@@ -236,49 +267,73 @@ def thermal_deviation(system: SpinSystemParams) -> np.ndarray:
     return kron(-sz, np.eye(multiplicity(system.i)))
 
 
-def _echo_amplitude(u1: np.ndarray, u2: np.ndarray, r1: np.ndarray,
-                    r2: np.ndarray, sigma0: np.ndarray, det_op: np.ndarray,
-                    sel_p: np.ndarray, sel_m: np.ndarray) -> complex:
-    """One tau point: rotate, select +1 coherences, evolve, refocus with
-    order-flip selection, evolve, detect."""
-    sigma = r1 @ sigma0 @ r1.conj().T
-    sigma = np.where(sel_p, sigma, 0.0)
-    sigma = u1 @ sigma @ u1.conj().T
-    sigma = r2 @ sigma @ r2.conj().T
-    sigma = np.where(sel_m, sigma, 0.0)
-    sigma = sigma + sigma.conj().T
-    sigma = u2 @ sigma @ u2.conj().T
-    return np.trace(sigma @ det_op)
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _free_stacks(exp: EchoExperiment) -> tuple[np.ndarray, np.ndarray]:
+    """Free-evolution stacks (U1, G) of the experiment over its tau grid.
+
+    U1(tau) = U(0, tau) and G(tau) = U2^H D U2 with U2 = U(tau, tau), the
+    inputs of :func:`_echo_kernel`.  They do not depend on the pulses.
+    """
+    system = exp.system
+    prop = _Propagator(exp.engine, system, microwave_freq_hz(exp),
+                       exp.steps_per_period)
+    det_op = detection_operator(system, exp.detect_m_i)
+    tau = exp.tau_grid
+    u1 = np.empty((tau.size,) + det_op.shape, dtype=complex)
+    g = np.empty_like(u1)
+    for start in range(0, tau.size, TAU_BLOCK):
+        blk = slice(start, start + TAU_BLOCK)
+        u1[blk] = prop.stack(0.0, tau[blk])
+        u2 = prop.stack(tau[blk], tau[blk])
+        g[blk] = _dagger(u2) @ det_op @ u2
+    return u1, g
+
+
+def _echo_kernel(u1: np.ndarray, g: np.ndarray, r1: np.ndarray,
+                 r2: np.ndarray, system: SpinSystemParams) -> np.ndarray:
+    """Complex echo amplitude at every tau of the stacks U1, G: rotate,
+    select +1 coherences, evolve, refocus with order-flip selection, then
+    detect through Tr[Z G] (the second evolution is folded into G)."""
+    order = system.basis.electron_order()
+    sigma0 = thermal_deviation(system)
+    rho = np.where(order == 1, r1 @ sigma0 @ r1.conj().T, 0.0)
+    sel_m = order == -1
+    r2h = r2.conj().T
+    amp = np.empty(u1.shape[0], dtype=complex)
+    for start in range(0, u1.shape[0], TAU_BLOCK):
+        blk = slice(start, start + TAU_BLOCK)
+        sigma = u1[blk] @ rho @ _dagger(u1[blk])
+        sigma = np.where(sel_m, r2 @ sigma @ r2h, 0.0)
+        sigma = sigma + _dagger(sigma)
+        amp[blk] = np.einsum("kij,kji->k", sigma, g[blk])
+    return amp
 
 
 def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
-                       scale2: float = 1.0) -> EchoTrace:
+                       scale2: float = 1.0,
+                       free: tuple[np.ndarray, np.ndarray] | None = None
+                       ) -> EchoTrace:
     """Run the two-pulse echo experiment and sample V at each tau.
 
     ``scale1``/``scale2`` multiply the pulse rotation angles (used by the
     ensemble module for B1-inhomogeneity averaging; composites scale all
-    segments together).  When ``t2_s`` is set the trace is damped by
-    exp(-2*tau/T2).
+    segments together).  ``free`` takes the experiment's precomputed
+    :func:`_free_stacks`, which an ensemble average shares across its
+    nodes; the trace is the same with or without it.  When ``t2_s`` is set
+    the trace is damped by exp(-2*tau/T2).
     """
     system = exp.system
     f_mw = microwave_freq_hz(exp)
-    prop = _Propagator(exp.engine, system, f_mw, exp.steps_per_period)
+    u1, g = _free_stacks(exp) if free is None else free
     r1 = rotation_operator(exp.pulse1, system, scale1, f_mw)
     r2 = rotation_operator(exp.pulse2, system, scale2, f_mw)
-    order = system.basis.electron_order()
-    sel_p = order == 1
-    sel_m = order == -1
-    sigma0 = thermal_deviation(system)
-    det_op = detection_operator(system, exp.detect_m_i)
-
-    v = np.empty(exp.tau_grid.size)
-    v_im = np.empty(exp.tau_grid.size)
-    for k, tau in enumerate(exp.tau_grid):
-        u1 = prop(0.0, tau)
-        u2 = prop(tau, tau)
-        amp = _echo_amplitude(u1, u2, r1, r2, sigma0, det_op, sel_p, sel_m)
-        v[k] = amp.real
-        v_im[k] = amp.imag
+    amp = _echo_kernel(u1, g, r1, r2, system)
+    v = amp.real.copy()
+    v_im = amp.imag.copy()
     if exp.t2_s is not None:
         if exp.t2_s <= 0:
             raise ValueError("t2_s must be positive")

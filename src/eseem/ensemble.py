@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import coefficients, v_outer
-from .engine import EchoExperiment, EchoTrace, run_two_pulse_echo
+from .analytic import coefficients, v_center, v_outer
+from .engine import EchoExperiment, EchoTrace, _free_stacks, run_two_pulse_echo
 
 DISTRIBUTION_KINDS = ("delta", "gaussian")
 
@@ -66,7 +66,8 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
     scale together, matching a common drive-amplitude error).  With
     ``shared_b1`` the first pulse sees the same relative amplitude factor,
     modeling both pulses sampling one B1 value; default off, so only the
-    refocusing angle varies.
+    refocusing angle varies.  The free evolution does not depend on the
+    pulse angles, so it is built once and shared by every node.
     """
     if method == "quadrature":
         thetas, weights = dist.points()
@@ -79,36 +80,56 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
         raise ValueError(f"unknown averaging method {method!r}")
 
     nominal2 = exp.pulse2.angle
+    free = _free_stacks(exp)
     acc = None
+    residual = 0.0
     for theta, weight in zip(thetas, weights):
         scale2 = theta / nominal2
         scale1 = scale2 if shared_b1 else 1.0
-        trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2)
+        trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2,
+                                   free=free)
         term = weight * trace.v
         acc = term if acc is None else acc + term
-    meta = {
-        "engine": exp.engine,
-        "m_i": exp.detect_m_i,
+        residual = max(residual, trace.metadata["max_imag_residual"])
+    meta = {key: trace.metadata[key] for key in (
+        "engine", "m_i", "theta1_rad", "theta2_rad", "pulse2_composite",
+        "f_mw_hz", "t2_s")}
+    meta.update({
         "ensemble": dist.kind,
         "sigma_rad": dist.sigma,
         "mean_rad": dist.mean,
         "nodes": len(thetas),
         "method": method,
         "shared_b1": shared_b1,
-        "t2_s": exp.t2_s,
-    }
+        "max_imag_residual": residual,
+    })
     return EchoTrace(tau_s=exp.tau_grid.copy(), v=acc, metadata=meta)
+
+
+def average_analytic(tau, m_i: float, theta1: float, theta2: float,
+                     dist: AngleDistribution, delta_hz: float, *,
+                     shared_b1: bool = False) -> np.ndarray:
+    """Closed-form amplitude of the ``m_i`` line averaged over theta2.
+
+    ``v_outer`` for the outer lines, ``v_center`` for m_i = 0.  With
+    ``shared_b1`` each node also scales theta1 by its theta2 over the
+    nominal ``theta2``, as :func:`average_trace` scales pulse 1.
+    """
+    thetas, weights = dist.points()
+    tau = np.asarray(tau, dtype=float)
+    acc = np.zeros(tau.shape)
+    for theta, weight in zip(thetas, weights):
+        t1 = theta / theta2 * theta1 if shared_b1 else theta1
+        v = v_outer(tau, t1, theta, delta_hz) if abs(m_i) > 1e-9 \
+            else v_center(tau, t1, theta)
+        acc = acc + weight * v
+    return acc
 
 
 def average_analytic_outer(tau, theta1: float, dist: AngleDistribution,
                            delta_hz: float) -> np.ndarray:
     """Closed-form outer-line amplitude averaged over theta2."""
-    thetas, weights = dist.points()
-    tau = np.asarray(tau, dtype=float)
-    acc = np.zeros(tau.shape)
-    for theta, weight in zip(thetas, weights):
-        acc = acc + weight * v_outer(tau, theta1, theta, delta_hz)
-    return acc
+    return average_analytic(tau, 1.0, theta1, dist.mean, dist, delta_hz)
 
 
 def averaged_component_weights(dist: AngleDistribution,

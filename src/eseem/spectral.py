@@ -15,11 +15,10 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .engine import EchoTrace
+from .hamiltonians import TWO_PI
 
 WINDOWS = ("rectangular", "hann")
 BASELINES = ("mean", "exp", "none")
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass

@@ -193,13 +193,22 @@ def test_analytic_general_s_weights(tmp_path):
     assert meta["general_s_weights"] == "5,8,9,8,5,0"
 
 
-@pytest.mark.parametrize("sigma", ["0", "0.31"])
-def test_analytic_center_matches_simulate(tmp_path, sigma):
-    # closed form and engine share one central-line normalization, with and
-    # without the B1 ensemble average
+@pytest.mark.parametrize("sigma,shared_b1,m_i", [
+    pytest.param("0", "false", "0", id="0"),
+    pytest.param("0.31", "false", "0", id="0.31"),
+    pytest.param("0.31", "true", "0", id="0.31-shared_b1"),
+    pytest.param("0", "false", "-1", id="0-outer"),
+    pytest.param("0.31", "false", "-1", id="0.31-outer"),
+    pytest.param("0.31", "true", "-1", id="0.31-shared_b1-outer"),
+])
+def test_analytic_center_matches_simulate(tmp_path, sigma, shared_b1, m_i):
+    # closed form and engine share one central-line normalization, and both
+    # lines agree with and without the B1 ensemble average, also when the
+    # first pulse shares the B1 factor
     cfg = tmp_path / "m0.cfg"
-    cfg.write_text(FAST_CFG.replace("detect_m_i = -1", "detect_m_i = 0")
-                   .replace("sigma_rad = 0.31", f"sigma_rad = {sigma}"))
+    cfg.write_text(FAST_CFG.replace("detect_m_i = -1", f"detect_m_i = {m_i}")
+                   .replace("sigma_rad = 0.31", f"sigma_rad = {sigma}\n"
+                            f"shared_b1 = {shared_b1}"))
     sim, ana = tmp_path / "sim.csv", tmp_path / "ana.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
     assert main(["analytic", "--config", str(cfg), "--out", str(ana)]) == 0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from eseem.analytic import v_outer
-from eseem.engine import (EchoExperiment, EchoTrace, detect,
-                          detection_operator, free_evolution,
+from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _Propagator,
+                          detect, detection_operator, free_evolution,
                           microwave_freq_hz, run_two_pulse_echo,
                           thermal_deviation, validate_aht)
 from eseem.hamiltonians import TWO_PI, delta_hz, line_center_hz
@@ -269,3 +269,88 @@ def test_validate_aht_warns_outside_perturbative_regime():
         p = nc60_params(a_hz=0.1 * 9.67e9)
     report = validate_aht(p, tau_max=2e-9, n_points=5)
     assert report["perturbative_warning"]
+
+
+# Reference: the per-tau loop the batched echo kernel replaced, kept verbatim
+# apart from reading the propagator's cached spectra from outside.
+
+def _reference_propagator(prop, t_start, tau):
+    if tau == 0.0:
+        return np.eye(prop.system.basis.dim, dtype=complex)
+    if prop.engine == "average-hamiltonian":
+        return np.diag(np.exp(-1j * prop._phases * tau))
+    if prop.engine == "exact-lab-frame":
+        w_mw = TWO_PI * prop.f_mw_hz
+        core = (prop._v0 * np.exp(-1j * prop._w0 * tau)) @ prop._v0.conj().T
+        w_out = np.exp(1j * w_mw * prop._mz * (t_start + tau))
+        w_in = np.exp(-1j * w_mw * prop._mz * t_start)
+        return (w_out[:, None] * core) * w_in[None, :]
+    return prop._stepped(t_start, tau)
+
+
+def _reference_echo_amplitude(u1, u2, r1, r2, sigma0, det_op, sel_p, sel_m):
+    sigma = r1 @ sigma0 @ r1.conj().T
+    sigma = np.where(sel_p, sigma, 0.0)
+    sigma = u1 @ sigma @ u1.conj().T
+    sigma = r2 @ sigma @ r2.conj().T
+    sigma = np.where(sel_m, sigma, 0.0)
+    sigma = sigma + sigma.conj().T
+    sigma = u2 @ sigma @ u2.conj().T
+    return np.trace(sigma @ det_op)
+
+
+def _reference_amplitudes(exp, scale1=1.0, scale2=1.0):
+    system = exp.system
+    f_mw = microwave_freq_hz(exp)
+    prop = _Propagator(exp.engine, system, f_mw, exp.steps_per_period)
+    r1 = rotation_operator(exp.pulse1, system, scale1, f_mw)
+    r2 = rotation_operator(exp.pulse2, system, scale2, f_mw)
+    order = system.basis.electron_order()
+    sigma0 = thermal_deviation(system)
+    det_op = detection_operator(system, exp.detect_m_i)
+    return np.array([_reference_echo_amplitude(
+        _reference_propagator(prop, 0.0, tau),
+        _reference_propagator(prop, tau, tau), r1, r2, sigma0, det_op,
+        order == 1, order == -1) for tau in exp.tau_grid])
+
+
+def _pulses(kind):
+    if kind == "ideal":
+        return PulseSpec(np.pi / 2), PulseSpec(np.pi)
+    p1 = PulseSpec(np.pi / 2, model="finite", duration_s=56e-9)
+    if kind == "finite":
+        return p1, PulseSpec(np.pi, model="finite", duration_s=112e-9)
+    cp3 = composite_pi()
+    return p1, PulseSpec(cp3.angle, model="finite", duration_s=112e-9,
+                         composite=cp3.composite)
+
+
+@pytest.mark.parametrize("pulses", ["ideal", "finite", "cp3"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_batched_kernel_matches_per_tau_loop(preset, engine, pulses):
+    stepped = engine == "stepped-rotating-frame"
+    tau = np.linspace(0.0, 60e-6, 5 if stepped else 97)  # starts at tau = 0
+    p1, p2 = _pulses(pulses)
+    exp = EchoExperiment(system=preset, pulse1=p1, pulse2=p2, tau_grid=tau,
+                         detect_m_i=-1.0, engine=engine,
+                         resonance_offset_hz=3e5)
+    ref = _reference_amplitudes(exp, scale1=0.93, scale2=1.07)
+    trace = run_two_pulse_echo(exp, scale1=0.93, scale2=1.07)
+    got = trace.v + 1j * trace.v_im
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_propagator_stack_matches_single_calls(preset, engine):
+    prop = _Propagator(engine, preset, line_center_hz(preset, 1.0))
+    tau = np.array([0.0, 1.3e-6, 7.7e-6])
+    t_start = np.array([0.4e-6, 0.0, 2.9e-6])
+    stack = prop.stack(t_start, tau)
+    assert stack.shape == (3, 12, 12)
+    assert np.array_equal(stack[0], np.eye(12))  # exact identity at tau = 0
+    for k in range(3):
+        ref = _reference_propagator(prop, t_start[k], tau[k])
+        assert np.abs(stack[k] - ref).max() <= 1e-12
+        assert np.array_equal(prop(t_start[k], tau[k]), stack[k])
+    with pytest.raises(ValueError):
+        prop.stack(0.0, np.array([1e-6, -1e-6]))

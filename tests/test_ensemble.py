@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from eseem.analytic import v_outer
+from eseem.cli import main
 from eseem.engine import EchoExperiment, EchoTrace, run_two_pulse_echo
 from eseem.ensemble import (AngleDistribution, apply_t2,
                             average_analytic_outer, average_trace,
                             averaged_component_weights, i1_i2_ratio)
+from eseem.fileio import read_trace_csv
 from eseem.hamiltonians import delta_hz
 from eseem.pulses import PulseSpec, composite_pi
 from eseem.spectral import fft_magnitude
 from eseem.system import nc60_params
 
 SIGMA_B1 = 0.31
+RUN_META = ("f_mw_hz", "max_imag_residual", "theta1_rad", "theta2_rad",
+            "pulse2_composite")
 
 
 @pytest.fixture
@@ -42,12 +46,49 @@ def test_distribution_validation():
     assert np.pi in thetas  # odd rule includes the mean
 
 
-def test_zero_width_average_is_identity(preset):
+def test_zero_width_average_is_identity(preset, tmp_path):
     exp = make_exp(preset)
     dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=0.0)
     averaged = average_trace(exp, dist)
     plain = run_two_pulse_echo(exp)
     assert np.abs(averaged.v - plain.v).max() <= 1e-12
+    # the average carries the single run's metadata
+    for key in RUN_META:
+        assert averaged.metadata[key] == plain.metadata[key]
+    out = tmp_path / "composite.csv"
+    assert main(["simulate", "--preset", "nc60_composite",
+                 "--out", str(out)]) == 0
+    meta = read_trace_csv(out).metadata
+    assert all(key in meta for key in RUN_META)
+    assert meta["pulse2_composite"] == "True"
+    assert float(meta["max_imag_residual"]) <= 1e-9
+
+
+@pytest.mark.parametrize("shared_b1", [False, True])
+def test_average_trace_is_weighted_sum_of_node_traces(preset, shared_b1):
+    tau = np.linspace(0.0, 80e-6, 40)
+    exp = EchoExperiment(system=preset,
+                         pulse1=PulseSpec(np.pi / 2, model="finite",
+                                          duration_s=56e-9),
+                         pulse2=PulseSpec(np.pi, model="finite",
+                                          duration_s=112e-9),
+                         tau_grid=tau, detect_m_i=-1.0,
+                         engine="exact-lab-frame", resonance_offset_hz=0.0,
+                         t2_s=210e-6)
+    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+                             nodes=11)
+    averaged = average_trace(exp, dist, shared_b1=shared_b1)
+    thetas, weights = dist.points()
+    ref = np.zeros(tau.size)
+    residual = 0.0
+    for theta, weight in zip(thetas, weights):
+        scale = theta / np.pi
+        node = run_two_pulse_echo(exp, scale1=scale if shared_b1 else 1.0,
+                                  scale2=scale)
+        ref = ref + weight * node.v
+        residual = max(residual, node.metadata["max_imag_residual"])
+    assert np.abs(averaged.v - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert averaged.metadata["max_imag_residual"] == residual
 
 
 def test_delta_distribution_off_nominal(preset):
