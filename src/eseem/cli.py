@@ -149,16 +149,13 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in values:
         if args.param == "theta2_deg":
-            theta2 = np.deg2rad(value)
-            co = coefficients(theta2)
-            pref = 2.0 * np.sin(cfg.pulse1.angle) * np.sin(theta2 / 2) ** 2
-            w0, w1, w2 = pref * co.a0, pref * co.a1, pref * co.a2
-        else:  # sigma_rad
+            dist = AngleDistribution(kind="delta", mean=np.deg2rad(value))
+        elif value > 0:  # sigma_rad
             dist = AngleDistribution(kind="gaussian", mean=cfg.pulse2.angle,
-                                     sigma=float(value), nodes=41) \
-                if value > 0 else AngleDistribution(kind="delta",
-                                                    mean=cfg.pulse2.angle)
-            w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle)
+                                     sigma=float(value), nodes=41)
+        else:
+            dist = AngleDistribution(kind="delta", mean=cfg.pulse2.angle)
+        w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle)
         ratio = abs(w1) / abs(w2) if w2 != 0 else float("inf")
         rows.append((value, w0, w1, w2, ratio))
     with open(args.out, "w") as fh:

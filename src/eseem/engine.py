@@ -47,13 +47,26 @@ stepped-rotating-frame
 
 Echo kernel
 -----------
-One kernel contracts the stacks for every engine.  The free evolution
-enters as U1(tau) = U(0, tau) and G(tau) = U2(tau)^H D U2(tau), with
-U2(tau) = U(tau, tau) and D the detection operator, because
-Tr[U2 Z U2^H D] = Tr[Z G].  Neither depends on the pulses, so an ensemble
-average builds them once and applies only the node's pulse rotations.  The
-stacks are built and contracted in blocks of ``TAU_BLOCK`` points, which
-bounds the scratch memory whatever the grid size.
+One kernel contracts the stacks for every engine, in two stages.  The
+free evolution enters as U1(tau) = U(0, tau) and G(tau) = U2(tau)^H D U2(tau),
+with U2(tau) = U(tau, tau) and D the detection operator, because
+Tr[U2 Z U2^H D] = Tr[Z G].
+
+Per experiment (``_EchoPlan``), everything that does not depend on the
+pulse scales of an ensemble node is built once: the U1 stack; G at the
+(i, j) elements of electron order -1 that the refocusing pulse fills (27
+for S = 3/2, I = 1), as G[j, i] and G[i, j], the second for the Hermitian
+completion; one scale -> propagator factory per pulse; and the pulse-1
+coherences X(tau) = U1 rho1 U1^H, memoized on the pulse-1 scale, which
+stays fixed over the nodes unless both pulses share the B1 factor.  The
+stacks are built in blocks of ``TAU_BLOCK`` points, which bounds the
+temporaries whatever the grid size.
+
+Per node, the refocused elements S = (R2 X R2^H)[i, j] are one product
+X_flat @ K of the flattened (n_tau, d*d) coherences with the
+(d*d, n_pairs) matrix K = R2[i, :] x conj(R2[j, :]), and the amplitude is
+sum S G[j, i] + conj(S) G[i, j].  The imaginary part is kept as the
+roundoff residual.
 """
 
 from __future__ import annotations
@@ -61,12 +74,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.optimize import least_squares
 
 from .hamiltonians import (TWO_PI, _f_mw_effective, delta_hz, h0_lab, h_avg0,
                            h_avg1, h_rot_t, line_center_hz)
-from .pulses import PulseSpec, rotation_operator
+from .pulses import PulseSpec, _scaled_propagator
 from .spinops import kron, multiplicity, projector_mi, spin_matrices
 from .system import SpinSystemParams
 
@@ -74,7 +85,7 @@ ENGINES = ("average-hamiltonian", "exact-lab-frame", "stepped-rotating-frame")
 
 MIN_STEPS_PER_PERIOD = 20
 
-# tau points the echo kernel contracts at once (see "Echo kernel" above)
+# tau points per block when building the stacks (see "Echo kernel" above)
 TAU_BLOCK = 64
 
 
@@ -223,6 +234,7 @@ class _Propagator:
         multiplied exactly, so roundoff does not grow with n."""
         if n == 1:
             return u
+        from scipy.linalg import schur
         t, q = schur(u, output="complex")
         phases = np.exp(1j * n * np.angle(np.diag(t)))
         return (q * phases) @ q.conj().T
@@ -272,66 +284,82 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _free_stacks(exp: EchoExperiment) -> tuple[np.ndarray, np.ndarray]:
-    """Free-evolution stacks (U1, G) of the experiment over its tau grid.
+class _EchoPlan:
+    """Everything of one echo experiment that does not depend on the pulse
+    scales of an ensemble node, built once; see "Echo kernel" above.
 
-    U1(tau) = U(0, tau) and G(tau) = U2^H D U2 with U2 = U(tau, tau), the
-    inputs of :func:`_echo_kernel`.  They do not depend on the pulses.
+    Holds the U1(tau) stack, G(tau) = U2^H D U2 at the refocused coherence
+    pairs only, one scale -> propagator factory per pulse, and a one-entry
+    memo of the pulse-1 coherences X(tau) keyed on ``scale1``.
     """
-    system = exp.system
-    prop = _Propagator(exp.engine, system, microwave_freq_hz(exp),
-                       exp.steps_per_period)
-    det_op = detection_operator(system, exp.detect_m_i)
-    tau = exp.tau_grid
-    u1 = np.empty((tau.size,) + det_op.shape, dtype=complex)
-    g = np.empty_like(u1)
-    for start in range(0, tau.size, TAU_BLOCK):
-        blk = slice(start, start + TAU_BLOCK)
-        u1[blk] = prop.stack(0.0, tau[blk])
-        u2 = prop.stack(tau[blk], tau[blk])
-        g[blk] = _dagger(u2) @ det_op @ u2
-    return u1, g
 
+    def __init__(self, exp: EchoExperiment):
+        system = exp.system
+        self.f_mw_hz = microwave_freq_hz(exp)
+        prop = _Propagator(exp.engine, system, self.f_mw_hz,
+                           exp.steps_per_period)
+        det_op = detection_operator(system, exp.detect_m_i)
+        order = system.basis.electron_order()
+        self._plus = order == 1
+        self._sigma0 = thermal_deviation(system)
+        # (i, j) of every element the refocusing pulse may fill (order -1)
+        self._i, self._j = np.nonzero(order == -1)
+        tau = exp.tau_grid
+        self._u1 = np.empty((tau.size,) + det_op.shape, dtype=complex)
+        self._g_ji = np.empty((tau.size, self._i.size), dtype=complex)
+        self._g_ij = np.empty_like(self._g_ji)
+        for start in range(0, tau.size, TAU_BLOCK):
+            blk = slice(start, start + TAU_BLOCK)
+            self._u1[blk] = prop.stack(0.0, tau[blk])
+            u2 = prop.stack(tau[blk], tau[blk])
+            g = _dagger(u2) @ det_op @ u2
+            self._g_ji[blk] = g[:, self._j, self._i]
+            self._g_ij[blk] = g[:, self._i, self._j]
+        self._pulse1 = _scaled_propagator(exp.pulse1, system, self.f_mw_hz)
+        self._pulse2 = _scaled_propagator(exp.pulse2, system, self.f_mw_hz)
+        self._x_scale = None
+        self._x = None
 
-def _echo_kernel(u1: np.ndarray, g: np.ndarray, r1: np.ndarray,
-                 r2: np.ndarray, system: SpinSystemParams) -> np.ndarray:
-    """Complex echo amplitude at every tau of the stacks U1, G: rotate,
-    select +1 coherences, evolve, refocus with order-flip selection, then
-    detect through Tr[Z G] (the second evolution is folded into G)."""
-    order = system.basis.electron_order()
-    sigma0 = thermal_deviation(system)
-    rho = np.where(order == 1, r1 @ sigma0 @ r1.conj().T, 0.0)
-    sel_m = order == -1
-    r2h = r2.conj().T
-    amp = np.empty(u1.shape[0], dtype=complex)
-    for start in range(0, u1.shape[0], TAU_BLOCK):
-        blk = slice(start, start + TAU_BLOCK)
-        sigma = u1[blk] @ rho @ _dagger(u1[blk])
-        sigma = np.where(sel_m, r2 @ sigma @ r2h, 0.0)
-        sigma = sigma + _dagger(sigma)
-        amp[blk] = np.einsum("kij,kji->k", sigma, g[blk])
-    return amp
+    def _coherences(self, scale1: float) -> np.ndarray:
+        """X(tau) = U1 rho1 U1^H with rho1 the +1 coherences after pulse 1,
+        flattened to (n_tau, d*d)."""
+        if scale1 != self._x_scale:
+            r1 = self._pulse1(scale1)
+            rho = np.where(self._plus, r1 @ self._sigma0 @ r1.conj().T, 0.0)
+            x = np.empty_like(self._u1)
+            for start in range(0, x.shape[0], TAU_BLOCK):
+                blk = slice(start, start + TAU_BLOCK)
+                x[blk] = self._u1[blk] @ rho @ _dagger(self._u1[blk])
+            self._x = x.reshape(x.shape[0], -1)
+            self._x_scale = scale1
+        return self._x
+
+    def amplitudes(self, scale1: float, scale2: float) -> np.ndarray:
+        """Complex echo amplitude at every tau for the given pulse scales."""
+        x = self._coherences(scale1)
+        r2 = self._pulse2(scale2)
+        # S[:, p] = (R2 X R2^H)[i_p, j_p] = X_flat @ (R2[i_p] x conj R2[j_p])
+        k = r2[self._i, :, None] * r2[self._j, None, :].conj()
+        s = x @ k.reshape(self._i.size, -1).T
+        # Tr[(Z + Z^H) G] over the refocused elements Z[i, j] = S
+        return (s * self._g_ji + s.conj() * self._g_ij).sum(axis=1)
 
 
 def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
-                       scale2: float = 1.0,
-                       free: tuple[np.ndarray, np.ndarray] | None = None
+                       scale2: float = 1.0, plan: _EchoPlan | None = None
                        ) -> EchoTrace:
     """Run the two-pulse echo experiment and sample V at each tau.
 
     ``scale1``/``scale2`` multiply the pulse rotation angles (used by the
     ensemble module for B1-inhomogeneity averaging; composites scale all
-    segments together).  ``free`` takes the experiment's precomputed
-    :func:`_free_stacks`, which an ensemble average shares across its
-    nodes; the trace is the same with or without it.  When ``t2_s`` is set
-    the trace is damped by exp(-2*tau/T2).
+    segments together).  ``plan`` takes the experiment's :class:`_EchoPlan`,
+    which an ensemble average builds once and shares across its nodes; the
+    trace is the same with or without it.  When ``t2_s`` is set the trace
+    is damped by exp(-2*tau/T2).
     """
-    system = exp.system
-    f_mw = microwave_freq_hz(exp)
-    u1, g = _free_stacks(exp) if free is None else free
-    r1 = rotation_operator(exp.pulse1, system, scale1, f_mw)
-    r2 = rotation_operator(exp.pulse2, system, scale2, f_mw)
-    amp = _echo_kernel(u1, g, r1, r2, system)
+    if plan is None:
+        plan = _EchoPlan(exp)
+    amp = plan.amplitudes(scale1, scale2)
     v = amp.real.copy()
     v_im = amp.imag.copy()
     if exp.t2_s is not None:
@@ -344,7 +372,7 @@ def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
         "theta1_rad": exp.pulse1.angle,
         "theta2_rad": exp.pulse2.angle,
         "pulse2_composite": exp.pulse2.composite is not None,
-        "f_mw_hz": f_mw,
+        "f_mw_hz": plan.f_mw_hz,
         "t2_s": exp.t2_s,
         "max_imag_residual": float(np.abs(v_im).max()),
     }
@@ -355,6 +383,7 @@ def _fit_single_cosine(tau: np.ndarray, v: np.ndarray,
                        f0: float) -> tuple[float, float]:
     """Least-squares fit of v ~ c0 + c1*cos(2*pi*f*tau + phi); returns
     (f, rms residual)."""
+    from scipy.optimize import least_squares
 
     def resid(params):
         c0, c1, f, phi = params

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import coefficients, v_center, v_outer
-from .engine import EchoExperiment, EchoTrace, _free_stacks, run_two_pulse_echo
+from .engine import EchoExperiment, EchoTrace, _EchoPlan, run_two_pulse_echo
 
 DISTRIBUTION_KINDS = ("delta", "gaussian")
 
@@ -66,8 +66,9 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
     scale together, matching a common drive-amplitude error).  With
     ``shared_b1`` the first pulse sees the same relative amplitude factor,
     modeling both pulses sampling one B1 value; default off, so only the
-    refocusing angle varies.  The free evolution does not depend on the
-    pulse angles, so it is built once and shared by every node.
+    refocusing angle varies.  Everything that does not depend on a node's
+    scales (free evolution and pulse generators, and without ``shared_b1``
+    the pulse-1 coherences) is built once and shared by every node.
     """
     if method == "quadrature":
         thetas, weights = dist.points()
@@ -80,16 +81,16 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
         raise ValueError(f"unknown averaging method {method!r}")
 
     nominal2 = exp.pulse2.angle
-    free = _free_stacks(exp)
-    acc = None
+    plan = _EchoPlan(exp)
+    acc = acc_im = -0.0  # the exact identity of float addition
     residual = 0.0
     for theta, weight in zip(thetas, weights):
         scale2 = theta / nominal2
         scale1 = scale2 if shared_b1 else 1.0
         trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2,
-                                   free=free)
-        term = weight * trace.v
-        acc = term if acc is None else acc + term
+                                   plan=plan)
+        acc = acc + weight * trace.v
+        acc_im = acc_im + weight * trace.v_im
         residual = max(residual, trace.metadata["max_imag_residual"])
     meta = {key: trace.metadata[key] for key in (
         "engine", "m_i", "theta1_rad", "theta2_rad", "pulse2_composite",
@@ -103,7 +104,8 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
         "shared_b1": shared_b1,
         "max_imag_residual": residual,
     })
-    return EchoTrace(tau_s=exp.tau_grid.copy(), v=acc, metadata=meta)
+    return EchoTrace(tau_s=exp.tau_grid.copy(), v=acc, metadata=meta,
+                     v_im=acc_im)
 
 
 def average_analytic(tau, m_i: float, theta1: float, theta2: float,
@@ -141,7 +143,9 @@ def averaged_component_weights(dist: AngleDistribution,
     amplitudes a spectrum of the averaged trace actually shows.
     """
     thetas, weights = dist.points()
-    w0 = w1 = w2 = 0.0
+    # -0.0 is the exact identity of float addition, so a one-node rule
+    # returns its terms unchanged, signed zeros included
+    w0 = w1 = w2 = -0.0
     for theta, weight in zip(thetas, weights):
         co = coefficients(theta)
         pref = 2.0 * np.sin(theta1) * np.sin(theta / 2) ** 2

@@ -104,22 +104,36 @@ def rotation_operator(pulse: PulseSpec, system: SpinSystemParams,
     duration shrinks at fixed angle the finite propagator converges to the
     ideal one).
     """
+    return _scaled_propagator(pulse, system, f_mw_hz)(scale)
+
+
+def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
+                       f_mw_hz: float | None = None):
+    """scale -> :func:`rotation_operator` of ``pulse``, with everything that
+    does not depend on the scale (internal Hamiltonian, segment drive
+    operators) built once for repeated calls."""
     eye_n = np.eye(multiplicity(system.i))
+    segments = pulse.segments()
     if pulse.model == "ideal":
-        u = np.eye(multiplicity(system.s), dtype=complex)
-        for angle, phase in pulse.segments():
-            u = electron_rotation(scale * angle, phase, system.s) @ u
-        return kron(u, eye_n)
+        def ideal(scale: float) -> np.ndarray:
+            u = np.eye(multiplicity(system.s), dtype=complex)
+            for angle, phase in segments:
+                u = electron_rotation(scale * angle, phase, system.s) @ u
+            return kron(u, eye_n)
+        return ideal
 
     # finite model: shared drive amplitude set by the nominal angle/duration
     w1_nominal = pulse.angle / pulse.duration_s
     h_int = h_avg0(system, f_mw_hz) + h_avg1(system)
     sx, sy, _ = spin_matrices(system.s)
-    dim = h_int.shape[0]
-    u = np.eye(dim, dtype=complex)
-    for angle, phase in pulse.segments():
-        t_seg = angle / w1_nominal
-        axis = sx * np.cos(phase) + sy * np.sin(phase)
-        h_drive = -scale * w1_nominal * kron(axis, eye_n)
-        u = expm_hermitian(h_int + h_drive, t_seg) @ u
-    return u
+    drives = [(angle / w1_nominal,
+               kron(sx * np.cos(phase) + sy * np.sin(phase), eye_n))
+              for angle, phase in segments]
+
+    def finite(scale: float) -> np.ndarray:
+        u = np.eye(h_int.shape[0], dtype=complex)
+        for t_seg, drive in drives:
+            h_drive = -scale * w1_nominal * drive
+            u = expm_hermitian(h_int + h_drive, t_seg) @ u
+        return u
+    return finite

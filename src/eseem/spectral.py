@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .engine import EchoTrace
 from .hamiltonians import TWO_PI
@@ -56,6 +55,8 @@ def _window_array(window: str, n: int) -> np.ndarray:
 
 def _exp_baseline(tau: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Best-fit c*exp(-2*tau/T2) baseline of a damped trace."""
+    from scipy.optimize import least_squares
+
     if np.abs(v).max() == 0:
         return np.zeros_like(v)
     _, t2_guess = _envelope_t2_guess(tau, v)
@@ -180,6 +181,8 @@ def fit_decay(trace: EchoTrace, model: str = "exp-two-cosine",
     Levenberg-Marquardt style solver stops on step or residual tolerance
     1e-10 within ``max_iterations`` model evaluations per start.
     """
+    from scipy.optimize import least_squares
+
     if model not in FIT_MODELS:
         raise ValueError(f"unknown fit model {model!r}")
     tau = trace.tau_s

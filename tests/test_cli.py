@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eseem
+from eseem.analytic import coefficients
 from eseem.cli import main
 from eseem.fileio import read_spectrum_csv, read_trace_csv
 from eseem.hamiltonians import delta_hz
@@ -226,6 +232,36 @@ def test_sweep_theta2(tmp_path):
     by_angle = {float(r.split(",")[0]): r.split(",") for r in rows}
     ratio_120 = float(by_angle[120.0][4])
     assert ratio_120 == pytest.approx(20.0 / 3.0, rel=1e-9)
+
+
+def test_sweep_theta2_rows_are_single_angle_weights(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--preset", "nc60", "--param", "theta2_deg",
+                 "--start", "0", "--stop", "360", "--num", "7",
+                 "--out", str(out)]) == 0
+    rows = [ln for ln in out.read_text().splitlines()
+            if ln and not ln.startswith("#")][1:]
+    for row, deg in zip(rows, np.linspace(0.0, 360.0, 7)):
+        theta2 = np.deg2rad(deg)
+        co = coefficients(theta2)
+        pref = 2.0 * np.sin(np.pi / 2) * np.sin(theta2 / 2) ** 2
+        weights = [pref * co.a0, pref * co.a1, pref * co.a2]
+        # printed bit for bit, signed zeros included (the row at 0 degrees)
+        assert row.split(",")[:4] == ["%.17g" % x for x in [deg] + weights]
+
+
+def test_import_loads_no_scipy_linalg_or_optimize():
+    # the scipy solvers are imported by the functions that use them, so
+    # start-up of every subcommand stays short
+    code = ("import sys, eseem, eseem.cli; print(sorted(m for m in "
+            "sys.modules if m.startswith(('scipy.linalg', 'scipy.optimize'))))")
+    src = str(Path(eseem.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_sigma(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from eseem.analytic import v_outer
-from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _Propagator,
-                          detect, detection_operator, free_evolution,
-                          microwave_freq_hz, run_two_pulse_echo,
-                          thermal_deviation, validate_aht)
+from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
+                          _Propagator, detect, detection_operator,
+                          free_evolution, microwave_freq_hz,
+                          run_two_pulse_echo, thermal_deviation, validate_aht)
 from eseem.hamiltonians import TWO_PI, delta_hz, line_center_hz
 from eseem.pulses import PulseSpec, composite_pi, rotation_operator
 from eseem.spinops import is_unitary, kron, projector_mi, spin_matrices
@@ -338,6 +338,14 @@ def test_batched_kernel_matches_per_tau_loop(preset, engine, pulses):
     trace = run_two_pulse_echo(exp, scale1=0.93, scale2=1.07)
     got = trace.v + 1j * trace.v_im
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # one shared plan whose pulse-1 memo holds another scale1: a memo miss,
+    # then a hit
+    plan = _EchoPlan(exp)
+    run_two_pulse_echo(exp, scale1=1.0, scale2=0.9, plan=plan)
+    for _ in range(2):
+        trace = run_two_pulse_echo(exp, scale1=0.93, scale2=1.07, plan=plan)
+        got = trace.v + 1j * trace.v_im
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("engine", ENGINES)

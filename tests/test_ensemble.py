@@ -80,14 +80,19 @@ def test_average_trace_is_weighted_sum_of_node_traces(preset, shared_b1):
     averaged = average_trace(exp, dist, shared_b1=shared_b1)
     thetas, weights = dist.points()
     ref = np.zeros(tau.size)
+    ref_im = np.zeros(tau.size)
     residual = 0.0
     for theta, weight in zip(thetas, weights):
         scale = theta / np.pi
         node = run_two_pulse_echo(exp, scale1=scale if shared_b1 else 1.0,
                                   scale2=scale)
         ref = ref + weight * node.v
+        ref_im = ref_im + weight * node.v_im
         residual = max(residual, node.metadata["max_imag_residual"])
     assert np.abs(averaged.v - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(ref_im).max() > 0.0  # the roundoff residual is there
+    assert np.abs(averaged.v_im - ref_im).max() <= \
+        1e-12 * np.abs(ref_im).max()
     assert averaged.metadata["max_imag_residual"] == residual
 
 
