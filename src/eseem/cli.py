@@ -188,8 +188,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    force_fail = args.force_fail.split(",") if args.force_fail else []
-    results = run_checks(force_fail=force_fail)
+    results = run_checks()
     failed = [r for r in results if not r.passed]
     if args.json:
         print(json.dumps([{
@@ -221,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the density-matrix engines")
     add_config_opts(p_sim)
     p_sim.add_argument("--out", required=True, help="output trace CSV")
-    p_sim.add_argument("--format", choices=["csv"], default="csv")
     p_sim.add_argument("--im-residual", action="store_true",
                        help="include the imaginary-part diagnostic column")
     p_sim.add_argument("--svg", action="store_true",
@@ -231,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analytic", help="evaluate closed-form expressions")
     add_config_opts(p_an)
     p_an.add_argument("--out", required=True)
-    p_an.add_argument("--format", choices=["csv"], default="csv")
     p_an.add_argument("--general-s", action="store_true",
                       help="use the general-S perfect-refocusing sum")
     p_an.add_argument("--svg", action="store_true")
@@ -240,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp = sub.add_parser("spectrum", help="FFT a trace file and find peaks")
     p_sp.add_argument("trace", help="input trace CSV")
     p_sp.add_argument("--out", required=True, help="output spectrum CSV")
-    p_sp.add_argument("--format", choices=["csv"], default="csv")
     p_sp.add_argument("--window", choices=["hann", "rectangular"],
                       default="hann")
     p_sp.add_argument("--zero-pad", type=int, default=4)
@@ -273,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--json", action="store_true")
-    p_val.add_argument("--force-fail", default="", help=argparse.SUPPRESS)
     p_val.set_defaults(func=cmd_validate)
 
     return parser

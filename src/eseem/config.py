@@ -11,6 +11,7 @@ carrying the dotted field path, which the CLI maps to exit code 2.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -41,58 +42,43 @@ def _parse_spin(text: str) -> float:
     return float(text)
 
 
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(text)
+
+
+# parser -> what a value it rejects is not
+_KINDS = {float: "a number", int: "an integer", _parse_bool: "a boolean",
+          _parse_spin: "a spin value"}
+
+
 class _Section:
-    """One config block with typed, error-reporting accessors."""
+    """One config block with a typed, error-reporting accessor."""
 
     def __init__(self, name: str, items: dict[str, str]):
         self.name = name
         self.items = items
 
-    def _raw(self, key: str, default=None, required=False):
-        if key in self.items and self.items[key].strip() != "":
-            return self.items[key].strip()
-        if required:
-            raise ConfigError(f"{self.name}.{key}", "required value missing")
-        return default
-
-    def get_float(self, key: str, default=None, required=False):
-        raw = self._raw(key, required=required)
-        if raw is None:
+    def get(self, key: str, kind=str, default=None, required=False):
+        """``key`` parsed by ``kind`` (``str`` or a key of ``_KINDS``), or
+        ``default`` when it is unset; a number must be finite."""
+        field_path = f"{self.name}.{key}"
+        raw = self.items.get(key, "").strip()
+        if raw == "":
+            if required:
+                raise ConfigError(field_path, "required value missing")
             return default
         try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}", f"not a number: {raw!r}")
-
-    def get_int(self, key: str, default=None, required=False):
-        raw = self._raw(key, required=required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}", f"not an integer: {raw!r}")
-
-    def get_bool(self, key: str, default=False):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{self.name}.{key}", f"not a boolean: {raw!r}")
-
-    def get_str(self, key: str, default=None, required=False):
-        return self._raw(key, default=default, required=required)
-
-    def get_spin(self, key: str, required=True):
-        raw = self._raw(key, required=required)
-        try:
-            return _parse_spin(raw)
+            value = kind(raw)
         except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{self.name}.{key}", f"not a spin value: {raw!r}")
+            raise ConfigError(field_path, f"not {_KINDS[kind]}: {raw!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(field_path, f"must be finite: {raw!r}")
+        return value
 
 
 def _parse_composite(text: str, name: str) -> tuple[tuple[float, float], ...] | None:
@@ -157,13 +143,13 @@ def parse_config(path: str | Path) -> RunConfig:
     sys_sec = sections["system"]
     try:
         system = SpinSystemParams(
-            s=sys_sec.get_spin("s"),
-            i=sys_sec.get_spin("i"),
-            a_hz=sys_sec.get_float("a_hz", required=True),
-            f_e_hz=sys_sec.get_float("f_e_hz", required=True),
-            f_i_hz=sys_sec.get_float("f_i_hz"),
-            g=sys_sec.get_float("g", default=2.0036),
-            f_mw_hz=sys_sec.get_float("f_mw_hz"),
+            s=sys_sec.get("s", _parse_spin, required=True),
+            i=sys_sec.get("i", _parse_spin, required=True),
+            a_hz=sys_sec.get("a_hz", float, required=True),
+            f_e_hz=sys_sec.get("f_e_hz", float, required=True),
+            f_i_hz=sys_sec.get("f_i_hz", float),
+            g=sys_sec.get("g", float, default=2.0036),
+            f_mw_hz=sys_sec.get("f_mw_hz", float),
         )
     except ValueError as err:
         if isinstance(err, ConfigError):
@@ -171,26 +157,26 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError("system", str(err))
 
     seq = sections["sequence"]
-    model = seq.get_str("pulse_model", default="ideal")
-    theta1 = np.deg2rad(seq.get_float("theta1_deg", required=True))
-    theta2 = np.deg2rad(seq.get_float("theta2_deg", required=True))
-    phase1 = np.deg2rad(seq.get_float("phase1_deg", default=0.0))
-    phase2 = np.deg2rad(seq.get_float("phase2_deg", default=0.0))
-    composite = _parse_composite(seq.get_str("composite", default="none"),
+    model = seq.get("pulse_model", default="ideal")
+    theta1 = np.deg2rad(seq.get("theta1_deg", float, required=True))
+    theta2 = np.deg2rad(seq.get("theta2_deg", float, required=True))
+    phase1 = np.deg2rad(seq.get("phase1_deg", float, default=0.0))
+    phase2 = np.deg2rad(seq.get("phase2_deg", float, default=0.0))
+    composite = _parse_composite(seq.get("composite", default="none"),
                                  "sequence.composite")
     try:
         pulse1 = PulseSpec(angle=theta1, phase=phase1, model=model,
-                           duration_s=seq.get_float("t_p1_s"))
+                           duration_s=seq.get("t_p1_s", float))
         pulse2 = PulseSpec(angle=theta2, phase=phase2, model=model,
-                           duration_s=seq.get_float("t_p2_s"),
+                           duration_s=seq.get("t_p2_s", float),
                            composite=composite)
     except ValueError as err:
         raise ConfigError("sequence", str(err))
 
     tau_sec = sections["tau"]
-    start = tau_sec.get_float("start_s", required=True)
-    stop = tau_sec.get_float("stop_s", required=True)
-    points = tau_sec.get_int("points", required=True)
+    start = tau_sec.get("start_s", float, required=True)
+    stop = tau_sec.get("stop_s", float, required=True)
+    points = tau_sec.get("points", int, required=True)
     if points < 2:
         raise ConfigError("tau.points", "need at least 2 points")
     if not 0 <= start < stop:
@@ -198,33 +184,33 @@ def parse_config(path: str | Path) -> RunConfig:
     tau_grid = np.linspace(start, stop, points)
 
     run = sections["run"]
-    engine = run.get_str("engine", default="average-hamiltonian")
+    engine = run.get("engine", default="average-hamiltonian")
     if engine not in ENGINES:
         raise ConfigError("run.engine",
                           f"unknown engine {engine!r}; choose from {ENGINES}")
-    raw_mi = run.get_str("detect_m_i", required=True)
+    raw_mi = run.get("detect_m_i", required=True)
     try:
         detect_m_i = [_parse_spin(tok) for tok in raw_mi.split(",")]
     except ValueError:
         raise ConfigError("run.detect_m_i", f"bad projection list {raw_mi!r}")
-    t2_s = run.get_float("t2_s")
+    t2_s = run.get("t2_s", float)
     if t2_s is not None and t2_s <= 0:
         raise ConfigError("run.t2_s", "must be positive")
-    offset = run.get_float("resonance_offset_hz")
+    offset = run.get("resonance_offset_hz", float)
     if offset is not None and system.f_mw_hz is not None:
         raise ConfigError("run.resonance_offset_hz",
                           "give either this or system.f_mw_hz, not both")
     if offset is None and system.f_mw_hz is None:
         offset = 0.0
-    steps = run.get_int("steps_per_period", default=40)
+    steps = run.get("steps_per_period", int, default=40)
 
     dist = None
     shared_b1 = False
     if "ensemble" in sections:
         ens = sections["ensemble"]
-        sigma = ens.get_float("sigma_rad", default=0.0)
-        nodes = ens.get_int("nodes", default=41)
-        shared_b1 = ens.get_bool("shared_b1", default=False)
+        sigma = ens.get("sigma_rad", float, default=0.0)
+        nodes = ens.get("nodes", int, default=41)
+        shared_b1 = ens.get("shared_b1", _parse_bool, default=False)
         try:
             if sigma > 0:
                 dist = AngleDistribution(kind="gaussian", mean=pulse2.angle,

@@ -131,6 +131,8 @@ class EchoExperiment:
             raise ValueError("tau_grid must be non-negative and strictly increasing")
         # validates the projection against the nuclear spin
         projector_mi(self.system.i, self.detect_m_i)
+        if self.t2_s is not None and self.t2_s <= 0:
+            raise ValueError("t2_s must be positive")
         if self.steps_per_period < MIN_STEPS_PER_PERIOD:
             raise ValueError(
                 f"stepped engine substep too coarse: need >= "
@@ -363,8 +365,6 @@ def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
     v = amp.real.copy()
     v_im = amp.imag.copy()
     if exp.t2_s is not None:
-        if exp.t2_s <= 0:
-            raise ValueError("t2_s must be positive")
         v = v * np.exp(-2.0 * exp.tau_grid / exp.t2_s)
     meta = {
         "engine": exp.engine,

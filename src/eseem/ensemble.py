@@ -4,8 +4,8 @@ decay.
 B1 inhomogeneity across the sample gives each spin packet its own rotation
 angles.  Averages over a Gaussian angle distribution are evaluated with
 Gauss-Hermite quadrature (deterministic, spectrally convergent); a seeded
-Monte Carlo path exists for cross-checks.  numpy's pairwise summation keeps
-the accumulation order-independent.
+Monte Carlo path exists for cross-checks.  Node contributions are added
+one at a time in node order, so an average is reproducible bit for bit.
 """
 
 from __future__ import annotations

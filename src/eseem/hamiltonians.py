@@ -41,18 +41,6 @@ def _operators(p: SpinSystemParams):
     return sxe, sye, sze, sxn, syn, szn, ie, in_
 
 
-def electron_sz(p: SpinSystemParams) -> np.ndarray:
-    """Sz x 1 on the product space."""
-    _, _, sze, _, _, _, _, in_ = _operators(p)
-    return kron(sze, in_)
-
-
-def nuclear_iz(p: SpinSystemParams) -> np.ndarray:
-    """1 x Iz on the product space."""
-    _, _, _, _, _, szn, ie, _ = _operators(p)
-    return kron(ie, szn)
-
-
 def h0_lab(p: SpinSystemParams) -> np.ndarray:
     """Lab-frame Hamiltonian we*Sz - wI*Iz + a*S.I (angular units).
 

@@ -156,11 +156,6 @@ class ProductBasis:
             raise ValueError(f"projection pair ({m_s}, {m_i}) out of range")
         return int(ks) * self.dim_i + int(ki)
 
-    def state_labels(self) -> list[tuple[float, float]]:
-        """(m_s, m_i) for each basis index."""
-        return [(ms, mi) for ms in projections(self.s)
-                for mi in projections(self.i)]
-
     def m_s_diagonal(self) -> np.ndarray:
         """Electron projection of each basis state."""
         return np.repeat(projections(self.s), self.dim_i)

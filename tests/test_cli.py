@@ -104,6 +104,20 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("a_hz = 15.8e6", "a_hz = nan", "system.a_hz"),
+    ("f_e_hz = 9.67e9", "f_e_hz = inf", "system.f_e_hz"),
+    ("stop_s = 200e-6", "stop_s = inf", "tau.stop_s"),
+], ids=["a_hz-nan", "f_e_hz-inf", "stop_s-inf"])
+def test_non_finite_config_value_exit_code(tmp_path, capsys, old, new, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CFG.replace(old, new))
+    code = main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"{field}: must be finite" in capsys.readouterr().err
+
+
 def test_config_preset_exclusive(tmp_path, fast_cfg):
     code = main(["simulate", "--config", str(fast_cfg), "--preset", "nc60",
                  "--out", str(tmp_path / "x.csv")])
@@ -285,14 +299,21 @@ def test_fit_command(fast_cfg, tmp_path, capsys):
     assert payload["params"]["t2_s"] == pytest.approx(210e-6, rel=0.05)
 
 
-def test_validate_command(capsys):
+def test_validate_command(capsys, monkeypatch):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out
-    assert main(["validate", "--force-fail", "spin.expm", "--json"]) == 1
+    # failure path: one real passing check and one stub that fails
+    monkeypatch.setattr(eseem.validation, "CHECKS", [
+        eseem.validation.CHECKS[1],
+        ("stub.fail", "always over its bound", lambda: (2.0, 1.0))])
+    assert main(["validate", "--json"]) == 1
     rows = json.loads(capsys.readouterr().out.splitlines()[-1])
-    failed = [r["id"] for r in rows if not r["passed"]]
-    assert failed == ["spin.expm"]
+    assert [(r["id"], r["passed"]) for r in rows] == [
+        ("spin.expm", True), ("stub.fail", False)]
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] stub.fail" in out and "failed: stub.fail" in out
 
 
 def test_svg_output(fast_cfg, tmp_path):

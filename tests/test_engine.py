@@ -230,6 +230,8 @@ def test_experiment_validation(preset):
         make_exp(preset, m_i=0.5)
     with pytest.raises(ValueError):
         make_exp(preset, engine="nope")
+    with pytest.raises(ValueError, match="t2_s"):
+        make_exp(preset, t2_s=0.0)  # at construction, before any run
     with pytest.raises(ValueError):
         EchoTrace(tau_s=np.array([1e-6]), v=np.array([1.0, 2.0]))
 
