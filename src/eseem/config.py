@@ -21,6 +21,7 @@ import numpy as np
 from .engine import ENGINES, EchoExperiment
 from .ensemble import AngleDistribution
 from .pulses import PulseSpec, composite_pi
+from .spinops import projector_mi
 from .system import SpinSystemParams
 
 PRESET_NAMES = ("nc60", "nc60_mi_minus1", "nc60_mi_0", "nc60_composite")
@@ -42,6 +43,24 @@ def _parse_spin(text: str) -> float:
     return float(text)
 
 
+def _parse_spins(text: str) -> list[float]:
+    return [_parse_spin(tok) for tok in text.split(",")]
+
+
+def _parse_composite(text: str) -> tuple[tuple[float, float], ...] | None:
+    """'none', 'cp3', or custom 'angle@phase,angle@phase,...' in degrees."""
+    low = text.lower()
+    if low == "none":
+        return None
+    if low == "cp3":
+        return composite_pi().composite
+    segments = []
+    for part in text.split(","):
+        angle, _, phase = part.partition("@")
+        segments.append((np.deg2rad(float(angle)), np.deg2rad(float(phase))))
+    return tuple(segments)
+
+
 def _parse_bool(text: str) -> bool:
     low = text.lower()
     if low in ("true", "yes", "on", "1"):
@@ -53,7 +72,16 @@ def _parse_bool(text: str) -> bool:
 
 # parser -> what a value it rejects is not
 _KINDS = {float: "a number", int: "an integer", _parse_bool: "a boolean",
-          _parse_spin: "a spin value"}
+          _parse_spin: "a spin value",
+          _parse_spins: "a comma-separated list of spin projections",
+          _parse_composite: "'none', 'cp3' or 'angle_deg@phase_deg,...'"}
+
+
+def _finite(value) -> bool:
+    """Whether every float in ``value`` and its nested lists is finite."""
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 class _Section:
@@ -65,7 +93,7 @@ class _Section:
 
     def get(self, key: str, kind=str, default=None, required=False):
         """``key`` parsed by ``kind`` (``str`` or a key of ``_KINDS``), or
-        ``default`` when it is unset; a number must be finite."""
+        ``default`` when it is unset; every number must be finite."""
         field_path = f"{self.name}.{key}"
         raw = self.items.get(key, "").strip()
         if raw == "":
@@ -76,27 +104,9 @@ class _Section:
             value = kind(raw)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(field_path, f"not {_KINDS[kind]}: {raw!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        if not _finite(value):
             raise ConfigError(field_path, f"must be finite: {raw!r}")
         return value
-
-
-def _parse_composite(text: str, name: str) -> tuple[tuple[float, float], ...] | None:
-    """'none', 'cp3', or custom 'angle@phase,angle@phase,...' in degrees."""
-    low = text.lower()
-    if low in ("none", ""):
-        return None
-    if low == "cp3":
-        return composite_pi().composite
-    segments = []
-    for part in text.split(","):
-        try:
-            angle, _, phase = part.partition("@")
-            segments.append((np.deg2rad(float(angle)), np.deg2rad(float(phase))))
-        except ValueError:
-            raise ConfigError(name, f"bad composite segment {part!r}; "
-                                    "expected 'angle_deg@phase_deg,...'")
-    return tuple(segments)
 
 
 @dataclass
@@ -162,8 +172,7 @@ def parse_config(path: str | Path) -> RunConfig:
     theta2 = np.deg2rad(seq.get("theta2_deg", float, required=True))
     phase1 = np.deg2rad(seq.get("phase1_deg", float, default=0.0))
     phase2 = np.deg2rad(seq.get("phase2_deg", float, default=0.0))
-    composite = _parse_composite(seq.get("composite", default="none"),
-                                 "sequence.composite")
+    composite = seq.get("composite", _parse_composite)
     try:
         pulse1 = PulseSpec(angle=theta1, phase=phase1, model=model,
                            duration_s=seq.get("t_p1_s", float))
@@ -188,11 +197,12 @@ def parse_config(path: str | Path) -> RunConfig:
     if engine not in ENGINES:
         raise ConfigError("run.engine",
                           f"unknown engine {engine!r}; choose from {ENGINES}")
-    raw_mi = run.get("detect_m_i", required=True)
-    try:
-        detect_m_i = [_parse_spin(tok) for tok in raw_mi.split(",")]
-    except ValueError:
-        raise ConfigError("run.detect_m_i", f"bad projection list {raw_mi!r}")
+    detect_m_i = run.get("detect_m_i", _parse_spins, required=True)
+    for m_i in detect_m_i:
+        try:
+            projector_mi(system.i, m_i)
+        except ValueError as err:
+            raise ConfigError("run.detect_m_i", str(err))
     t2_s = run.get("t2_s", float)
     if t2_s is not None and t2_s <= 0:
         raise ConfigError("run.t2_s", "must be positive")

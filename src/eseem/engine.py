@@ -41,9 +41,9 @@ exact-lab-frame
 stepped-rotating-frame
     Time-ordered product of unitary midpoint substeps of the periodic
     rotating-frame Hamiltonian; converges quadratically in the substep to
-    the exact engine.  Whole microwave periods are applied through a binary
-    power of the one-period product, so cost is logarithmic in tau.  Built
-    one tau point at a time and stacked.
+    the exact engine.  h_rot(t) = R(t) H' R(t)^H with R(t) = exp(+i*w_mw*Sz*t)
+    diagonal, so each substep is R(t_k) E R(t_k)^H with one E = exp(-i H' dt):
+    one eigh of H' and one Schur form of the period product per factory.
 
 Echo kernel
 -----------
@@ -194,6 +194,13 @@ class _Propagator:
                 raise ValueError(
                     f"stepped engine substep too coarse: need >= "
                     f"{MIN_STEPS_PER_PERIOD} steps per microwave period")
+            from scipy.linalg import schur
+            self._w, self._v = np.linalg.eigh(h_rot_t(system, 0.0, f_mw_hz))
+            self._mz = system.basis.m_s_diagonal()
+            period = self._midpoint_run(steps_per_period,
+                                        1.0 / (f_mw_hz * steps_per_period))
+            t, self._q = schur(period, output="complex")  # Q diag(t) Q^H
+            self._angles = np.angle(np.diag(t))
 
     def __call__(self, t_start: float, tau: float) -> np.ndarray:
         return self.stack(t_start, np.array([tau]))[0]
@@ -222,39 +229,31 @@ class _Propagator:
         out[tau == 0.0] = self._eye
         return out
 
-    def _substep_product(self, t0: float, n_sub: int, dt: float) -> np.ndarray:
-        u = self._eye.copy()
-        for k in range(n_sub):
-            h = h_rot_t(self.system, t0 + (k + 0.5) * dt, self.f_mw_hz)
-            w, v = np.linalg.eigh(h)
-            u = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ u
-        return u
+    def _frame(self, t: float) -> np.ndarray:
+        """Diagonal of the frame rotation R(t) = exp(+i*w_mw*Sz*t)."""
+        return np.exp(1j * TWO_PI * self.f_mw_hz * self._mz * t)
 
-    @staticmethod
-    def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:
-        """u^n for unitary u via complex Schur form; the eigenphases are
-        multiplied exactly, so roundoff does not grow with n."""
-        if n == 1:
-            return u
-        from scipy.linalg import schur
-        t, q = schur(u, output="complex")
-        phases = np.exp(1j * n * np.angle(np.diag(t)))
-        return (q * phases) @ q.conj().T
+    def _midpoint_run(self, n_sub: int, dt: float) -> np.ndarray:
+        """Product of ``n_sub`` midpoint substeps of length ``dt`` from t = 0,
+        R(t_last) (E R(-dt))^(n_sub-1) E R(t_0)^H with t_k = (k + 1/2) dt."""
+        e = (self._v * np.exp(-1j * self._w * dt)) @ self._v.conj().T
+        u = np.linalg.matrix_power(e * self._frame(-dt), n_sub - 1) @ e
+        return ((self._frame((n_sub - 0.5) * dt)[:, None] * u)
+                * self._frame(0.5 * dt).conj())
 
     def _stepped(self, t_start: float, tau: float) -> np.ndarray:
         period = 1.0 / self.f_mw_hz
         dt = period / self.steps_per_period
         n_periods = int(np.floor(tau / period + 1e-9))
         remainder = tau - n_periods * period
-        u = self._eye.copy()
-        if n_periods > 0:
-            base = self._substep_product(t_start, self.steps_per_period, dt)
-            u = self._unitary_power(base, n_periods)
+        # whole periods from the eigenphases, multiplied exactly
+        u = (self._q * np.exp(1j * n_periods * self._angles)) @ self._q.conj().T
         if remainder > 1e-16:
+            # R(n_periods * period) is a scalar, so the rest starts at t = 0
             n_sub = max(1, int(np.ceil(remainder / dt - 1e-9)))
-            u = self._substep_product(t_start + n_periods * period,
-                                      n_sub, remainder / n_sub) @ u
-        return u
+            u = self._midpoint_run(n_sub, remainder / n_sub) @ u
+        r = self._frame(t_start)
+        return (r[:, None] * u) * r.conj()
 
 
 def free_evolution(engine: str, system: SpinSystemParams, tau: float,

@@ -78,7 +78,10 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the coupled-basis ordering of :class:`ProductBasis` when ``A`` acts on
     the electron and ``B`` on the nucleus.
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def projector_mi(i: float, m_i: float) -> np.ndarray:

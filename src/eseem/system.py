@@ -11,13 +11,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import physical_constants
-
 from .spinops import ProductBasis, validate_spin
 
-PLANCK_H = physical_constants["Planck constant"][0]
-BOHR_MAGNETON = physical_constants["Bohr magneton"][0]
-NUCLEAR_MAGNETON = physical_constants["nuclear magneton"][0]
+# CODATA 2022 values in SI units, as scipy.constants gives them (h is exact
+# since the 2019 SI); written out so that importing the package loads no scipy
+PLANCK_H = 6.62607015e-34
+BOHR_MAGNETON = 9.2740100657e-24
+NUCLEAR_MAGNETON = 5.0507837393e-27
 
 # Nuclear g-factor of 14N (positive; magnetic moment +0.4037610 uN, I=1).
 N14_G_FACTOR = 0.4037610

@@ -108,7 +108,13 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     ("a_hz = 15.8e6", "a_hz = nan", "system.a_hz"),
     ("f_e_hz = 9.67e9", "f_e_hz = inf", "system.f_e_hz"),
     ("stop_s = 200e-6", "stop_s = inf", "tau.stop_s"),
-], ids=["a_hz-nan", "f_e_hz-inf", "stop_s-inf"])
+    ("detect_m_i = -1", "detect_m_i = -1,nan", "run.detect_m_i"),
+    ("theta2_deg = 180", "theta2_deg = 180\ncomposite = nan@0",
+     "sequence.composite"),
+    ("theta2_deg = 180", "theta2_deg = 180\ncomposite = 90@0,180@inf",
+     "sequence.composite"),
+], ids=["a_hz-nan", "f_e_hz-inf", "stop_s-inf", "detect_m_i-nan",
+        "composite-nan", "composite-phase-inf"])
 def test_non_finite_config_value_exit_code(tmp_path, capsys, old, new, field):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(FAST_CFG.replace(old, new))
@@ -116,6 +122,16 @@ def test_non_finite_config_value_exit_code(tmp_path, capsys, old, new, field):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert f"{field}: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m_i", ["0.5", "1,-2"])
+def test_invalid_projection_exit_code(tmp_path, capsys, m_i):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CFG.replace("detect_m_i = -1", f"detect_m_i = {m_i}"))
+    code = main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "run.detect_m_i: projection" in capsys.readouterr().err
 
 
 def test_config_preset_exclusive(tmp_path, fast_cfg):
@@ -264,11 +280,11 @@ def test_sweep_theta2_rows_are_single_angle_weights(tmp_path):
         assert row.split(",")[:4] == ["%.17g" % x for x in [deg] + weights]
 
 
-def test_import_loads_no_scipy_linalg_or_optimize():
-    # the scipy solvers are imported by the functions that use them, so
-    # start-up of every subcommand stays short
+def test_import_loads_no_scipy():
+    # scipy is imported by the functions that use it, and the physical
+    # constants are literals, so start-up of every subcommand stays short
     code = ("import sys, eseem, eseem.cli; print(sorted(m for m in "
-            "sys.modules if m.startswith(('scipy.linalg', 'scipy.optimize'))))")
+            "sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(eseem.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,

@@ -6,7 +6,7 @@ from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
                           _Propagator, detect, detection_operator,
                           free_evolution, microwave_freq_hz,
                           run_two_pulse_echo, thermal_deviation, validate_aht)
-from eseem.hamiltonians import TWO_PI, delta_hz, line_center_hz
+from eseem.hamiltonians import TWO_PI, delta_hz, h_rot_t, line_center_hz
 from eseem.pulses import PulseSpec, composite_pi, rotation_operator
 from eseem.spinops import is_unitary, kron, projector_mi, spin_matrices
 from eseem.system import nc60_params
@@ -127,6 +127,59 @@ def test_stepped_engine_quadratic_convergence(preset):
         err[spp] = np.abs(stepped - exact).max()
     assert err[40] <= err[20] / 3.0
     assert err[80] <= err[40] / 3.0
+
+
+# Reference: the per-substep loop the frame-factorized stepped engine
+# replaced, kept verbatim apart from reading the propagator's settings from
+# outside.
+
+def _reference_substep_product(prop, t0, n_sub, dt):
+    u = np.eye(prop.system.basis.dim, dtype=complex)
+    for k in range(n_sub):
+        h = h_rot_t(prop.system, t0 + (k + 0.5) * dt, prop.f_mw_hz)
+        w, v = np.linalg.eigh(h)
+        u = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ u
+    return u
+
+
+def _reference_unitary_power(u, n):
+    if n == 1:
+        return u
+    from scipy.linalg import schur
+    t, q = schur(u, output="complex")
+    phases = np.exp(1j * n * np.angle(np.diag(t)))
+    return (q * phases) @ q.conj().T
+
+
+def _reference_stepped(prop, t_start, tau):
+    period = 1.0 / prop.f_mw_hz
+    dt = period / prop.steps_per_period
+    n_periods = int(np.floor(tau / period + 1e-9))
+    remainder = tau - n_periods * period
+    u = np.eye(prop.system.basis.dim, dtype=complex)
+    if n_periods > 0:
+        base = _reference_substep_product(prop, t_start,
+                                          prop.steps_per_period, dt)
+        u = _reference_unitary_power(base, n_periods)
+    if remainder > 1e-16:
+        n_sub = max(1, int(np.ceil(remainder / dt - 1e-9)))
+        u = _reference_substep_product(prop, t_start + n_periods * period,
+                                       n_sub, remainder / n_sub) @ u
+    return u
+
+
+@pytest.mark.parametrize("steps", [20, 40, 80])
+def test_stepped_engine_matches_substep_loop(preset, steps):
+    # frame 0.3 MHz off the m_i = -1 line; tau from under one microwave
+    # period to 60 us, each from t = 0 and from t = tau
+    f_mw = line_center_hz(preset, -1.0) - 3e5
+    prop = _Propagator("stepped-rotating-frame", preset, f_mw, steps)
+    tau = np.array([0.37e-10, 0.9e-9, 1.3e-6, 17.3e-6, 60e-6])
+    for t_start in (np.zeros_like(tau), tau):
+        got = prop.stack(t_start, tau)
+        for k in range(tau.size):
+            ref = _reference_stepped(prop, t_start[k], tau[k])
+            assert np.abs(got[k] - ref).max() <= 1e-8
 
 
 def test_free_evolution_basics(preset):

@@ -5,7 +5,8 @@ from eseem.hamiltonians import (TWO_PI, delta_hz, epr_stick_spectrum, h0_lab,
                                 h_avg0, h_avg1, h_rot_t, line_center_hz,
                                 reduced_block)
 from eseem.spinops import kron, spin_matrices
-from eseem.system import SpinSystemParams, nc60_params
+from eseem.system import (BOHR_MAGNETON, NUCLEAR_MAGNETON, PLANCK_H,
+                          SpinSystemParams, nc60_params)
 
 
 @pytest.fixture
@@ -220,3 +221,11 @@ def test_params_validation():
     p = nc60_params()
     assert p.f_i_hz == pytest.approx(1.061e6, rel=1e-3)
     assert p.b0_tesla == pytest.approx(0.3448, rel=1e-3)
+
+
+def test_physical_constants_equal_scipy_codata():
+    # written out to keep scipy off the import path; bit-equal to scipy's
+    from scipy.constants import physical_constants
+    assert PLANCK_H == physical_constants["Planck constant"][0]
+    assert BOHR_MAGNETON == physical_constants["Bohr magneton"][0]
+    assert NUCLEAR_MAGNETON == physical_constants["nuclear magneton"][0]

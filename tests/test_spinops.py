@@ -54,6 +54,18 @@ def test_kron_identities():
     assert np.allclose(got, np.diag([1, 0, -1, 0]))
 
 
+def test_kron_equals_numpy_kron():
+    # each entry is the one complex product np.kron forms: bit-identical
+    rng = np.random.default_rng(7)
+    shapes = [(2, 3), (4, 3), (3, 2), (4, 4)]
+    for shape_a in shapes:
+        for shape_b in shapes:
+            a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+            b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+            assert np.array_equal(kron(a, b), np.kron(a, b))
+            assert np.array_equal(kron(a.real, b), np.kron(a.real, b))
+
+
 def test_kron_ordering_matches_product_basis():
     _, _, sz = spin_matrices(1.5)
     got = kron(sz, np.eye(3))
