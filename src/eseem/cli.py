@@ -28,7 +28,8 @@ from .ensemble import (AngleDistribution, average_analytic, average_trace,
                        averaged_component_weights)
 from .fileio import (read_trace_csv, write_spectrum_csv, write_trace_csv)
 from .hamiltonians import delta_hz
-from .spectral import fft_magnitude, find_peaks, fit_decay
+from .spectral import (BASELINES, FIT_MODELS, WINDOWS, fft_magnitude,
+                       find_peaks, fit_decay)
 from .svgplot import write_line_svg
 from .validation import run_checks
 
@@ -237,10 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp = sub.add_parser("spectrum", help="FFT a trace file and find peaks")
     p_sp.add_argument("trace", help="input trace CSV")
     p_sp.add_argument("--out", required=True, help="output spectrum CSV")
-    p_sp.add_argument("--window", choices=["hann", "rectangular"],
-                      default="hann")
+    p_sp.add_argument("--window", choices=WINDOWS, default="hann")
     p_sp.add_argument("--zero-pad", type=int, default=4)
-    p_sp.add_argument("--baseline", choices=["auto", "mean", "exp", "none"],
+    p_sp.add_argument("--baseline", choices=("auto",) + BASELINES,
                       default="auto",
                       help="DC removal: 'auto' fits an exponential when the "
                            "trace is T2-damped, else subtracts the mean")
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a decay model to a trace file")
     p_fit.add_argument("trace")
-    p_fit.add_argument("--model", choices=["exp", "exp-two-cosine"],
+    p_fit.add_argument("--model", choices=FIT_MODELS,
                        default="exp-two-cosine")
     p_fit.add_argument("--json", action="store_true")
     p_fit.set_defaults(func=cmd_fit)

@@ -380,19 +380,16 @@ def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
 
 def _fit_single_cosine(tau: np.ndarray, v: np.ndarray,
                        f0: float) -> tuple[float, float]:
-    """Least-squares fit of v ~ c0 + c1*cos(2*pi*f*tau + phi); returns
-    (f, rms residual)."""
-    from scipy.optimize import least_squares
+    """Least-squares fit of v ~ c0 + c1*cos(2*pi*f*tau) + s1*sin(2*pi*f*tau),
+    that is of a cosine with a free phase; returns (f, rms residual)."""
+    from .spectral import _separable_fit
 
-    def resid(params):
-        c0, c1, f, phi = params
-        return c0 + c1 * np.cos(TWO_PI * f * tau + phi) - v
+    def columns(x):
+        ph = TWO_PI * x[0] * tau
+        return np.stack([np.ones_like(tau), np.cos(ph), np.sin(ph)], axis=1)
 
-    amp0 = 0.5 * (v.max() - v.min())
-    sol = least_squares(resid, x0=[v.mean(), amp0, f0, 0.0],
-                        xtol=1e-12, ftol=1e-12)
-    rms = float(np.sqrt(np.mean(sol.fun ** 2)))
-    return float(abs(sol.x[2])), rms
+    sol, _ = _separable_fit(v, columns, [f0])
+    return float(sol.x[0]), float(np.sqrt(np.mean(sol.fun ** 2)))
 
 
 def validate_aht(system: SpinSystemParams, tau_max: float = 30e-6,

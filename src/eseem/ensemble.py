@@ -3,9 +3,9 @@ decay.
 
 B1 inhomogeneity across the sample gives each spin packet its own rotation
 angles.  Averages over a Gaussian angle distribution are evaluated with
-Gauss-Hermite quadrature (deterministic, spectrally convergent); a seeded
-Monte Carlo path exists for cross-checks.  Node contributions are added
-one at a time in node order, so an average is reproducible bit for bit.
+Gauss-Hermite quadrature (deterministic, spectrally convergent).  Node
+contributions are added one at a time in node order, so an average is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -49,17 +49,9 @@ class AngleDistribution:
         x, w = np.polynomial.hermite.hermgauss(self.nodes)
         return self.mean + np.sqrt(2.0) * self.sigma * x, w / np.sqrt(np.pi)
 
-    def samples(self, n: int, seed: int) -> np.ndarray:
-        """Monte Carlo draw (requires an explicit seed for reproducibility)."""
-        rng = np.random.default_rng(seed)
-        if self.kind == "delta" or self.sigma == 0.0:
-            return np.full(n, self.mean)
-        return rng.normal(self.mean, self.sigma, size=n)
-
 
 def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
-                  shared_b1: bool = False, method: str = "quadrature",
-                  n_samples: int = 1024, seed: int | None = None) -> EchoTrace:
+                  shared_b1: bool = False) -> EchoTrace:
     """Expectation of the engine trace under the theta2 distribution.
 
     Each node scales pulse 2 by ``theta/pulse2.angle`` (composite segments
@@ -70,16 +62,7 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
     scales (free evolution and pulse generators, and without ``shared_b1``
     the pulse-1 coherences) is built once and shared by every node.
     """
-    if method == "quadrature":
-        thetas, weights = dist.points()
-    elif method == "monte-carlo":
-        if seed is None:
-            raise ValueError("monte-carlo averaging requires a seed")
-        thetas = dist.samples(n_samples, seed)
-        weights = np.full(thetas.size, 1.0 / thetas.size)
-    else:
-        raise ValueError(f"unknown averaging method {method!r}")
-
+    thetas, weights = dist.points()
     nominal2 = exp.pulse2.angle
     plan = _EchoPlan(exp)
     acc = acc_im = -0.0  # the exact identity of float addition
@@ -100,7 +83,6 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
         "sigma_rad": dist.sigma,
         "mean_rad": dist.mean,
         "nodes": len(thetas),
-        "method": method,
         "shared_b1": shared_b1,
         "max_imag_residual": residual,
     })

@@ -55,20 +55,11 @@ def _window_array(window: str, n: int) -> np.ndarray:
 
 def _exp_baseline(tau: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Best-fit c*exp(-2*tau/T2) baseline of a damped trace."""
-    from scipy.optimize import least_squares
-
     if np.abs(v).max() == 0:
         return np.zeros_like(v)
-    _, t2_guess = _envelope_t2_guess(tau, v)
-
-    def resid(p):
-        c, t2 = p
-        return c * np.exp(-2.0 * tau / t2) - v
-
-    sol = least_squares(resid, x0=[v[int(np.argmax(np.abs(v)))], t2_guess],
-                        xtol=1e-12, ftol=1e-12)
-    c, t2 = sol.x
-    return c * np.exp(-2.0 * tau / t2)
+    columns = _exp_columns(tau)
+    sol, c = _separable_fit(v, columns, [_envelope_rate_guess(tau, v)])
+    return columns(sol.x) @ c
 
 
 def fft_magnitude(trace: EchoTrace, window: str = "hann",
@@ -132,6 +123,9 @@ def find_peaks(spec: Spectrum, rel_threshold: float = 0.05) -> PeakList:
 
 
 FIT_MODELS = ("exp", "exp-two-cosine")
+# step, residual and gradient tolerance of every fit, and its evaluation cap
+FIT_TOL = 1e-10
+MAX_EVALUATIONS = 200
 
 
 @dataclass
@@ -143,8 +137,32 @@ class FitResult:
     n_evaluations: int
 
 
-def _envelope_t2_guess(tau: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """(v0, T2) from a log-linear fit of the |v| upper envelope."""
+def _separable_fit(v: np.ndarray, columns, x0):
+    """Variable-projection least squares of v ~ columns(x) @ c.
+
+    Only the nonlinear parameters x (bounded below by 0) go to the solver;
+    at every trial x the linear amplitudes c are the ``lstsq`` solution for
+    the (n, k) matrix ``columns(x)`` (Golub & Pereyra, SIAM J. Numer. Anal.
+    10, 413, 1973).  Returns the solver result and c at its solution.
+    """
+    from scipy.optimize import least_squares
+
+    def resid(x):
+        a = columns(x)
+        return a @ np.linalg.lstsq(a, v, rcond=None)[0] - v
+
+    sol = least_squares(resid, x0=x0, bounds=(0.0, np.inf), xtol=FIT_TOL,
+                        ftol=FIT_TOL, gtol=FIT_TOL, max_nfev=MAX_EVALUATIONS)
+    return sol, np.linalg.lstsq(columns(sol.x), v, rcond=None)[0]
+
+
+def _exp_columns(tau: np.ndarray):
+    """The decay exp(-r*tau) as one column, for x = [r] with r = 2/T2."""
+    return lambda x: np.exp(-x[0] * tau)[:, None]
+
+
+def _envelope_rate_guess(tau: np.ndarray, v: np.ndarray) -> float:
+    """Decay rate 2/T2 from a log-linear fit of the |v| upper envelope."""
     n_bins = max(4, tau.size // 32)
     edges = np.linspace(0, tau.size, n_bins + 1, dtype=int)
     ts, amps = [], []
@@ -158,14 +176,12 @@ def _envelope_t2_guess(tau: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     good = amps > 1e-12 * amps.max()
     if good.sum() < 2:
         raise ValueError("degenerate trace: no usable envelope")
-    slope, intercept = np.polyfit(ts[good], np.log(amps[good]), 1)
-    t2 = -2.0 / slope if slope < 0 else 10.0 * (tau[-1] - tau[0])
-    return float(np.exp(intercept)), float(t2)
+    slope, _ = np.polyfit(ts[good], np.log(amps[good]), 1)
+    return float(-slope) if slope < 0 else 0.2 / (tau[-1] - tau[0])
 
 
-def fit_decay(trace: EchoTrace, model: str = "exp-two-cosine",
-              max_iterations: int = 200) -> FitResult:
-    """Nonlinear least-squares fit of an echo decay.
+def fit_decay(trace: EchoTrace, model: str = "exp-two-cosine") -> FitResult:
+    """Least-squares fit of an echo decay.
 
     Models
     ------
@@ -177,12 +193,12 @@ def fit_decay(trace: EchoTrace, model: str = "exp-two-cosine",
 
     Initial values come from the spectrum peaks (delta) and a log-linear
     envelope fit (T2); for the two-cosine model every plausible peak-based
-    delta start is tried and the best final residual wins.  The trust-region
-    Levenberg-Marquardt style solver stops on step or residual tolerance
-    1e-10 within ``max_iterations`` model evaluations per start.
+    delta start is tried and the best final residual wins.  The fit is
+    separable (variable projection): the solver moves only delta >= 0 and
+    the decay rate 2/T2 >= 0, the amplitudes are solved linearly at every
+    step, and it stops on step, residual or gradient tolerance ``FIT_TOL``
+    within ``MAX_EVALUATIONS`` model evaluations per start.
     """
-    from scipy.optimize import least_squares
-
     if model not in FIT_MODELS:
         raise ValueError(f"unknown fit model {model!r}")
     tau = trace.tau_s
@@ -192,58 +208,44 @@ def fit_decay(trace: EchoTrace, model: str = "exp-two-cosine",
     n_params = 2 if model == "exp" else 5
     if tau.size < 8 * n_params:
         raise ValueError(f"need at least {8 * n_params} points to fit {model}")
-    v0_guess, t2_guess = _envelope_t2_guess(tau, v)
+    r_guess = _envelope_rate_guess(tau, v)
 
     if model == "exp":
-        def resid(p):
-            v0, t2 = p
-            return v0 * np.exp(-2.0 * tau / t2) - v
+        best, (v0,) = _separable_fit(v, _exp_columns(tau), [r_guess])
+        params = {"v0": float(v0), "t2_s": float(2.0 / best.x[0])}
+    else:
+        spec = fft_magnitude(trace)
+        peak_freqs = find_peaks(spec, rel_threshold=0.05).frequencies()
+        candidates = []
+        for f in peak_freqs:
+            if f > 0:
+                candidates.extend([f, f / 2.0])
+        if not candidates:
+            candidates = [1.0 / (tau[-1] - tau[0])]
+        candidates = sorted(set(round(c, 6) for c in candidates))
 
-        sol = least_squares(resid, x0=[v0_guess, t2_guess],
-                            xtol=1e-10, ftol=1e-10, gtol=1e-10,
-                            max_nfev=max_iterations)
-        params = {"v0": float(sol.x[0]), "t2_s": float(sol.x[1])}
-        return FitResult(model=model, params=params,
-                         residual_norm=float(np.linalg.norm(sol.fun)),
-                         converged=bool(sol.status > 0),
-                         n_evaluations=int(sol.nfev))
+        def columns(x):  # x = [d, r]
+            ph = TWO_PI * x[0] * tau
+            return np.exp(-x[1] * tau)[:, None] * np.stack(
+                [np.ones_like(tau), np.cos(ph), np.cos(2 * ph)], axis=1)
 
-    spec = fft_magnitude(trace)
-    peak_freqs = find_peaks(spec, rel_threshold=0.05).frequencies()
-    candidates = []
-    for f in peak_freqs:
-        if f > 0:
-            candidates.extend([f, f / 2.0])
-    if not candidates:
-        candidates = [1.0 / (tau[-1] - tau[0])]
-    candidates = sorted(set(round(c, 6) for c in candidates))
-
-    def resid(p):
-        c0, c1, c2, d, t2 = p
-        ph = TWO_PI * d * tau
-        return np.exp(-2.0 * tau / t2) * (
-            c0 + c1 * np.cos(ph) + c2 * np.cos(2 * ph)) - v
-
-    best = None
-    for d0 in candidates:
-        x0 = [v0_guess * 0.4, 0.1 * v0_guess, 0.5 * v0_guess, d0, t2_guess]
-        sol = least_squares(resid, x0=x0, xtol=1e-10, ftol=1e-10, gtol=1e-10,
-                            max_nfev=max_iterations)
-        if best is None or np.linalg.norm(sol.fun) < np.linalg.norm(best.fun):
-            best = sol
-    c0, c1, c2, d_fit, t2_fit = best.x
-    # a near-single-tone trace is described equally well by (d, c1, ~0) and
-    # by the canonical second-harmonic form (d/2, ~0, c1); prefer the latter
-    # when it fits essentially as well, so d stays the fundamental shift
-    if abs(c2) < 0.05 * abs(c1):
-        sol2 = least_squares(resid, x0=[c0, 0.0, c1, d_fit / 2.0, t2_fit],
-                             xtol=1e-10, ftol=1e-10, gtol=1e-10,
-                             max_nfev=max_iterations)
-        if np.linalg.norm(sol2.fun) <= 1.01 * np.linalg.norm(best.fun):
-            best = sol2
-            c0, c1, c2, d_fit, t2_fit = best.x
-    params = {"c0": float(c0), "c1": float(c1), "c2": float(c2),
-              "delta_hz": float(abs(d_fit)), "t2_s": float(t2_fit)}
+        best = None
+        for d0 in candidates:
+            sol, c = _separable_fit(v, columns, [d0, r_guess])
+            if best is None or np.linalg.norm(sol.fun) < np.linalg.norm(best.fun):
+                best, amps = sol, c
+        # a near-single-tone trace is described equally well by (d, c1, ~0)
+        # and by the canonical second-harmonic form (d/2, ~0, c1); prefer the
+        # latter when it fits essentially as well, so d stays the
+        # fundamental shift
+        if abs(amps[2]) < 0.05 * abs(amps[1]):
+            d_fit, r_fit = best.x
+            sol2, c2 = _separable_fit(v, columns, [d_fit / 2.0, r_fit])
+            if np.linalg.norm(sol2.fun) <= 1.01 * np.linalg.norm(best.fun):
+                best, amps = sol2, c2
+        params = {"c0": float(amps[0]), "c1": float(amps[1]),
+                  "c2": float(amps[2]), "delta_hz": float(best.x[0]),
+                  "t2_s": float(2.0 / best.x[1])}
     return FitResult(model=model, params=params,
                      residual_norm=float(np.linalg.norm(best.fun)),
                      converged=bool(best.status > 0),

@@ -63,6 +63,8 @@ class SpinSystemParams:
         validate_spin(self.i)
         if self.f_e_hz <= 0:
             raise ValueError("f_e_hz must be positive")
+        if self.g <= 0:
+            raise ValueError("g must be positive")
         if self.f_i_hz is None:
             self.f_i_hz = nuclear_zeeman_hz_14n(self.f_e_hz, self.g)
         ratio = abs(self.a_hz) / self.f_e_hz

@@ -10,6 +10,7 @@ import pytest
 import eseem
 from eseem.analytic import coefficients
 from eseem.cli import main
+from eseem.config import preset_path
 from eseem.fileio import read_spectrum_csv, read_trace_csv
 from eseem.hamiltonians import delta_hz
 from eseem.system import nc60_params
@@ -132,6 +133,17 @@ def test_invalid_projection_exit_code(tmp_path, capsys, m_i):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "run.detect_m_i: projection" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g", ["-2", "0"])
+def test_non_positive_g_exit_code(tmp_path, capsys, g):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(preset_path("nc60").read_text().replace(
+        "g = 2.0036", f"g = {g}"))
+    code = main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "system: g must be positive" in capsys.readouterr().err
 
 
 def test_config_preset_exclusive(tmp_path, fast_cfg):
@@ -313,6 +325,25 @@ def test_fit_command(fast_cfg, tmp_path, capsys):
     d = delta_hz(nc60_params())
     assert payload["params"]["delta_hz"] == pytest.approx(d, rel=0.01)
     assert payload["params"]["t2_s"] == pytest.approx(210e-6, rel=0.05)
+
+
+def test_fit_central_line_converges(tmp_path, capsys):
+    # a seeded nc60_mi_0 variant on which a fit of all five parameters
+    # stopped unconverged after 200 evaluations
+    t2_s = 0.00022033599911082602
+    text = preset_path("nc60_mi_0").read_text()
+    for old, new in (("a_hz = 15.8e6", "a_hz = 15973300.38329284"),
+                     ("sigma_rad = 0.31", "sigma_rad = 0.3027872203808642"),
+                     ("t2_s = 210e-6", f"t2_s = {t2_s!r}")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg, trace = tmp_path / "mi0.cfg", tmp_path / "mi0.csv"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == 0
+    assert main(["fit", str(trace), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert payload["converged"]
+    assert payload["params"]["t2_s"] == pytest.approx(t2_s, rel=0.02)
 
 
 def test_validate_command(capsys, monkeypatch):

@@ -179,19 +179,6 @@ def test_shared_b1_scales_first_pulse(preset):
     assert np.abs(shared).max() <= np.abs(fixed).max() + 1e-9
 
 
-def test_monte_carlo_requires_seed_and_reproduces(preset):
-    tau = np.linspace(1e-6, 40e-6, 16)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1)
-    exp = make_exp(preset, tau=tau)
-    with pytest.raises(ValueError):
-        average_trace(exp, dist, method="monte-carlo")
-    a = average_trace(exp, dist, method="monte-carlo", seed=42, n_samples=64)
-    b = average_trace(exp, dist, method="monte-carlo", seed=42, n_samples=64)
-    assert np.array_equal(a.v, b.v)
-    quad = average_trace(exp, dist).v
-    assert np.abs(a.v - quad).max() / np.abs(quad).max() <= 0.2
-
-
 def test_composite_pulse_suppresses_fundamental(preset):
     d = delta_hz(preset)
     tau = np.linspace(1e-6, 200e-6, 512)
