@@ -10,7 +10,7 @@ the resulting traces.
 
 from .analytic import (ModulationCoefficients, coefficients, v_center,
                        v_general, v_outer)
-from .engine import (EchoExperiment, EchoTrace, detect, free_evolution,
+from .engine import (EchoExperiment, EchoTrace, free_evolution,
                      microwave_freq_hz, run_two_pulse_echo, validate_aht)
 from .ensemble import (AngleDistribution, apply_t2, average_analytic_outer,
                        average_trace, i1_i2_ratio)
@@ -31,7 +31,7 @@ __all__ = [
     "ModulationCoefficients", "PeakList", "ProductBasis", "PulseSpec",
     "SpinSystemParams", "Spectrum", "StickLine",
     "apply_t2", "average_analytic_outer", "average_trace", "coefficients",
-    "composite_pi", "delta_hz", "detect", "electron_rotation",
+    "composite_pi", "delta_hz", "electron_rotation",
     "epr_stick_spectrum", "expm_hermitian", "fft_magnitude", "find_peaks",
     "fit_decay", "free_evolution", "h0_lab", "h_avg0", "h_avg1", "h_rot_t",
     "i1_i2_ratio", "kron", "line_center_hz", "microwave_freq_hz",

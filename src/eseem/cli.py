@@ -24,8 +24,8 @@ import numpy as np
 from .analytic import coefficients, general_s_weights, v_general
 from .config import ConfigError, RunConfig, load_preset, parse_config
 from .engine import EchoTrace, run_two_pulse_echo
-from .ensemble import (AngleDistribution, average_analytic, average_trace,
-                       averaged_component_weights)
+from .ensemble import (AngleDistribution, apply_t2, average_analytic,
+                       average_trace, averaged_component_weights)
 from .fileio import (read_trace_csv, write_spectrum_csv, write_trace_csv)
 from .hamiltonians import delta_hz
 from .spectral import (BASELINES, FIT_MODELS, WINDOWS, fft_magnitude,
@@ -102,10 +102,9 @@ def cmd_analytic(args) -> int:
                                                          mean=theta2)
             v = average_analytic(tau, m_i, theta1, theta2, dist, d,
                                  shared_b1=cfg.shared_b1)
+        trace = EchoTrace(tau_s=tau, v=v, metadata=meta)
         if cfg.t2_s is not None:
-            v = v * np.exp(-2.0 * tau / cfg.t2_s)
-            meta["t2_s"] = cfg.t2_s
-        trace = EchoTrace(tau_s=tau, v=np.asarray(v, dtype=float), metadata=meta)
+            trace = apply_t2(trace, cfg.t2_s)
         path = _out_path(args.out, m_i, multi)
         write_trace_csv(path, trace)
         _maybe_svg(args, path, tau * 1e6, trace.v, "tau (us)",

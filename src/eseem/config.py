@@ -6,6 +6,13 @@ model (angles in degrees, converted once at parse), ``[tau]`` the delay
 grid, ``[run]`` engine/detection/decay choices, optional ``[ensemble]``
 B1-inhomogeneity averaging.  Schema violations raise :class:`ConfigError`
 carrying the dotted field path, which the CLI maps to exit code 2.
+
+Two sizes are capped before anything is allocated (fixed limits, not
+options): ``tau.points`` at ``MAX_TAU_POINTS`` = 65536, since a run keeps
+about 4.6 KB of propagators and coherences per tau point (about 300 MB at
+the cap), and ``ensemble.nodes`` at ``MAX_ENSEMBLE_NODES`` = 1001, since the
+Gauss-Hermite rule builds a nodes x nodes matrix.  ``run.steps_per_period``
+must be at least the engine's ``MIN_STEPS_PER_PERIOD``.
 """
 
 from __future__ import annotations
@@ -18,13 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ENGINES, EchoExperiment
+from .engine import ENGINES, MIN_STEPS_PER_PERIOD, EchoExperiment
 from .ensemble import AngleDistribution
 from .pulses import PulseSpec, composite_pi
 from .spinops import projector_mi
 from .system import SpinSystemParams
 
 PRESET_NAMES = ("nc60", "nc60_mi_minus1", "nc60_mi_0", "nc60_composite")
+
+# size caps, see the module docstring
+MAX_TAU_POINTS = 65536
+MAX_ENSEMBLE_NODES = 1001
 
 
 class ConfigError(ValueError):
@@ -186,8 +197,9 @@ def parse_config(path: str | Path) -> RunConfig:
     start = tau_sec.get("start_s", float, required=True)
     stop = tau_sec.get("stop_s", float, required=True)
     points = tau_sec.get("points", int, required=True)
-    if points < 2:
-        raise ConfigError("tau.points", "need at least 2 points")
+    if not 2 <= points <= MAX_TAU_POINTS:
+        raise ConfigError("tau.points",
+                          f"need 2 to {MAX_TAU_POINTS} points, got {points}")
     if not 0 <= start < stop:
         raise ConfigError("tau", "need 0 <= start_s < stop_s")
     tau_grid = np.linspace(start, stop, points)
@@ -213,6 +225,9 @@ def parse_config(path: str | Path) -> RunConfig:
     if offset is None and system.f_mw_hz is None:
         offset = 0.0
     steps = run.get("steps_per_period", int, default=40)
+    if steps < MIN_STEPS_PER_PERIOD:
+        raise ConfigError("run.steps_per_period",
+                          f"need at least {MIN_STEPS_PER_PERIOD}, got {steps}")
 
     dist = None
     shared_b1 = False
@@ -220,6 +235,9 @@ def parse_config(path: str | Path) -> RunConfig:
         ens = sections["ensemble"]
         sigma = ens.get("sigma_rad", float, default=0.0)
         nodes = ens.get("nodes", int, default=41)
+        if nodes > MAX_ENSEMBLE_NODES:
+            raise ConfigError("ensemble.nodes",
+                              f"at most {MAX_ENSEMBLE_NODES}, got {nodes}")
         shared_b1 = ens.get("shared_b1", _parse_bool, default=False)
         try:
             if sigma > 0:

@@ -25,32 +25,35 @@ and equal to the closed-form modulation expressions at every pulse angle.
 
 Engines
 -------
-Each engine only supplies free-evolution propagators.  ``_Propagator.stack``
-builds them for a whole tau grid at once, as an (n_tau, d, d) stack
-(exactly the identity at tau = 0); a single propagator is the one-element
-stack.
+Each engine only supplies free-evolution propagators that start at t = 0.
+``_Propagator.stack`` builds U(0, tau) for a whole tau grid at once, as an
+(n_tau, d, d) stack (exactly the identity at tau = 0).  The rotating-frame
+Hamiltonian obeys h_rot(t + t0) = R(t0) h_rot(t) R(t0)^H with the diagonal
+R(t) = exp(+i*w_mw*Sz*t), so for every engine
+U(t0, t0 + tau) = R(t0) U(0, tau) R(t0)^H; ``_Propagator.translate`` applies
+that one conjugation.
 
 average-hamiltonian
     Diagonal evolution under h_avg0 + h_avg1 (second-order secular
     dynamics; the fast default): a stack of diagonal phases.
 exact-lab-frame
     Rotating-frame propagator assembled from the exact lab Hamiltonian,
-    U(t0, t0+tau) = exp(+i*w_mw*Sz*(t0+tau)) exp(-i*H0*tau) exp(-i*w_mw*Sz*t0);
+    U(0, tau) = exp(+i*w_mw*Sz*tau) exp(-i*H0*tau);
     machine-precision reference dynamics, vectorized over tau from one
     eigendecomposition of H0.
 stepped-rotating-frame
     Time-ordered product of unitary midpoint substeps of the periodic
     rotating-frame Hamiltonian; converges quadratically in the substep to
-    the exact engine.  h_rot(t) = R(t) H' R(t)^H with R(t) = exp(+i*w_mw*Sz*t)
-    diagonal, so each substep is R(t_k) E R(t_k)^H with one E = exp(-i H' dt):
-    one eigh of H' and one Schur form of the period product per factory.
+    the exact engine.  h_rot(t) = R(t) H' R(t)^H, so each substep is
+    R(t_k) E R(t_k)^H with one E = exp(-i H' dt): one eigh of H' and one
+    Schur form of the period product per factory.
 
 Echo kernel
 -----------
 One kernel contracts the stacks for every engine, in two stages.  The
 free evolution enters as U1(tau) = U(0, tau) and G(tau) = U2(tau)^H D U2(tau),
-with U2(tau) = U(tau, tau) and D the detection operator, because
-Tr[U2 Z U2^H D] = Tr[Z G].
+with U2(tau) = U(tau, 2 tau) = R(tau) U1(tau) R(tau)^H and D the detection
+operator, because Tr[U2 Z U2^H D] = Tr[Z G].
 
 Per experiment (``_EchoPlan``), everything that does not depend on the
 pulse scales of an ensemble node is built once: the U1 stack; G at the
@@ -163,12 +166,6 @@ def detection_operator(system: SpinSystemParams, m_i: float) -> np.ndarray:
     return kron(sy, projector_mi(system.i, m_i))
 
 
-def detect(sigma: np.ndarray, system: SpinSystemParams, m_i: float) -> float:
-    """Echo amplitude of a state: Re Tr[sigma * (Sy x P_mi)]."""
-    d = detection_operator(system, m_i)
-    return float(np.trace(sigma @ d).real)
-
-
 class _Propagator:
     """Free-evolution propagator factory for one engine/frame, with the
     expensive diagonalizations cached across tau points."""
@@ -183,12 +180,12 @@ class _Propagator:
         self.steps_per_period = steps_per_period
         dim = system.basis.dim
         self._eye = np.eye(dim, dtype=complex)
+        self._mz = system.basis.m_s_diagonal()
         if engine == "average-hamiltonian":
             h = h_avg0(system, f_mw_hz) + h_avg1(system)
             self._phases = np.diag(h).real
         elif engine == "exact-lab-frame":
             self._w0, self._v0 = np.linalg.eigh(h0_lab(system))
-            self._mz = system.basis.m_s_diagonal()
         else:
             if steps_per_period < MIN_STEPS_PER_PERIOD:
                 raise ValueError(
@@ -196,21 +193,15 @@ class _Propagator:
                     f"{MIN_STEPS_PER_PERIOD} steps per microwave period")
             from scipy.linalg import schur
             self._w, self._v = np.linalg.eigh(h_rot_t(system, 0.0, f_mw_hz))
-            self._mz = system.basis.m_s_diagonal()
             period = self._midpoint_run(steps_per_period,
                                         1.0 / (f_mw_hz * steps_per_period))
             t, self._q = schur(period, output="complex")  # Q diag(t) Q^H
             self._angles = np.angle(np.diag(t))
 
-    def __call__(self, t_start: float, tau: float) -> np.ndarray:
-        return self.stack(t_start, np.array([tau]))[0]
-
-    def stack(self, t_start, tau) -> np.ndarray:
-        """Propagators over [t_start[k], t_start[k] + tau[k]], shape
-        (n_tau, d, d).  ``t_start`` may be a scalar; every propagator with
-        tau = 0 is exactly the identity."""
+    def stack(self, tau) -> np.ndarray:
+        """Propagators U(0, tau[k]), shape (n_tau, d, d); every propagator
+        with tau = 0 is exactly the identity."""
         tau = np.asarray(tau, dtype=float)
-        t_start = np.broadcast_to(np.asarray(t_start, dtype=float), tau.shape)
         if np.any(tau < 0):
             raise ValueError("tau must be non-negative")
         if self.engine == "average-hamiltonian":
@@ -218,18 +209,21 @@ class _Propagator:
             diag = np.arange(self._eye.shape[0])
             out[:, diag, diag] = np.exp(-1j * self._phases * tau[:, None])
         elif self.engine == "exact-lab-frame":
-            w_mw = TWO_PI * self.f_mw_hz
             phases = np.exp(-1j * self._w0 * tau[:, None])
             core = (self._v0 * phases[:, None, :]) @ self._v0.conj().T
-            w_out = np.exp(1j * w_mw * self._mz * (t_start + tau)[:, None])
-            w_in = np.exp(-1j * w_mw * self._mz * t_start[:, None])
-            out = (w_out[:, :, None] * core) * w_in[:, None, :]
+            out = self._frame(tau[:, None])[:, :, None] * core
         else:
-            out = np.array([self._stepped(t0, t) for t0, t in zip(t_start, tau)])
+            out = np.array([self._stepped(t) for t in tau])
         out[tau == 0.0] = self._eye
         return out
 
-    def _frame(self, t: float) -> np.ndarray:
+    def translate(self, t_start, u) -> np.ndarray:
+        """U(t_start, t_start + tau) = R(t_start) U(0, tau) R(t_start)^H for
+        one propagator ``u`` or a stack with one ``t_start`` per matrix."""
+        r = self._frame(np.asarray(t_start, dtype=float)[..., None])
+        return (r[..., :, None] * u) * r[..., None, :].conj()
+
+    def _frame(self, t: float | np.ndarray) -> np.ndarray:
         """Diagonal of the frame rotation R(t) = exp(+i*w_mw*Sz*t)."""
         return np.exp(1j * TWO_PI * self.f_mw_hz * self._mz * t)
 
@@ -241,7 +235,7 @@ class _Propagator:
         return ((self._frame((n_sub - 0.5) * dt)[:, None] * u)
                 * self._frame(0.5 * dt).conj())
 
-    def _stepped(self, t_start: float, tau: float) -> np.ndarray:
+    def _stepped(self, tau: float) -> np.ndarray:
         period = 1.0 / self.f_mw_hz
         dt = period / self.steps_per_period
         n_periods = int(np.floor(tau / period + 1e-9))
@@ -252,8 +246,7 @@ class _Propagator:
             # R(n_periods * period) is a scalar, so the rest starts at t = 0
             n_sub = max(1, int(np.ceil(remainder / dt - 1e-9)))
             u = self._midpoint_run(n_sub, remainder / n_sub) @ u
-        r = self._frame(t_start)
-        return (r[:, None] * u) * r.conj()
+        return u
 
 
 def free_evolution(engine: str, system: SpinSystemParams, tau: float,
@@ -265,8 +258,9 @@ def free_evolution(engine: str, system: SpinSystemParams, tau: float,
     frequency).  For one-off calls; batch users should reuse
     :class:`_Propagator` via :func:`run_two_pulse_echo`.
     """
-    f_mw = _f_mw_effective(system, f_mw_hz)
-    return _Propagator(engine, system, f_mw, steps_per_period)(t_start, tau)
+    prop = _Propagator(engine, system, _f_mw_effective(system, f_mw_hz),
+                       steps_per_period)
+    return prop.translate(t_start, prop.stack([tau])[0])
 
 
 def thermal_deviation(system: SpinSystemParams) -> np.ndarray:
@@ -311,8 +305,8 @@ class _EchoPlan:
         self._g_ij = np.empty_like(self._g_ji)
         for start in range(0, tau.size, TAU_BLOCK):
             blk = slice(start, start + TAU_BLOCK)
-            self._u1[blk] = prop.stack(0.0, tau[blk])
-            u2 = prop.stack(tau[blk], tau[blk])
+            self._u1[blk] = u1 = prop.stack(tau[blk])
+            u2 = prop.translate(tau[blk], u1)
             g = _dagger(u2) @ det_op @ u2
             self._g_ji[blk] = g[:, self._j, self._i]
             self._g_ij[blk] = g[:, self._i, self._j]

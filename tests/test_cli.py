@@ -146,6 +146,23 @@ def test_non_positive_g_exit_code(tmp_path, capsys, g):
     assert "system: g must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("points = 256", "points = 65537", "tau.points"),
+    ("points = 256", "points = 100000000", "tau.points"),
+    ("nodes = 21", "nodes = 1003", "ensemble.nodes"),
+    ("nodes = 21", "nodes = 10000001", "ensemble.nodes"),
+], ids=["points-cap", "points-1e8", "nodes-cap", "nodes-1e7"])
+def test_oversized_config_exit_code(tmp_path, capsys, old, new, field):
+    # rejected at the boundary, before any array of that size is allocated
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(FAST_CFG.replace(old, new))
+    code = main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"{field}: " in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_preset_exclusive(tmp_path, fast_cfg):
     code = main(["simulate", "--config", str(fast_cfg), "--preset", "nc60",
                  "--out", str(tmp_path / "x.csv")])

@@ -78,6 +78,12 @@ def test_bad_values_report_paths(tmp_path):
         parse_config(write_cfg(tmp_path, GOOD_CFG.replace(
             "a_hz = 15.8e6", "a_hz = fifteen")))
     assert err.value.field == "system.a_hz"
+    # too coarse for the stepped engine, whatever engine the run uses
+    for steps in ("10", "0", "-40"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, GOOD_CFG.replace(
+                "t2_s = 210e-6", f"t2_s = 210e-6\nsteps_per_period = {steps}")))
+        assert err.value.field == "run.steps_per_period"
 
 
 def test_frame_frequency_exclusivity(tmp_path):

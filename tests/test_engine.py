@@ -3,7 +3,7 @@ import pytest
 
 from eseem.analytic import v_outer
 from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
-                          _Propagator, detect, detection_operator,
+                          _Propagator, detection_operator,
                           free_evolution, microwave_freq_hz,
                           run_two_pulse_echo, thermal_deviation, validate_aht)
 from eseem.hamiltonians import TWO_PI, delta_hz, h_rot_t, line_center_hz
@@ -176,7 +176,7 @@ def test_stepped_engine_matches_substep_loop(preset, steps):
     prop = _Propagator("stepped-rotating-frame", preset, f_mw, steps)
     tau = np.array([0.37e-10, 0.9e-9, 1.3e-6, 17.3e-6, 60e-6])
     for t_start in (np.zeros_like(tau), tau):
-        got = prop.stack(t_start, tau)
+        got = prop.translate(t_start, prop.stack(tau))
         for k in range(tau.size):
             ref = _reference_stepped(prop, t_start[k], tau[k])
             assert np.abs(got[k] - ref).max() <= 1e-8
@@ -228,16 +228,18 @@ def test_secular_hamiltonian_alone_gives_no_modulation(preset):
 
 
 def test_detect_examples(preset):
+    def detect(sigma, m_i):
+        return np.trace(sigma @ detection_operator(preset, m_i)).real
+
     sy = spin_matrices(1.5)[1]
     sz = spin_matrices(1.5)[2]
     sigma = kron(sy, projector_mi(1.0, 1.0))
-    assert detect(sigma, preset, 1.0) == pytest.approx(5.0, abs=1e-12)
-    assert detect(kron(sz, np.eye(3)), preset, 1.0) == pytest.approx(0.0,
-                                                                     abs=1e-12)
+    assert detect(sigma, 1.0) == pytest.approx(5.0, abs=1e-12)
+    assert detect(kron(sz, np.eye(3)), 1.0) == pytest.approx(0.0, abs=1e-12)
     r = rotation_operator(PulseSpec(np.pi / 2), preset)
     after = r @ kron(sz, np.eye(3)) @ r.conj().T
     for m_i in (1.0, 0.0, -1.0):
-        assert detect(after, preset, m_i) == pytest.approx(5.0, abs=1e-12)
+        assert detect(after, m_i) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_thermal_deviation_is_negative_sz(preset):
@@ -327,20 +329,23 @@ def test_validate_aht_warns_outside_perturbative_regime():
 
 
 # Reference: the per-tau loop the batched echo kernel replaced, kept verbatim
-# apart from reading the propagator's cached spectra from outside.
+# apart from reading the propagator's cached spectra from outside.  Every
+# engine's U(0, tau) is moved to start at t_start by the frame rotation
+# R(t_start) = exp(+i*w_mw*Sz*t_start), written out here.
 
 def _reference_propagator(prop, t_start, tau):
     if tau == 0.0:
         return np.eye(prop.system.basis.dim, dtype=complex)
     if prop.engine == "average-hamiltonian":
-        return np.diag(np.exp(-1j * prop._phases * tau))
-    if prop.engine == "exact-lab-frame":
+        u = np.diag(np.exp(-1j * prop._phases * tau))
+    elif prop.engine == "exact-lab-frame":
         w_mw = TWO_PI * prop.f_mw_hz
         core = (prop._v0 * np.exp(-1j * prop._w0 * tau)) @ prop._v0.conj().T
-        w_out = np.exp(1j * w_mw * prop._mz * (t_start + tau))
-        w_in = np.exp(-1j * w_mw * prop._mz * t_start)
-        return (w_out[:, None] * core) * w_in[None, :]
-    return prop._stepped(t_start, tau)
+        u = np.exp(1j * w_mw * prop._mz * tau)[:, None] * core
+    else:
+        u = prop._stepped(tau)
+    r = np.exp(1j * TWO_PI * prop.f_mw_hz * prop._mz * t_start)
+    return (r[:, None] * u) * r.conj()
 
 
 def _reference_echo_amplitude(u1, u2, r1, r2, sigma0, det_op, sel_p, sel_m):
@@ -408,12 +413,28 @@ def test_propagator_stack_matches_single_calls(preset, engine):
     prop = _Propagator(engine, preset, line_center_hz(preset, 1.0))
     tau = np.array([0.0, 1.3e-6, 7.7e-6])
     t_start = np.array([0.4e-6, 0.0, 2.9e-6])
-    stack = prop.stack(t_start, tau)
+    stack = prop.stack(tau)
     assert stack.shape == (3, 12, 12)
     assert np.array_equal(stack[0], np.eye(12))  # exact identity at tau = 0
+    moved = prop.translate(t_start, stack)
     for k in range(3):
-        ref = _reference_propagator(prop, t_start[k], tau[k])
+        ref = _reference_propagator(prop, 0.0, tau[k])
         assert np.abs(stack[k] - ref).max() <= 1e-12
-        assert np.array_equal(prop(t_start[k], tau[k]), stack[k])
+        ref = _reference_propagator(prop, t_start[k], tau[k])
+        assert np.abs(moved[k] - ref).max() <= 1e-12
+        one = free_evolution(engine, preset, tau[k], t_start[k],
+                             f_mw_hz=prop.f_mw_hz)
+        assert np.abs(one - ref).max() <= 1e-12
+        if engine == "exact-lab-frame" and tau[k] > 0:
+            # the lab-frame form exp(+i w Sz (t0 + tau)) exp(-i H0 tau)
+            # exp(-i w Sz t0) rounds its frame phases differently: they agree
+            # to the float spacing of the largest phase
+            w = TWO_PI * prop.f_mw_hz * prop._mz
+            core = (prop._v0 * np.exp(-1j * prop._w0 * tau[k])) \
+                @ prop._v0.conj().T
+            lab = (np.exp(1j * w * (t_start[k] + tau[k]))[:, None] * core
+                   * np.exp(-1j * w * t_start[k]))
+            phase = np.abs(w).max() * (t_start[k] + tau[k])
+            assert np.abs(moved[k] - lab).max() <= 4 * np.spacing(phase)
     with pytest.raises(ValueError):
-        prop.stack(0.0, np.array([1e-6, -1e-6]))
+        prop.stack(np.array([1e-6, -1e-6]))

@@ -110,6 +110,17 @@ def test_fit_two_cosine_noiseless():
     assert abs(fit.params["c1"]) <= 1e-6
 
 
+def test_fit_two_cosine_noiseless_at_tight_tolerance(monkeypatch):
+    # both the d and the d/2 starts fit this single tone to roundoff; the
+    # canonical d must win whatever the solver tolerance
+    monkeypatch.setattr("eseem.spectral.FIT_TOL", 1e-12)
+    d = 25.815925542916237e3
+    tau = np.linspace(1e-6, 400e-6, 600)
+    v = (2 + 3 * np.cos(2 * TWO_PI * d * tau)) * np.exp(-2 * tau / 210e-6)
+    fit = fit_decay(EchoTrace(tau_s=tau, v=v), model="exp-two-cosine")
+    assert abs(fit.params["delta_hz"] - d) / d <= 1e-3
+
+
 def test_fit_two_cosine_with_seeded_noise():
     d = 25.815925542916237e3
     t2 = 210e-6
