@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import coefficients, general_s_weights, v_general
-from .config import ConfigError, RunConfig, load_preset, parse_config
+from .config import SCHEMA, ConfigError, RunConfig, load_preset, parse_config
 from .engine import EchoTrace, run_two_pulse_echo
 from .ensemble import (AngleDistribution, apply_t2, average_analytic,
                        average_trace, averaged_component_weights)
@@ -36,6 +36,22 @@ from .validation import run_checks
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
+
+# option caps: a sigma sweep row is one 41-node average (about 0.7 ms), and a
+# trace at config.MAX_TAU_POINTS padded 64-fold is a 4.2 M-point FFT (64 MB)
+MAX_SWEEP_POINTS = 1001
+MAX_ZERO_PAD = 64
+
+
+def _bounded(kind, lo, hi):
+    """argparse ``type=`` parsing ``kind`` within [lo, hi]; NaN is outside."""
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"need {lo} to {hi}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: ..."
+    return parse
 
 
 def _load_config(args) -> RunConfig:
@@ -145,6 +161,12 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     d = delta_hz(cfg.system)
+    if args.param == "sigma_rad":
+        allowed = SCHEMA["ensemble"]["sigma_rad"][2]
+        for option in ("start", "stop"):
+            if getattr(args, option) not in allowed:
+                raise ConfigError(f"--{option}",
+                                  f"sigma_rad must be in {allowed}")
     values = np.linspace(args.start, args.stop, args.num)
     rows = []
     for value in values:
@@ -238,12 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("trace", help="input trace CSV")
     p_sp.add_argument("--out", required=True, help="output spectrum CSV")
     p_sp.add_argument("--window", choices=WINDOWS, default="hann")
-    p_sp.add_argument("--zero-pad", type=int, default=4)
+    p_sp.add_argument("--zero-pad", type=_bounded(int, 1, MAX_ZERO_PAD),
+                      default=4)
     p_sp.add_argument("--baseline", choices=("auto",) + BASELINES,
                       default="auto",
                       help="DC removal: 'auto' fits an exponential when the "
                            "trace is T2-damped, else subtracts the mean")
-    p_sp.add_argument("--threshold", type=float, default=0.05,
+    p_sp.add_argument("--threshold", type=_bounded(float, 0, 1), default=0.05,
                       help="relative peak threshold")
     p_sp.add_argument("--json", action="store_true")
     p_sp.add_argument("--svg", action="store_true")
@@ -255,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                       required=True)
     p_sw.add_argument("--start", type=float, required=True)
     p_sw.add_argument("--stop", type=float, required=True)
-    p_sw.add_argument("--num", type=int, default=25)
+    p_sw.add_argument("--num", type=_bounded(int, 1, MAX_SWEEP_POINTS),
+                      default=25)
     p_sw.add_argument("--out", required=True)
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -1,11 +1,10 @@
-"""Run-configuration files: INI-style key/value blocks describing one
-echo experiment, plus the bundled parameter presets.
+"""Run-configuration files (INI-style blocks describing one echo
+experiment) and the bundled parameter presets.
 
-Sections: ``[system]`` physical constants, ``[sequence]`` pulse angles and
-model (angles in degrees, converted once at parse), ``[tau]`` the delay
-grid, ``[run]`` engine/detection/decay choices, optional ``[ensemble]``
-B1-inhomogeneity averaging.  Schema violations raise :class:`ConfigError`
-carrying the dotted field path, which the CLI maps to exit code 2.
+:data:`SCHEMA` lists every block and key with its kind, default and allowed
+values; angles are in degrees and frequencies in Hz.  Any other block or
+key, and any value outside the table, raises :class:`ConfigError` carrying
+the dotted field path, which the CLI maps to exit code 2.
 
 Two sizes are capped before anything is allocated (fixed limits, not
 options): ``tau.points`` at ``MAX_TAU_POINTS`` = 65536, since a run keeps
@@ -27,7 +26,7 @@ import numpy as np
 
 from .engine import ENGINES, MIN_STEPS_PER_PERIOD, EchoExperiment
 from .ensemble import AngleDistribution
-from .pulses import PulseSpec, composite_pi
+from .pulses import PULSE_MODELS, PulseSpec, composite_pi
 from .spinops import projector_mi
 from .system import SpinSystemParams
 
@@ -47,11 +46,8 @@ class ConfigError(ValueError):
 
 
 def _parse_spin(text: str) -> float:
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return float(num) / float(den)
-    return float(text)
+    num, slash, den = text.strip().partition("/")
+    return float(num) / float(den) if slash else float(num)
 
 
 def _parse_spins(text: str) -> list[float]:
@@ -88,6 +84,55 @@ _KINDS = {float: "a number", int: "an integer", _parse_bool: "a boolean",
           _parse_composite: "'none', 'cp3' or 'angle_deg@phase_deg,...'"}
 
 
+@dataclass(frozen=True)
+class Range:
+    """Finite numbers in [lo, hi], or in (lo, hi] with ``open_lo``."""
+
+    lo: float
+    hi: float = math.inf
+    open_lo: bool = False
+
+    def __contains__(self, value) -> bool:
+        above = self.lo < value if self.open_lo else self.lo <= value
+        return above and value <= self.hi and value < math.inf
+
+    def __str__(self) -> str:
+        hi = f"{self.hi:g}]" if self.hi < math.inf else "inf)"
+        return f"{'(' if self.open_lo else '['}{self.lo:g}, {hi}"
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+# block -> key -> (kind, default or REQUIRED[, allowed: choices or Range]).
+# A block with a required key is required.  The [system] keys are the fields
+# of SpinSystemParams, which checks f_e_hz, g and the spins; the [run] keys
+# are fields of RunConfig.
+SCHEMA = {
+    "system": {"s": (_parse_spin, REQUIRED), "i": (_parse_spin, REQUIRED),
+               "a_hz": (float, REQUIRED), "f_e_hz": (float, REQUIRED),
+               "f_i_hz": (float, None), "g": (float, 2.0036),
+               "f_mw_hz": (float, None)},
+    "sequence": {"theta1_deg": (float, REQUIRED, Range(0, 360, open_lo=True)),
+                 "theta2_deg": (float, REQUIRED, Range(0, 360, open_lo=True)),
+                 "phase1_deg": (float, 0.0), "phase2_deg": (float, 0.0),
+                 "pulse_model": (str, "ideal", PULSE_MODELS),
+                 "t_p1_s": (float, None, Range(0, open_lo=True)),
+                 "t_p2_s": (float, None, Range(0, open_lo=True)),
+                 "composite": (_parse_composite, None)},
+    "tau": {"start_s": (float, REQUIRED, Range(0)),
+            "stop_s": (float, REQUIRED),
+            "points": (int, REQUIRED, Range(2, MAX_TAU_POINTS))},
+    "ensemble": {"sigma_rad": (float, 0.0, Range(0)),
+                 "nodes": (int, 41, Range(3, MAX_ENSEMBLE_NODES)),
+                 "shared_b1": (_parse_bool, False)},
+    "run": {"engine": (str, "average-hamiltonian", ENGINES),
+            "detect_m_i": (_parse_spins, REQUIRED),
+            "t2_s": (float, None, Range(0, open_lo=True)),
+            "resonance_offset_hz": (float, None),
+            "steps_per_period": (int, 40, Range(MIN_STEPS_PER_PERIOD))},
+}
+
+
 def _finite(value) -> bool:
     """Whether every float in ``value`` and its nested lists is finite."""
     if isinstance(value, (list, tuple)):
@@ -95,29 +140,21 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-class _Section:
-    """One config block with a typed, error-reporting accessor."""
-
-    def __init__(self, name: str, items: dict[str, str]):
-        self.name = name
-        self.items = items
-
-    def get(self, key: str, kind=str, default=None, required=False):
-        """``key`` parsed by ``kind`` (``str`` or a key of ``_KINDS``), or
-        ``default`` when it is unset; every number must be finite."""
-        field_path = f"{self.name}.{key}"
-        raw = self.items.get(key, "").strip()
-        if raw == "":
-            if required:
-                raise ConfigError(field_path, "required value missing")
-            return default
-        try:
-            value = kind(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(field_path, f"not {_KINDS[kind]}: {raw!r}")
-        if not _finite(value):
-            raise ConfigError(field_path, f"must be finite: {raw!r}")
-        return value
+def _value(field_path: str, raw: str, kind, default, allowed=None):
+    """``raw`` as ``kind``, finite and ``allowed``, or ``default`` if empty."""
+    if raw == "":
+        if default is REQUIRED:
+            raise ConfigError(field_path, "required value missing")
+        return default
+    try:
+        value = kind(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(field_path, f"not {_KINDS[kind]}: {raw!r}")
+    if not _finite(value):
+        raise ConfigError(field_path, f"must be finite: {raw!r}")
+    if allowed is not None and value not in allowed:
+        raise ConfigError(field_path, f"must be in {allowed}, got {raw!r}")
+    return value
 
 
 @dataclass
@@ -146,114 +183,81 @@ class RunConfig:
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no default section: [DEFAULT] is an unknown block, not shared keys
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)
+        raw = {name: dict(parser[name]) for name in parser.sections()}
     except OSError as err:
         raise ConfigError("file", f"cannot read {path}: {err}")
     except configparser.Error as err:
         raise ConfigError("file", f"cannot parse {path}: {err}")
 
-    sections = {name: _Section(name, dict(parser[name]))
-                for name in parser.sections()}
-    for required in ("system", "sequence", "tau", "run"):
-        if required not in sections:
-            raise ConfigError(required, "required block missing")
+    for block, keys in SCHEMA.items():
+        if block not in raw and REQUIRED in [s[1] for s in keys.values()]:
+            raise ConfigError(block, "required block missing")
+    unknown = [(block, block, SCHEMA) for block in raw if block not in SCHEMA]
+    unknown += [(f"{block}.{key}", key, SCHEMA[block])
+                for block, items in raw.items() if block in SCHEMA
+                for key in items if key not in SCHEMA[block]]
+    if unknown:
+        from difflib import get_close_matches
+        field_path, name, known = unknown[0]
+        hint = get_close_matches(name, known, n=1)
+        raise ConfigError(field_path, f"unknown {name!r}" + (
+            f"; did you mean {hint[0]!r}?" if hint else ""))
+    values = {block: {key: _value(f"{block}.{key}",
+                                  raw.get(block, {}).get(key, ""), *spec)
+                      for key, spec in keys.items()}
+              for block, keys in SCHEMA.items()}
 
-    sys_sec = sections["system"]
     try:
-        system = SpinSystemParams(
-            s=sys_sec.get("s", _parse_spin, required=True),
-            i=sys_sec.get("i", _parse_spin, required=True),
-            a_hz=sys_sec.get("a_hz", float, required=True),
-            f_e_hz=sys_sec.get("f_e_hz", float, required=True),
-            f_i_hz=sys_sec.get("f_i_hz", float),
-            g=sys_sec.get("g", float, default=2.0036),
-            f_mw_hz=sys_sec.get("f_mw_hz", float),
-        )
+        system = SpinSystemParams(**values["system"])
     except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
         raise ConfigError("system", str(err))
 
-    seq = sections["sequence"]
-    model = seq.get("pulse_model", default="ideal")
-    theta1 = np.deg2rad(seq.get("theta1_deg", float, required=True))
-    theta2 = np.deg2rad(seq.get("theta2_deg", float, required=True))
-    phase1 = np.deg2rad(seq.get("phase1_deg", float, default=0.0))
-    phase2 = np.deg2rad(seq.get("phase2_deg", float, default=0.0))
-    composite = seq.get("composite", _parse_composite)
-    try:
-        pulse1 = PulseSpec(angle=theta1, phase=phase1, model=model,
-                           duration_s=seq.get("t_p1_s", float))
-        pulse2 = PulseSpec(angle=theta2, phase=phase2, model=model,
-                           duration_s=seq.get("t_p2_s", float),
-                           composite=composite)
-    except ValueError as err:
-        raise ConfigError("sequence", str(err))
+    seq = values["sequence"]
+    for key in ("t_p1_s", "t_p2_s"):
+        if seq["pulse_model"] == "finite" and seq[key] is None:
+            raise ConfigError(f"sequence.{key}",
+                              "required when pulse_model = finite")
+    pulse1 = PulseSpec(angle=np.deg2rad(seq["theta1_deg"]),
+                       phase=np.deg2rad(seq["phase1_deg"]),
+                       model=seq["pulse_model"], duration_s=seq["t_p1_s"])
+    pulse2 = PulseSpec(angle=np.deg2rad(seq["theta2_deg"]),
+                       phase=np.deg2rad(seq["phase2_deg"]),
+                       model=seq["pulse_model"], duration_s=seq["t_p2_s"],
+                       composite=seq["composite"])
 
-    tau_sec = sections["tau"]
-    start = tau_sec.get("start_s", float, required=True)
-    stop = tau_sec.get("stop_s", float, required=True)
-    points = tau_sec.get("points", int, required=True)
-    if not 2 <= points <= MAX_TAU_POINTS:
-        raise ConfigError("tau.points",
-                          f"need 2 to {MAX_TAU_POINTS} points, got {points}")
-    if not 0 <= start < stop:
-        raise ConfigError("tau", "need 0 <= start_s < stop_s")
-    tau_grid = np.linspace(start, stop, points)
+    tau = values["tau"]
+    if tau["start_s"] >= tau["stop_s"]:
+        raise ConfigError("tau.stop_s", "must be greater than tau.start_s")
+    tau_grid = np.linspace(tau["start_s"], tau["stop_s"], tau["points"])
 
-    run = sections["run"]
-    engine = run.get("engine", default="average-hamiltonian")
-    if engine not in ENGINES:
-        raise ConfigError("run.engine",
-                          f"unknown engine {engine!r}; choose from {ENGINES}")
-    detect_m_i = run.get("detect_m_i", _parse_spins, required=True)
-    for m_i in detect_m_i:
+    run = values["run"]
+    for m_i in run["detect_m_i"]:
         try:
             projector_mi(system.i, m_i)
         except ValueError as err:
             raise ConfigError("run.detect_m_i", str(err))
-    t2_s = run.get("t2_s", float)
-    if t2_s is not None and t2_s <= 0:
-        raise ConfigError("run.t2_s", "must be positive")
-    offset = run.get("resonance_offset_hz", float)
-    if offset is not None and system.f_mw_hz is not None:
+    if run["resonance_offset_hz"] is not None and system.f_mw_hz is not None:
         raise ConfigError("run.resonance_offset_hz",
                           "give either this or system.f_mw_hz, not both")
-    if offset is None and system.f_mw_hz is None:
-        offset = 0.0
-    steps = run.get("steps_per_period", int, default=40)
-    if steps < MIN_STEPS_PER_PERIOD:
-        raise ConfigError("run.steps_per_period",
-                          f"need at least {MIN_STEPS_PER_PERIOD}, got {steps}")
 
-    dist = None
-    shared_b1 = False
-    if "ensemble" in sections:
-        ens = sections["ensemble"]
-        sigma = ens.get("sigma_rad", float, default=0.0)
-        nodes = ens.get("nodes", int, default=41)
-        if nodes > MAX_ENSEMBLE_NODES:
-            raise ConfigError("ensemble.nodes",
-                              f"at most {MAX_ENSEMBLE_NODES}, got {nodes}")
-        shared_b1 = ens.get("shared_b1", _parse_bool, default=False)
-        try:
-            if sigma > 0:
-                dist = AngleDistribution(kind="gaussian", mean=pulse2.angle,
-                                         sigma=sigma, nodes=nodes)
-        except ValueError as err:
-            raise ConfigError("ensemble", str(err))
+    ens = values["ensemble"]
+    if ens["nodes"] % 2 == 0:
+        raise ConfigError("ensemble.nodes", f"must be odd, got {ens['nodes']}")
+    dist = None if ens["sigma_rad"] == 0 else AngleDistribution(
+        kind="gaussian", mean=pulse2.angle, sigma=ens["sigma_rad"],
+        nodes=ens["nodes"])
 
-    echo = {f"{sec}.{key}": value
-            for sec, section in sections.items()
-            for key, value in section.items.items()}
+    echo = {f"{block}.{key}": value
+            for block, items in raw.items() for key, value in items.items()}
     return RunConfig(system=system, pulse1=pulse1, pulse2=pulse2,
-                     tau_grid=tau_grid, detect_m_i=detect_m_i, engine=engine,
-                     resonance_offset_hz=offset, t2_s=t2_s,
-                     distribution=dist, shared_b1=shared_b1,
-                     steps_per_period=steps, echo=echo)
+                     tau_grid=tau_grid, distribution=dist,
+                     shared_b1=ens["shared_b1"], echo=echo, **run)
 
 
 def preset_path(name: str) -> Path:

@@ -11,7 +11,8 @@ import eseem
 from eseem.analytic import coefficients
 from eseem.cli import main
 from eseem.config import preset_path
-from eseem.fileio import read_spectrum_csv, read_trace_csv
+from eseem.engine import EchoTrace
+from eseem.fileio import read_spectrum_csv, read_trace_csv, write_trace_csv
 from eseem.hamiltonians import delta_hz
 from eseem.system import nc60_params
 
@@ -161,6 +162,65 @@ def test_oversized_config_exit_code(tmp_path, capsys, old, new, field):
     assert code == 2
     assert f"{field}: " in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, field, hint", [
+    ("engine =", "engin =", "run.engin", "did you mean 'engine'?"),
+    ("t2_s =", "t2 =", "run.t2", "did you mean 't2_s'?"),
+    ("[ensemble]", "[ensembel]", "ensembel", "did you mean 'ensemble'?"),
+    # configparser would copy these keys into every block
+    ("[system]", "[DEFAULT]\nnodes = 41\n\n[system]", "DEFAULT", ""),
+], ids=["key-engin", "key-t2", "block-ensembel", "block-DEFAULT"])
+def test_unknown_name_exit_code(tmp_path, capsys, old, new, field, hint):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(preset_path("nc60").read_text().replace(old, new))
+    code = main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{field}: unknown '{field.split('.')[-1]}'" in err
+    assert hint in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_interpolation_syntax_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "pct.cfg"
+    cfg.write_text(FAST_CFG.replace("a_hz = 15.8e6", "a_hz = 15.8e6 %"))
+    code = main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "file: cannot parse" in capsys.readouterr().err
+
+
+SWEEP = ["sweep", "--preset", "nc60", "--param"]
+
+
+@pytest.mark.parametrize("args", [
+    SWEEP + ["theta2_deg", "--start", "60", "--stop", "180", "--num", "-1"],
+    SWEEP + ["theta2_deg", "--start", "60", "--stop", "180", "--num", "0"],
+    SWEEP + ["theta2_deg", "--start", "60", "--stop", "180", "--num", "1002"],
+    SWEEP + ["sigma_rad", "--start", "-0.5", "--stop", "0.5"],
+    SWEEP + ["sigma_rad", "--start", "0", "--stop", "-0.1"],
+    SWEEP + ["sigma_rad", "--start", "0", "--stop", "inf"],
+    ["spectrum", "{trace}", "--zero-pad", "0"],
+    ["spectrum", "{trace}", "--zero-pad", "65"],
+    ["spectrum", "{trace}", "--threshold", "nan"],
+    ["spectrum", "{trace}", "--threshold", "1.5"],
+], ids=["num-negative", "num-zero", "num-cap", "sigma-start-negative",
+        "sigma-stop-negative", "sigma-stop-inf", "zero-pad-zero", "zero-pad-cap",
+        "threshold-nan", "threshold-above-one"])
+def test_option_boundaries_exit_code(tmp_path, args):
+    trace = tmp_path / "trace.csv"
+    tau = np.linspace(1e-6, 200e-6, 64)
+    write_trace_csv(trace, EchoTrace(tau_s=tau, v=np.cos(2e5 * tau)))
+    out = tmp_path / "out.csv"
+    argv = [str(trace) if a == "{trace}" else a for a in args]
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exit_:   # argparse rejects the option itself
+        code = exit_.code
+    assert code == 2
+    assert not out.exists()
 
 
 def test_config_preset_exclusive(tmp_path, fast_cfg):

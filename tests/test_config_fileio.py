@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from eseem.config import ConfigError, load_preset, parse_config, preset_path
+from eseem.config import (SCHEMA, ConfigError, Range, load_preset,
+                          parse_config, preset_path)
 from eseem.engine import EchoTrace
 from eseem.fileio import (read_spectrum_csv, read_trace_csv,
                           write_spectrum_csv, write_trace_csv)
@@ -84,6 +88,40 @@ def test_bad_values_report_paths(tmp_path):
             parse_config(write_cfg(tmp_path, GOOD_CFG.replace(
                 "t2_s = 210e-6", f"t2_s = 210e-6\nsteps_per_period = {steps}")))
         assert err.value.field == "run.steps_per_period"
+
+
+FINITE = "phase2_deg = 45\npulse_model = finite\n"
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("theta1_deg = 90", "theta1_deg = 0", "sequence.theta1_deg"),
+    ("theta2_deg = 120", "theta2_deg = 400", "sequence.theta2_deg"),
+    ("phase2_deg = 45", "pulse_model = finit", "sequence.pulse_model"),
+    ("phase2_deg = 45", FINITE + "t_p1_s = 56e-9\nt_p2_s = 0",
+     "sequence.t_p2_s"),
+    ("phase2_deg = 45", FINITE + "t_p2_s = 112e-9", "sequence.t_p1_s"),
+    ("sigma_rad = 0.2", "sigma_rad = -0.31", "ensemble.sigma_rad"),
+    ("nodes = 21", "nodes = 20", "ensemble.nodes"),
+    ("stop_s = 100e-6", "stop_s = 1e-6", "tau.stop_s"),
+], ids=["theta1-zero", "theta2-above-360", "pulse-model", "t_p2-zero",
+        "t_p1-missing", "sigma-negative", "nodes-even", "stop-not-above-start"])
+def test_errors_name_the_key(tmp_path, old, new, field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_cfg(tmp_path, GOOD_CFG.replace(old, new)))
+    assert err.value.field == field
+
+
+def test_readme_lists_every_schema_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+\.\w+)` \|(.*)$", readme, re.M))
+    assert sorted(rows) == sorted(f"{block}.{key}"
+                                  for block, keys in SCHEMA.items()
+                                  for key in keys)
+    # the bounds in the README are the table's
+    for block, keys in SCHEMA.items():
+        for key, spec in keys.items():
+            if len(spec) == 3 and isinstance(spec[2], Range):
+                assert str(spec[2]) in rows[f"{block}.{key}"], key
 
 
 def test_frame_frequency_exclusivity(tmp_path):
