@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +164,14 @@ def cmd_sweep(args) -> int:
     d = delta_hz(cfg.system)
     if args.param == "sigma_rad":
         allowed = SCHEMA["ensemble"]["sigma_rad"][2]
-        for option in ("start", "stop"):
-            if getattr(args, option) not in allowed:
-                raise ConfigError(f"--{option}",
-                                  f"sigma_rad must be in {allowed}")
+    else:
+        # the table's (0, 360], closed at 0: a sweep may start from no
+        # refocusing, where every weight is zero
+        allowed = replace(SCHEMA["sequence"]["theta2_deg"][2], open_lo=False)
+    for option in ("start", "stop"):
+        if getattr(args, option) not in allowed:
+            raise ConfigError(f"--{option}",
+                              f"{args.param} must be in {allowed}")
     values = np.linspace(args.start, args.stop, args.num)
     rows = []
     for value in values:

@@ -45,8 +45,10 @@ stepped-rotating-frame
     Time-ordered product of unitary midpoint substeps of the periodic
     rotating-frame Hamiltonian; converges quadratically in the substep to
     the exact engine.  h_rot(t) = R(t) H' R(t)^H, so each substep is
-    R(t_k) E R(t_k)^H with one E = exp(-i H' dt): one eigh of H' and one
-    Schur form of the period product per factory.
+    R(t_k) E R(t_k)^H with one E = exp(-i H' dt): one eigh of H' per
+    factory.  Whole periods come from the eigenphases of the unitary period
+    product P, found by one eigh of the Hermitian
+    (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3) (``_unitary_eigen``).
 
 Echo kernel
 -----------
@@ -90,6 +92,13 @@ MIN_STEPS_PER_PERIOD = 20
 
 # tau points per block when building the stacks (see "Echo kernel" above)
 TAU_BLOCK = 64
+
+# the stepped engine's one-period product P: the weight c of its Hermitian
+# form in _unitary_eigen, and the largest off-diagonal of Q^H P Q accepted
+# (roundoff gives at most 1e-14 on the presets; a mixed pair gives about
+# the gap between its two eigenphases)
+_UNITARY_MIX = 1.0 / np.sqrt(3.0)
+UNITARY_OFFDIAG_TOL = 1e-12
 
 
 @dataclass
@@ -166,6 +175,28 @@ def detection_operator(system: SpinSystemParams, m_i: float) -> np.ndarray:
     return kron(sy, projector_mi(system.i, m_i))
 
 
+def _unitary_eigen(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors Q and eigenphases phi of a unitary u, u = Q e^(i phi) Q^H.
+
+    The Hermitian (u + u^H)/2 + c (u - u^H)/(2i) has the eigenvalues
+    cos(phi) + c sin(phi) on the same eigenvectors, so its ``eigh`` gives Q.
+    Two eigenphases placed symmetrically about atan(c) share an eigenvalue
+    and would be mixed; c = 1/sqrt(3) (30 degrees) keeps the common pairs
+    +-phi and phi, pi - phi apart.  A mixed pair shows as an off-diagonal
+    Q^H u Q above ``UNITARY_OFFDIAG_TOL``, and then this raises rather than
+    return a wrong propagator.
+    """
+    c = _UNITARY_MIX
+    herm = 0.5 * (u + _dagger(u)) + (c / 2j) * (u - _dagger(u))
+    q = np.linalg.eigh(herm)[1]
+    t = _dagger(q) @ u @ q
+    offdiag = np.abs(t - np.diag(np.diag(t))).max()
+    if offdiag > UNITARY_OFFDIAG_TOL:
+        raise np.linalg.LinAlgError(
+            f"period propagator not diagonalized: off-diagonal {offdiag:.3g}")
+    return q, np.angle(np.diag(t))
+
+
 class _Propagator:
     """Free-evolution propagator factory for one engine/frame, with the
     expensive diagonalizations cached across tau points."""
@@ -191,12 +222,10 @@ class _Propagator:
                 raise ValueError(
                     f"stepped engine substep too coarse: need >= "
                     f"{MIN_STEPS_PER_PERIOD} steps per microwave period")
-            from scipy.linalg import schur
             self._w, self._v = np.linalg.eigh(h_rot_t(system, 0.0, f_mw_hz))
             period = self._midpoint_run(steps_per_period,
                                         1.0 / (f_mw_hz * steps_per_period))
-            t, self._q = schur(period, output="complex")  # Q diag(t) Q^H
-            self._angles = np.angle(np.diag(t))
+            self._q, self._angles = _unitary_eigen(period)
 
     def stack(self, tau) -> np.ndarray:
         """Propagators U(0, tau[k]), shape (n_tau, d, d); every propagator
@@ -382,8 +411,8 @@ def _fit_single_cosine(tau: np.ndarray, v: np.ndarray,
         ph = TWO_PI * x[0] * tau
         return np.stack([np.ones_like(tau), np.cos(ph), np.sin(ph)], axis=1)
 
-    sol, _ = _separable_fit(v, columns, [f0])
-    return float(sol.x[0]), float(np.sqrt(np.mean(sol.fun ** 2)))
+    fit = _separable_fit(v, columns, [f0])
+    return float(fit.x[0]), float(np.sqrt(np.mean(fit.residual ** 2)))
 
 
 def validate_aht(system: SpinSystemParams, tau_max: float = 30e-6,

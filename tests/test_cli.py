@@ -223,6 +223,20 @@ def test_option_boundaries_exit_code(tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "400"])
+@pytest.mark.parametrize("option", ["--start", "--stop"])
+def test_sweep_theta2_bounds(tmp_path, capsys, option, value):
+    bounds = {"--start": "60", "--stop": "180", option: value}
+    out = tmp_path / "s.csv"
+    code = main(SWEEP + ["theta2_deg", "--start", bounds["--start"],
+                         "--stop", bounds["--stop"], "--num", "3",
+                         "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{option}: theta2_deg must be in [0, 360]" in err
+    assert not out.exists()
+
+
 def test_config_preset_exclusive(tmp_path, fast_cfg):
     code = main(["simulate", "--config", str(fast_cfg), "--preset", "nc60",
                  "--out", str(tmp_path / "x.csv")])
@@ -369,18 +383,44 @@ def test_sweep_theta2_rows_are_single_angle_weights(tmp_path):
         assert row.split(",")[:4] == ["%.17g" % x for x in [deg] + weights]
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported by the functions that use it, and the physical
-    # constants are literals, so start-up of every subcommand stays short
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from eseem.cli import main
+cfg, trace, spec = sys.argv[1:]
+print([main(["simulate", "--config", cfg, "--out", trace]),
+       main(["spectrum", trace, "--baseline", "exp", "--out", spec]),
+       main(["fit", trace, "--json"]),
+       main(["fit", trace, "--model", "exp"])])
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # the package needs no scipy: importing it loads none, no module under
+    # src/eseem imports it, and the stepped engine, the exponential baseline
+    # and both fit models run with every scipy import blocked
+    package = Path(eseem.__file__).parent
     code = ("import sys, eseem, eseem.cli; print(sorted(m for m in "
             "sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(eseem.__file__).parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
-                                                      env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package.parent), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+    for path in package.rglob("*.py"):
+        text = path.read_text()
+        assert "import scipy" not in text and "from scipy" not in text, path
+    cfg = tmp_path / "stepped.cfg"
+    cfg.write_text(FAST_CFG.replace("average-hamiltonian",
+                                    "stepped-rotating-frame")
+                   .replace("points = 256", "points = 48")
+                   .replace("sigma_rad = 0.31", "sigma_rad = 0"))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(cfg), str(tmp_path / "t.csv"),
+         str(tmp_path / "s.csv")], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0]", run.stdout
 
 
 def test_sweep_sigma(tmp_path):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from eseem.analytic import v_outer
 from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
-                          _Propagator, detection_operator,
+                          _Propagator, _unitary_eigen, detection_operator,
                           free_evolution, microwave_freq_hz,
                           run_two_pulse_echo, thermal_deviation, validate_aht)
 from eseem.hamiltonians import TWO_PI, delta_hz, h_rot_t, line_center_hz
@@ -180,6 +182,44 @@ def test_stepped_engine_matches_substep_loop(preset, steps):
         for k in range(tau.size):
             ref = _reference_stepped(prop, t_start[k], tau[k])
             assert np.abs(got[k] - ref).max() <= 1e-8
+
+
+@pytest.mark.parametrize("change", [{}, {"a_hz": 0.0}, {"s": 0.5}],
+                         ids=["nc60", "a0", "s-half"])
+@pytest.mark.parametrize("offset_hz", [0.0, -3e5])
+def test_stepped_period_powers_match_schur_reference(preset, change,
+                                                     offset_hz):
+    # whole periods only, up to about 1.9e6 of them at 200 us; a = 0 has
+    # degenerate eigenphases.  The Schur eigenphases carry about 5e-16 of
+    # roundoff per period (those of the eigh form about 5e-17, both against
+    # a 40-digit eigensolve of the same P), which reaches 1.1e-9 at 200 us
+    p = replace(preset, **change)
+    f_mw = line_center_hz(p, -1.0) + offset_hz
+    prop = _Propagator("stepped-rotating-frame", p, f_mw)
+    period = prop._midpoint_run(prop.steps_per_period,
+                                1.0 / (f_mw * prop.steps_per_period))
+    n = np.round(np.linspace(0.0, 200e-6 * f_mw, 21)).astype(int)
+    got = prop.stack(n / f_mw)
+    for k in range(n.size):
+        ref = _reference_unitary_power(period, n[k])
+        assert np.abs(got[k] - ref).max() <= 2e-9
+
+
+def test_unitary_eigen_raises_on_a_mixed_pair():
+    # two eigenphases symmetric about atan(c) share one eigenvalue of the
+    # Hermitian form, so its eigenvectors mix them: never return those
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+    alpha = np.arctan(1.0 / np.sqrt(3.0))
+    phases = np.array([alpha + 0.7, alpha - 0.7, 0.1, 1.9, -2.5, 3.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        _unitary_eigen((q * np.exp(1j * phases)) @ q.conj().T)
+    phases[1] += 0.2
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    vecs, angles = _unitary_eigen(u)
+    assert np.allclose(np.sort(angles), np.sort(phases), atol=1e-14)
+    assert np.abs((vecs * np.exp(1j * angles)) @ vecs.conj().T - u).max() \
+        <= 1e-14
 
 
 def test_free_evolution_basics(preset):

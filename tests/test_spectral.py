@@ -1,11 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+import eseem.spectral
+from eseem.cli import main
 from eseem.engine import EchoExperiment, EchoTrace
 from eseem.ensemble import AngleDistribution, average_trace
+from eseem.fileio import write_trace_csv
 from eseem.hamiltonians import delta_hz
 from eseem.pulses import PulseSpec
-from eseem.spectral import fft_magnitude, find_peaks, fit_decay
+from eseem.spectral import (_exp_columns, _separable_fit, _two_cosine_columns,
+                            _two_cosine_profile, fft_magnitude, find_peaks,
+                            fit_decay)
 from eseem.system import nc60_params
 
 TWO_PI = 2 * np.pi
@@ -131,6 +138,88 @@ def test_fit_two_cosine_with_seeded_noise():
     fit = fit_decay(EchoTrace(tau_s=tau, v=noisy), model="exp-two-cosine")
     assert abs(fit.params["delta_hz"] - d) / d <= 0.02
     assert abs(fit.params["t2_s"] - t2) / t2 <= 0.02
+
+
+def test_two_cosine_profile_equals_direct_lstsq():
+    # the grid starts at 3 us, so the FFT sums need the tau0 phase factor
+    d = 25.8e3
+    tau = np.linspace(3e-6, 300e-6, 200)
+    v = (2 + 1.2 * np.cos(TWO_PI * d * tau)
+         + 3 * np.cos(2 * TWO_PI * d * tau)) * np.exp(-2 * tau / 210e-6)
+    rate = 2 / 180e-6
+    d_grid, profile = _two_cosine_profile(tau, v, rate)
+    dt = tau[1] - tau[0]
+    assert d_grid.size == 2 * tau.size - 1 and 4 * d_grid[-1] < 1 / dt
+    columns = _two_cosine_columns(tau)
+    for d_k, got in zip(d_grid, profile):
+        a = columns([d_k, rate])
+        r = a @ np.linalg.lstsq(a, v, rcond=None)[0] - v
+        assert abs(got - r @ r) <= 1e-12 * (r @ r)
+
+
+def _scipy_separable_fit(v, columns, x0):
+    # reference solver, converged far below FIT_TOL: at FIT_TOL it can stop
+    # 5e-9 short of the minimum on the noisy trace
+    from scipy.optimize import least_squares
+
+    def resid(x):
+        a = columns(x)
+        return a @ np.linalg.lstsq(a, v, rcond=None)[0] - v
+
+    return least_squares(resid, x0=x0, bounds=(0.0, np.inf), xtol=1e-15,
+                         ftol=1e-15, gtol=1e-15).x
+
+
+@pytest.mark.parametrize("case", ["synthetic", "noisy", "exp"])
+def test_separable_fit_matches_scipy(case):
+    d = 25.815925542916237e3
+    tau = np.linspace(1e-6, 400e-6, 600)
+    v = (2 + 3 * np.cos(2 * TWO_PI * d * tau)) * np.exp(-2 * tau / 210e-6)
+    columns, x0 = _two_cosine_columns(tau), [1.001 * d, 9000.0]
+    if case == "noisy":
+        rng = np.random.default_rng(1234)
+        v = v + 0.01 * np.abs(v).max() * rng.normal(size=v.size)
+    elif case == "exp":
+        v = 1.7 * np.exp(-2 * tau / 150e-6)
+        columns, x0 = _exp_columns(tau), [1e4]
+    fit = _separable_fit(v, columns, x0)
+    ref = _scipy_separable_fit(v, columns, x0)
+    assert fit.converged
+    assert np.abs(fit.x - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("model, factory", [
+    ("exp-two-cosine", "_two_cosine_columns"), ("exp", "_exp_columns")])
+def test_fit_json_counts_every_evaluation(monkeypatch, tmp_path, capsys,
+                                          model, factory):
+    # every start, retry and Jacobian column evaluates the model once
+    calls = []
+    make_columns = getattr(eseem.spectral, factory)
+
+    def counting_factory(tau):
+        columns = make_columns(tau)
+
+        def counted(x):
+            calls.append(x)
+            return columns(x)
+        return counted
+
+    monkeypatch.setattr(eseem.spectral, factory, counting_factory)
+    d = 25.815925542916237e3
+    tau = np.linspace(1e-6, 400e-6, 600)
+    v = (2 + 3 * np.cos(2 * TWO_PI * d * tau)) * np.exp(-2 * tau / 210e-6)
+    trace = tmp_path / "t.csv"
+    write_trace_csv(trace, EchoTrace(tau_s=tau, v=v))
+    assert main(["fit", str(trace), "--model", model, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_evaluations"] == len(calls)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_without_decay_reports_infinite_t2():
+    # the decay rate stops at its bound 0: T2 is infinite, with no warning
+    tau = np.linspace(1e-6, 400e-6, 200)
+    fit = fit_decay(EchoTrace(tau_s=tau, v=np.ones(tau.size)))
+    assert fit.converged and fit.params["t2_s"] == np.inf
 
 
 def test_fit_pure_exponential():
