@@ -200,13 +200,18 @@ def cmd_fit(args) -> int:
     payload = {"model": result.model, "params": result.params,
                "residual_norm": result.residual_norm,
                "converged": result.converged,
-               "n_evaluations": result.n_evaluations}
+               "n_evaluations": result.n_evaluations,
+               "delta_resolved": result.delta_resolved}
     if args.json:
         print(json.dumps(payload))
     else:
         print(f"model: {result.model}")
         for key, value in result.params.items():
-            print(f"  {key} = {value:.8g}")
+            mark = ""
+            if key == "delta_hz" and not result.delta_resolved:
+                cycle = 1.0 / (trace.tau_s[-1] - trace.tau_s[0])
+                mark = f"  (unresolved: under one cycle, 1/T = {cycle:.4g} Hz)"
+            print(f"  {key} = {value:.8g}{mark}")
         print(f"residual norm: {result.residual_norm:.4g}  "
               f"converged: {result.converged}")
     if not result.converged:

@@ -8,8 +8,8 @@ the dotted field path, which the CLI maps to exit code 2.
 
 Two sizes are capped before anything is allocated (fixed limits, not
 options): ``tau.points`` at ``MAX_TAU_POINTS`` = 65536, since a run keeps
-about 4.6 KB of propagators and coherences per tau point (about 300 MB at
-the cap), and ``ensemble.nodes`` at ``MAX_ENSEMBLE_NODES`` = 1001, since the
+about 1.7 KB of propagator products and coherences per tau point and peaks
+near 2.2 KB (about 150 MB at the cap), and ``ensemble.nodes`` at ``MAX_ENSEMBLE_NODES`` = 1001, since the
 Gauss-Hermite rule builds a nodes x nodes matrix.  ``run.steps_per_period``
 must be at least the engine's ``MIN_STEPS_PER_PERIOD``.
 """
@@ -108,7 +108,8 @@ REQUIRED = object()  # the default of a key that must be given
 # of SpinSystemParams, which checks f_e_hz, g and the spins; the [run] keys
 # are fields of RunConfig.
 SCHEMA = {
-    "system": {"s": (_parse_spin, REQUIRED), "i": (_parse_spin, REQUIRED),
+    "system": {"s": (_parse_spin, REQUIRED, Range(0.5)),
+               "i": (_parse_spin, REQUIRED),
                "a_hz": (float, REQUIRED), "f_e_hz": (float, REQUIRED),
                "f_i_hz": (float, None), "g": (float, 2.0036),
                "f_mw_hz": (float, None)},

@@ -47,8 +47,9 @@ stepped-rotating-frame
     the exact engine.  h_rot(t) = R(t) H' R(t)^H, so each substep is
     R(t_k) E R(t_k)^H with one E = exp(-i H' dt): one eigh of H' per
     factory.  Whole periods come from the eigenphases of the unitary period
-    product P, found by one eigh of the Hermitian
-    (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3) (``_unitary_eigen``).
+    product P, found for each block of equal M = m_s + m_i by one eigh of
+    the Hermitian (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3)
+    (``_unitary_eigen``).
 
 Echo kernel
 -----------
@@ -57,19 +58,39 @@ free evolution enters as U1(tau) = U(0, tau) and G(tau) = U2(tau)^H D U2(tau),
 with U2(tau) = U(tau, 2 tau) = R(tau) U1(tau) R(tau)^H and D the detection
 operator, because Tr[U2 Z U2^H D] = Tr[Z G].
 
+Two conservation laws decide which elements can be nonzero.  The free
+evolution conserves M = m_s + m_i (the hyperfine coupling a S.I only trades
+m_s for m_i), and the pulses act on the electron alone, so they conserve
+m_i.  ``_supports`` derives four index sets from the basis once per
+(S, I, m_i); the counts are for S = 3/2, I = 1 (d = 12):
+
+* rho1, the +1 coherences after pulse 1: electron order +1 with m_i
+  unchanged (9 of 144);
+* X = U1 rho1 U1^H: M up by 1 (25);
+* the refocused pairs (i, j): order -1 with |M_j - M_i| = 1, the only
+  pairs where G can be nonzero (12 of the 27 of order -1);
+* D = Sy x P_mi: its nonzeros (6).
+
+The kernel checks these laws rather than assume them: an element of the
+U1 stack between M blocks, or of a pulse propagator between m_i blocks,
+above ``CONSERVATION_TOL`` times the largest element raises
+``LinAlgError`` rather than drop signal.
+
 Per experiment (``_EchoPlan``), everything that does not depend on the
-pulse scales of an ensemble node is built once: the U1 stack; G at the
-(i, j) elements of electron order -1 that the refocusing pulse fills (27
-for S = 3/2, I = 1), as G[j, i] and G[i, j], the second for the Hermitian
-completion; one scale -> propagator factory per pulse; and the pulse-1
-coherences X(tau) = U1 rho1 U1^H, memoized on the pulse-1 scale, which
-stays fixed over the nodes unless both pulses share the B1 factor.  The
-stacks are built in blocks of ``TAU_BLOCK`` points, which bounds the
-temporaries whatever the grid size.
+pulse scales of an ensemble node is built once: the products
+W[tau, e] = U1[a_q, k_r] conj U1[b_q, l_r] over the 55 links e = (q, r)
+between an X element q = (a, b) and a rho1 element r = (k, l) in the same
+M block, so that X = W @ (rho1 spread over the links); G[j, i] and G[i, j]
+at the refocused pairs, the second for the Hermitian completion, summed
+over D's nonzeros from the gathered U1 elements and their frame phases;
+the T2 damping; one scale -> propagator factory per pulse; and X(tau),
+memoized on the pulse-1 scale, which stays fixed over the nodes unless
+both pulses share the B1 factor.  The stacks are built in blocks of
+``TAU_BLOCK`` points, which bounds the temporaries whatever the grid size.
 
 Per node, the refocused elements S = (R2 X R2^H)[i, j] are one product
-X_flat @ K of the flattened (n_tau, d*d) coherences with the
-(d*d, n_pairs) matrix K = R2[i, :] x conj(R2[j, :]), and the amplitude is
+X @ K of the (n_tau, 25) coherences with the (25, 12) matrix
+K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q], and the amplitude is
 sum S G[j, i] + conj(S) G[i, j].  The imaginary part is kept as the
 roundoff residual.
 """
@@ -77,21 +98,24 @@ roundoff residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .hamiltonians import (TWO_PI, _f_mw_effective, delta_hz, h0_lab, h_avg0,
                            h_avg1, h_rot_t, line_center_hz)
 from .pulses import PulseSpec, _scaled_propagator
-from .spinops import kron, multiplicity, projector_mi, spin_matrices
+from .spinops import (ProductBasis, kron, multiplicity, projector_mi,
+                      spin_matrices)
 from .system import SpinSystemParams
 
 ENGINES = ("average-hamiltonian", "exact-lab-frame", "stepped-rotating-frame")
 
 MIN_STEPS_PER_PERIOD = 20
 
-# tau points per block when building the stacks (see "Echo kernel" above)
-TAU_BLOCK = 64
+# tau points per block when building the stacks (see "Echo kernel" above);
+# 128 ran about 5 % faster than 64 on 512-point traces
+TAU_BLOCK = 128
 
 # the stepped engine's one-period product P: the weight c of its Hermitian
 # form in _unitary_eigen, and the largest off-diagonal of Q^H P Q accepted
@@ -99,6 +123,16 @@ TAU_BLOCK = 64
 # the gap between its two eigenphases)
 _UNITARY_MIX = 1.0 / np.sqrt(3.0)
 UNITARY_OFFDIAG_TOL = 1e-12
+
+# the largest element a free-evolution propagator may have between M blocks,
+# or a pulse propagator between m_i blocks, relative to its largest element:
+# the echo kernel contracts only the elements these conservation laws allow.
+# The pulses and the average-Hamiltonian engine leave exact zeros.  Roundoff
+# leaks 1.4e-14 at most from the stepped engine, whose whole periods are
+# exactly block diagonal, and from the dense eigh of H0 in the exact engine
+# 1e-15 on the presets, 4e-13 at S = 5/2, I = 3/2 and 1e-12 over 1 ms at a
+# level crossing between M blocks (a = 2 f_I)
+CONSERVATION_TOL = 1e-10
 
 
 @dataclass
@@ -175,8 +209,28 @@ def detection_operator(system: SpinSystemParams, m_i: float) -> np.ndarray:
     return kron(sy, projector_mi(system.i, m_i))
 
 
+def _check_conserved(u: np.ndarray, leak: np.ndarray, what: str,
+                     label: str) -> None:
+    """Raise unless the elements of ``u`` (a matrix or a stack of them) on
+    the ``leak`` mask stay within ``CONSERVATION_TOL`` of its scale."""
+    mag = np.abs(u)
+    worst = mag[..., leak].max(initial=0.0)
+    if worst > CONSERVATION_TOL * mag.max():
+        raise np.linalg.LinAlgError(
+            f"{what} propagator does not conserve {label}: element "
+            f"{worst:.3g} between {label} blocks")
+
+
+def _total_m_blocks(system: SpinSystemParams) -> list[np.ndarray]:
+    """Basis indices of each value of M = m_s + m_i, which H0 conserves."""
+    basis = system.basis
+    total = basis.m_s_diagonal() + basis.m_i_diagonal()
+    return [np.nonzero(total == m)[0] for m in np.unique(total)]
+
+
 def _unitary_eigen(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors Q and eigenphases phi of a unitary u, u = Q e^(i phi) Q^H.
+    """Eigenvectors Q and eigenphases phi of a unitary u, u = Q e^(i phi) Q^H,
+    or of each unitary of a stack.
 
     The Hermitian (u + u^H)/2 + c (u - u^H)/(2i) has the eigenvalues
     cos(phi) + c sin(phi) on the same eigenvectors, so its ``eigh`` gives Q.
@@ -190,11 +244,25 @@ def _unitary_eigen(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     herm = 0.5 * (u + _dagger(u)) + (c / 2j) * (u - _dagger(u))
     q = np.linalg.eigh(herm)[1]
     t = _dagger(q) @ u @ q
-    offdiag = np.abs(t - np.diag(np.diag(t))).max()
+    diag = np.diagonal(t, axis1=-2, axis2=-1)
+    offdiag = np.abs(t[..., ~np.eye(t.shape[-1], dtype=bool)]).max(initial=0.0)
     if offdiag > UNITARY_OFFDIAG_TOL:
         raise np.linalg.LinAlgError(
             f"period propagator not diagonalized: off-diagonal {offdiag:.3g}")
-    return q, np.angle(np.diag(t))
+    return q, np.angle(diag)
+
+
+def _unitary_eigen_blocks(u: np.ndarray, blocks: list[np.ndarray]
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """``_unitary_eigen`` of a unitary that is block diagonal on ``blocks``,
+    one stack of blocks per block size; Q is exactly zero between blocks."""
+    q = np.zeros(u.shape, dtype=complex)
+    angles = np.empty(u.shape[0])
+    for size in sorted({idx.size for idx in blocks}):
+        rows = np.array([idx for idx in blocks if idx.size == size])
+        sub = (rows[:, :, None], rows[:, None, :])
+        q[sub], angles[rows] = _unitary_eigen(u[sub])
+    return q, angles
 
 
 class _Propagator:
@@ -217,6 +285,10 @@ class _Propagator:
             self._phases = np.diag(h).real
         elif engine == "exact-lab-frame":
             self._w0, self._v0 = np.linalg.eigh(h0_lab(system))
+            # row k holds the projector v_k v_k^H, flattened
+            self._projectors = (self._v0.T[:, :, None]
+                                * self._v0.conj().T[:, None, :]
+                                ).reshape(dim, dim * dim)
         else:
             if steps_per_period < MIN_STEPS_PER_PERIOD:
                 raise ValueError(
@@ -225,7 +297,11 @@ class _Propagator:
             self._w, self._v = np.linalg.eigh(h_rot_t(system, 0.0, f_mw_hz))
             period = self._midpoint_run(steps_per_period,
                                         1.0 / (f_mw_hz * steps_per_period))
-            self._q, self._angles = _unitary_eigen(period)
+            # one eigenbasis per M block: a dense one may mix close
+            # eigenphases of two blocks, and raising it to millions of
+            # periods spreads that roundoff between the blocks
+            self._q, self._angles = _unitary_eigen_blocks(
+                period, _total_m_blocks(system))
 
     def stack(self, tau) -> np.ndarray:
         """Propagators U(0, tau[k]), shape (n_tau, d, d); every propagator
@@ -238,8 +314,10 @@ class _Propagator:
             diag = np.arange(self._eye.shape[0])
             out[:, diag, diag] = np.exp(-1j * self._phases * tau[:, None])
         elif self.engine == "exact-lab-frame":
+            # exp(-i H0 tau) = sum_k e^(-i w_k tau) v_k v_k^H, one product
             phases = np.exp(-1j * self._w0 * tau[:, None])
-            core = (self._v0 * phases[:, None, :]) @ self._v0.conj().T
+            core = (phases @ self._projectors).reshape(
+                tau.shape + self._eye.shape)
             out = self._frame(tau[:, None])[:, :, None] * core
         else:
             out = np.array([self._stepped(t) for t in tau])
@@ -308,13 +386,62 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+@dataclass(frozen=True)
+class _Supports:
+    """The elements the echo kernel contracts for one (S, I, detected m_i),
+    as (row, column) index arrays; the counts are for S = 3/2, I = 1.
+
+    rho    electron order +1 with m_i unchanged: rho1 (9)
+    x      M up by 1: X = U1 rho1 U1^H (25)
+    pairs  (i, j) of order -1 with |M_j - M_i| = 1: the refocused elements
+           where G = U2^H D U2 can be nonzero (12)
+    det    the nonzeros of D = Sy x P_mi (6)
+
+    ``links`` holds the (q, r) with M(a_q) = M(k_r): the rho1 elements r
+    that U1 carries onto each X element q (55).  ``m_leak`` and ``mi_leak``
+    mark the elements that change M and m_i.
+    """
+
+    rho: tuple[np.ndarray, np.ndarray]
+    x: tuple[np.ndarray, np.ndarray]
+    pairs: tuple[np.ndarray, np.ndarray]
+    det: tuple[np.ndarray, np.ndarray]
+    links: tuple[np.ndarray, np.ndarray]
+    m_leak: np.ndarray
+    mi_leak: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _supports(s: float, i: float, m_i: float) -> _Supports:
+    basis = ProductBasis(s, i)
+    order = basis.electron_order()
+    nuclear = basis.m_i_diagonal()
+    total = basis.m_s_diagonal() + nuclear
+    d_mi = nuclear[:, None] - nuclear[None, :]
+    d_m = order + d_mi  # change of M, exact in floats
+    line = np.abs(nuclear - m_i) < 1e-9
+    rho = np.nonzero((order == 1) & (d_mi == 0))
+    x = np.nonzero(d_m == 1)
+    sup = _Supports(
+        rho=rho, x=x,
+        pairs=np.nonzero((order == -1) & (np.abs(d_m) == 1)),
+        det=np.nonzero((np.abs(order) == 1) & line[:, None] & line),
+        links=np.nonzero(total[x[0], None] == total[rho[0]]),
+        m_leak=d_m != 0, mi_leak=d_mi != 0)
+    for value in vars(sup).values():  # one instance serves every plan
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.flags.writeable = False
+    return sup
+
+
 class _EchoPlan:
     """Everything of one echo experiment that does not depend on the pulse
     scales of an ensemble node, built once; see "Echo kernel" above.
 
-    Holds the U1(tau) stack, G(tau) = U2^H D U2 at the refocused coherence
-    pairs only, one scale -> propagator factory per pulse, and a one-entry
-    memo of the pulse-1 coherences X(tau) keyed on ``scale1``.
+    Holds the supports, the products W(tau) of U1 elements along the links,
+    G(tau) = U2^H D U2 at the refocused pairs, the T2 damping, one scale ->
+    propagator factory per pulse, and a one-entry memo of the pulse-1
+    coherences X(tau) keyed on ``scale1``.
     """
 
     def __init__(self, exp: EchoExperiment):
@@ -322,49 +449,74 @@ class _EchoPlan:
         self.f_mw_hz = microwave_freq_hz(exp)
         prop = _Propagator(exp.engine, system, self.f_mw_hz,
                            exp.steps_per_period)
-        det_op = detection_operator(system, exp.detect_m_i)
-        order = system.basis.electron_order()
-        self._plus = order == 1
+        self.supports = sup = _supports(system.s, system.i, exp.detect_m_i)
         self._sigma0 = thermal_deviation(system)
-        # (i, j) of every element the refocusing pulse may fill (order -1)
-        self._i, self._j = np.nonzero(order == -1)
+        (a, b), (k, l), (i, j) = sup.x, sup.rho, sup.pairs
+        q, r = sup.links
+        d_k, d_l = sup.det
+        d_vals = detection_operator(system, exp.detect_m_i)[sup.det]
+        # flat indices row * dim + column into each propagator of the stack:
+        # W[:, e] = U1[a_q, k_r] conj U1[b_q, l_r] for the link e = (q, r),
+        # and the U1 elements that G[j_p, i_p] and G[i_p, j_p] take through
+        # D's elements (k_e, l_e)
+        dim = system.basis.dim
+        ak, bl = a[q] * dim + k[r], b[q] * dim + l[r]
+        kj, li = d_k[:, None] * dim + j, d_l[:, None] * dim + i
+        ki, lj = d_k[:, None] * dim + i, d_l[:, None] * dim + j
         tau = exp.tau_grid
-        self._u1 = np.empty((tau.size,) + det_op.shape, dtype=complex)
-        self._g_ji = np.empty((tau.size, self._i.size), dtype=complex)
+        self._w = np.empty((tau.size, q.size), dtype=complex)
+        self._g_ji = np.empty((tau.size, i.size), dtype=complex)
         self._g_ij = np.empty_like(self._g_ji)
         for start in range(0, tau.size, TAU_BLOCK):
             blk = slice(start, start + TAU_BLOCK)
-            self._u1[blk] = u1 = prop.stack(tau[blk])
-            u2 = prop.translate(tau[blk], u1)
-            g = _dagger(u2) @ det_op @ u2
-            self._g_ji[blk] = g[:, self._j, self._i]
-            self._g_ij[blk] = g[:, self._i, self._j]
+            u1 = prop.stack(tau[blk])
+            _check_conserved(u1, sup.m_leak, "free evolution", "M")
+            u1 = u1.reshape(u1.shape[0], -1)
+            self._w[blk] = u1[:, ak] * u1[:, bl].conj()
+            # U2 = R(tau) U1 R(tau)^H with the diagonal frame rotation R: its
+            # phases factor out of each sum over D's elements
+            rot = prop._frame(tau[blk, None])
+            d_rot = (rot[:, d_k].conj() * rot[:, d_l] * d_vals)[:, :, None]
+            pair_rot = rot[:, j] * rot[:, i].conj()
+            self._g_ji[blk] = pair_rot * (
+                d_rot * u1[:, kj].conj() * u1[:, li]).sum(axis=1)
+            self._g_ij[blk] = pair_rot.conj() * (
+                d_rot * u1[:, ki].conj() * u1[:, lj]).sum(axis=1)
+        self.damping = (None if exp.t2_s is None
+                        else np.exp(-2.0 * tau / exp.t2_s))
         self._pulse1 = _scaled_propagator(exp.pulse1, system, self.f_mw_hz)
         self._pulse2 = _scaled_propagator(exp.pulse2, system, self.f_mw_hz)
         self._x_scale = None
         self._x = None
 
+    def _pulse(self, factory, scale: float) -> np.ndarray:
+        u = factory(scale)
+        _check_conserved(u, self.supports.mi_leak, "pulse", "m_i")
+        return u
+
     def _coherences(self, scale1: float) -> np.ndarray:
-        """X(tau) = U1 rho1 U1^H with rho1 the +1 coherences after pulse 1,
-        flattened to (n_tau, d*d)."""
+        """X(tau) = U1 rho1 U1^H at its support, shape (n_tau, n_x), with
+        rho1 the +1 coherences after pulse 1."""
         if scale1 != self._x_scale:
-            r1 = self._pulse1(scale1)
-            rho = np.where(self._plus, r1 @ self._sigma0 @ r1.conj().T, 0.0)
-            x = np.empty_like(self._u1)
-            for start in range(0, x.shape[0], TAU_BLOCK):
-                blk = slice(start, start + TAU_BLOCK)
-                x[blk] = self._u1[blk] @ rho @ _dagger(self._u1[blk])
-            self._x = x.reshape(x.shape[0], -1)
+            sup = self.supports
+            r1 = self._pulse(self._pulse1, scale1)
+            rho = (r1 @ self._sigma0 @ r1.conj().T)[sup.rho]
+            # X[a_q, b_q] = sum of W[:, e] rho1[k_r, l_r] over its links
+            q, r = sup.links
+            spread = np.zeros((q.size, sup.x[0].size), dtype=complex)
+            spread[np.arange(q.size), q] = rho[r]
+            self._x = self._w @ spread
             self._x_scale = scale1
         return self._x
 
     def amplitudes(self, scale1: float, scale2: float) -> np.ndarray:
         """Complex echo amplitude at every tau for the given pulse scales."""
         x = self._coherences(scale1)
-        r2 = self._pulse2(scale2)
-        # S[:, p] = (R2 X R2^H)[i_p, j_p] = X_flat @ (R2[i_p] x conj R2[j_p])
-        k = r2[self._i, :, None] * r2[self._j, None, :].conj()
-        s = x @ k.reshape(self._i.size, -1).T
+        r2 = self._pulse(self._pulse2, scale2)
+        (a, b), (i, j) = self.supports.x, self.supports.pairs
+        # S[:, p] = (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p]
+        k = r2[i, a[:, None]] * r2[j, b[:, None]].conj()
+        s = x @ k
         # Tr[(Z + Z^H) G] over the refocused elements Z[i, j] = S
         return (s * self._g_ji + s.conj() * self._g_ij).sum(axis=1)
 
@@ -386,8 +538,8 @@ def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
     amp = plan.amplitudes(scale1, scale2)
     v = amp.real.copy()
     v_im = amp.imag.copy()
-    if exp.t2_s is not None:
-        v = v * np.exp(-2.0 * exp.tau_grid / exp.t2_s)
+    if plan.damping is not None:
+        v = v * plan.damping
     meta = {
         "engine": exp.engine,
         "m_i": exp.detect_m_i,

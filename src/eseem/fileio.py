@@ -4,24 +4,42 @@ Trace schema: ``tau_s,v`` (plus ``v_im_residual`` on request); spectrum
 schema: ``freq_hz,magnitude``.  Values are written with 17 significant
 digits so float64 round-trips bit-exactly.  Header comment lines echo the
 full run configuration for provenance; the ``generated`` timestamp line is
-the only non-deterministic output line.
+the only line that changes from run to run.  When the ``SOURCE_DATE_EPOCH``
+environment variable holds a Unix time in whole seconds, that line shows
+that time instead of the clock, so two runs write identical bytes; any
+other value is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
 from .engine import EchoTrace
 from .spectral import Spectrum
 
 FLOAT_FMT = "%.17g"
 
 
+def _generated() -> datetime:
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if epoch is None:
+        return datetime.now(timezone.utc)
+    try:
+        if not epoch.isdigit():
+            raise ValueError(epoch)
+        return datetime.fromtimestamp(int(epoch), timezone.utc)
+    except (ValueError, OverflowError, OSError) as err:
+        raise ConfigError("SOURCE_DATE_EPOCH", "need whole seconds since "
+                          f"1970, got {epoch!r}") from err
+
+
 def _header_lines(meta: dict) -> list[str]:
-    lines = [f"# generated = {datetime.now(timezone.utc).isoformat()}"]
+    lines = [f"# generated = {_generated().isoformat()}"]
     for key in sorted(meta):
         lines.append(f"# {key} = {meta[key]}")
     return lines

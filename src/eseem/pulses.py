@@ -122,18 +122,25 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
             return kron(u, eye_n)
         return ideal
 
-    # finite model: shared drive amplitude set by the nominal angle/duration
+    # finite model: shared drive amplitude set by the nominal angle/duration.
+    # H_int + drive conserves m_i, so each segment exponentiates the 2I+1
+    # electron blocks h[:, k, :, k] of the (m_s, m_i, m_s', m_i') view at once
+    # and the propagator is exactly zero between m_i blocks
     w1_nominal = pulse.angle / pulse.duration_s
-    h_int = h_avg0(system, f_mw_hz) + h_avg1(system)
+    d_s, d_i = multiplicity(system.s), multiplicity(system.i)
+    nuclear = np.arange(d_i)
+    h_int = (h_avg0(system, f_mw_hz) + h_avg1(system)).reshape(
+        d_s, d_i, d_s, d_i)[:, nuclear, :, nuclear]
     sx, sy, _ = spin_matrices(system.s)
-    drives = [(angle / w1_nominal,
-               kron(sx * np.cos(phase) + sy * np.sin(phase), eye_n))
+    drives = [(angle / w1_nominal, sx * np.cos(phase) + sy * np.sin(phase))
               for angle, phase in segments]
 
     def finite(scale: float) -> np.ndarray:
-        u = np.eye(h_int.shape[0], dtype=complex)
+        blocks = np.eye(d_s, dtype=complex)
         for t_seg, drive in drives:
             h_drive = -scale * w1_nominal * drive
-            u = expm_hermitian(h_int + h_drive, t_seg) @ u
-        return u
+            blocks = expm_hermitian(h_int + h_drive, t_seg) @ blocks
+        u = np.zeros((d_s, d_i, d_s, d_i), dtype=complex)
+        u[:, nuclear, :, nuclear] = blocks
+        return u.reshape(d_s * d_i, d_s * d_i)
     return finite

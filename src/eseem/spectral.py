@@ -147,11 +147,16 @@ PROFILE_PAD = 8
 
 @dataclass
 class FitResult:
+    """``delta_resolved`` (two-cosine model only, else None) is whether the
+    fitted delta completes a cycle over the trace, delta * T >= 1; below
+    that the trace cannot tell a slow modulation from the decay."""
+
     model: str
     params: dict
     residual_norm: float
     converged: bool
     n_evaluations: int
+    delta_resolved: bool | None = None
 
 
 @dataclass
@@ -348,7 +353,9 @@ def fit_decay(trace: EchoTrace, model: str = "exp-two-cosine") -> FitResult:
     solved linearly at every step, and it stops on step, residual or
     gradient tolerance ``FIT_TOL`` within ``MAX_EVALUATIONS`` model
     evaluations per start.  ``n_evaluations`` counts the model evaluations
-    of every start and retry, Jacobian columns included.
+    of every start and retry, Jacobian columns included.  A fitted delta
+    below one cycle over the trace (a central-line trace has no modulation)
+    sets ``delta_resolved`` false; the fit may still converge.
     """
     if model not in FIT_MODELS:
         raise ValueError(f"unknown fit model {model!r}")
@@ -386,5 +393,7 @@ def fit_decay(trace: EchoTrace, model: str = "exp-two-cosine") -> FitResult:
         c0, c1, c2 = best.amplitudes
         params = {"c0": float(c0), "c1": float(c1), "c2": float(c2),
                   "delta_hz": float(best.x[0]), "t2_s": _t2(best.x[1])}
+        resolved = bool(best.x[0] * (tau[-1] - tau[0]) >= 1.0)
     return FitResult(model=model, params=params, residual_norm=best.norm,
-                     converged=best.converged, n_evaluations=n_evaluations)
+                     converged=best.converged, n_evaluations=n_evaluations,
+                     delta_resolved=None if model == "exp" else resolved)

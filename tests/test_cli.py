@@ -463,6 +463,45 @@ def test_fit_central_line_converges(tmp_path, capsys):
     assert payload["params"]["t2_s"] == pytest.approx(t2_s, rel=0.02)
 
 
+@pytest.mark.parametrize("preset,resolved", [("nc60_mi_0", False),
+                                              ("nc60_mi_minus1", True)])
+def test_fit_reports_whether_delta_is_resolved(preset, resolved, tmp_path,
+                                               capsys):
+    # the central line has no modulation: the converged two-cosine fit puts
+    # delta at a few hundred Hz, under one cycle of the 199 us trace
+    trace = tmp_path / "tr.csv"
+    assert main(["simulate", "--preset", preset, "--out", str(trace)]) == 0
+    assert main(["fit", str(trace), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert payload["converged"]
+    assert payload["delta_resolved"] is resolved
+    assert (payload["params"]["delta_hz"] * 199e-6 >= 1.0) is resolved
+    assert main(["fit", str(trace)]) == 0
+    delta_line = [ln for ln in capsys.readouterr().out.splitlines()
+                  if "delta_hz" in ln]
+    assert ("unresolved" in delta_line[0]) is not resolved
+    assert main(["fit", str(trace), "--model", "exp", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert payload["delta_resolved"] is None
+
+
+def test_source_date_epoch_makes_output_reproducible(fast_cfg, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (first, second):
+        assert main(["simulate", "--config", str(fast_cfg), "--out",
+                     str(out), "--im-residual"]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_text().splitlines()[0] == \
+        "# generated = 2023-11-14T22:13:20+00:00"
+    for bad in ("1.5e9", "-1", "soon", "9" * 20):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", bad)
+        assert main(["simulate", "--config", str(fast_cfg), "--out",
+                     str(first)]) == 2
+        assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+
+
 def test_validate_command(capsys, monkeypatch):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

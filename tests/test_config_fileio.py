@@ -103,8 +103,10 @@ FINITE = "phase2_deg = 45\npulse_model = finite\n"
     ("sigma_rad = 0.2", "sigma_rad = -0.31", "ensemble.sigma_rad"),
     ("nodes = 21", "nodes = 20", "ensemble.nodes"),
     ("stop_s = 100e-6", "stop_s = 1e-6", "tau.stop_s"),
+    ("s = 3/2", "s = 0", "system.s"),
 ], ids=["theta1-zero", "theta2-above-360", "pulse-model", "t_p2-zero",
-        "t_p1-missing", "sigma-negative", "nodes-even", "stop-not-above-start"])
+        "t_p1-missing", "sigma-negative", "nodes-even", "stop-not-above-start",
+        "no-electron-spin"])
 def test_errors_name_the_key(tmp_path, old, new, field):
     with pytest.raises(ConfigError) as err:
         parse_config(write_cfg(tmp_path, GOOD_CFG.replace(old, new)))

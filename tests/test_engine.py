@@ -2,7 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eseem.engine as engine_module
 from eseem.analytic import v_outer
 from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
                           _Propagator, _unitary_eigen, detection_operator,
@@ -10,7 +13,8 @@ from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
                           run_two_pulse_echo, thermal_deviation, validate_aht)
 from eseem.hamiltonians import TWO_PI, delta_hz, h_rot_t, line_center_hz
 from eseem.pulses import PulseSpec, composite_pi, rotation_operator
-from eseem.spinops import is_unitary, kron, projector_mi, spin_matrices
+from eseem.spinops import (is_unitary, kron, projections, projector_mi,
+                           spin_matrices)
 from eseem.system import nc60_params
 
 
@@ -203,6 +207,17 @@ def test_stepped_period_powers_match_schur_reference(preset, change,
     for k in range(n.size):
         ref = _reference_unitary_power(period, n[k])
         assert np.abs(got[k] - ref).max() <= 2e-9
+
+
+def test_stepped_engine_keeps_m_blocks_apart():
+    # one eigenbasis of the period product per M block: a dense one mixed
+    # close eigenphases of two blocks, and over the 2e6 periods of 200 us
+    # that leaked 2.7e-10 between them (S = 5/2, I = 3/2)
+    p = nc60_params(s=2.5, i=1.5)
+    prop = _Propagator("stepped-rotating-frame", p, line_center_hz(p, -1.5))
+    u = prop.stack(np.linspace(0.0, 200e-6, 5))
+    total = p.basis.m_s_diagonal() + p.basis.m_i_diagonal()
+    assert np.abs(u[:, total[:, None] != total]).max() <= 1e-13
 
 
 def test_unitary_eigen_raises_on_a_mixed_pair():
@@ -478,3 +493,123 @@ def test_propagator_stack_matches_single_calls(preset, engine):
             assert np.abs(moved[k] - lab).max() <= 4 * np.spacing(phase)
     with pytest.raises(ValueError):
         prop.stack(np.array([1e-6, -1e-6]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plan_matches_dense_reference_on_random_experiments(data):
+    s = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.5]), label="s")
+    i = data.draw(st.sampled_from([0.5, 1.0, 1.5]), label="i")
+    engine = data.draw(st.sampled_from(ENGINES), label="engine")
+    p1, p2 = _pulses(data.draw(st.sampled_from(["ideal", "finite", "cp3"]),
+                               label="pulses"))
+    scale1, scale2 = (data.draw(st.floats(0.8, 1.2), label=f"scale{k}")
+                      for k in (1, 2))
+    offset = data.draw(st.floats(-2e6, 2e6), label="offset_hz")
+    m_i = data.draw(st.sampled_from(list(projections(i))), label="m_i")
+    n_tau = 5 if engine == "stepped-rotating-frame" else 17
+    exp = EchoExperiment(system=nc60_params(s=s, i=i), pulse1=p1, pulse2=p2,
+                         tau_grid=np.linspace(0.0, 60e-6, n_tau),
+                         detect_m_i=m_i, engine=engine,
+                         resonance_offset_hz=offset)
+    plan = _EchoPlan(exp)
+    # support sizes: n(M) states per M value is the convolution of the two
+    # multiplicities; D = Sy x P_mi has 2 * 2S nonzeros
+    n_m = np.convolve(np.ones(int(2 * s) + 1), np.ones(int(2 * i) + 1))
+    sup = plan.supports
+    sizes = [len(index[0]) for index in (sup.rho, sup.x, sup.pairs, sup.det)]
+    assert sizes == [2 * s * (2 * i + 1), n_m[1:] @ n_m[:-1], 8 * s * i, 4 * s]
+    ref = _reference_amplitudes(exp, scale1, scale2)
+    trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2, plan=plan)
+    got = trace.v + 1j * trace.v_im
+    assert np.abs(ref).max() > 0.1
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _pattern(mat):
+    """(row, column) of the elements above roundoff (3e-16 here)."""
+    return set(zip(*np.nonzero(np.abs(mat) > 1e-13 * np.abs(mat).max())))
+
+
+def test_supports_are_the_dense_nonzero_patterns(preset):
+    # exact dynamics with finite pulses fill every element the conservation
+    # laws allow, down to the second-order ones near (a/f_e)^2 ~ 3e-6.  G
+    # also vanishes at the pairs whose M blocks hold no state of the
+    # detected m_i, so its pattern is the support over the three lines
+    p1, p2 = _pulses("finite")
+    tau = np.array([17.3e-6])
+    order = preset.basis.electron_order()
+    g_union = set()
+    for m_i in (1.0, 0.0, -1.0):
+        exp = EchoExperiment(system=preset, pulse1=p1, pulse2=p2,
+                             tau_grid=tau, detect_m_i=m_i,
+                             engine="exact-lab-frame", resonance_offset_hz=3e5)
+        plan = _EchoPlan(exp)
+        sup = plan.supports
+        f_mw = microwave_freq_hz(exp)
+        prop = _Propagator(exp.engine, preset, f_mw)
+        u1 = prop.stack(tau)
+        u2 = prop.translate(tau, u1)[0]
+        u1 = u1[0]
+        r1 = rotation_operator(p1, preset, 0.93, f_mw)
+        rho1 = np.where(order == 1,
+                        r1 @ thermal_deviation(preset) @ r1.conj().T, 0.0)
+        x = u1 @ rho1 @ u1.conj().T
+        det_op = detection_operator(preset, m_i)
+        for dense, support, count in (
+                (rho1, sup.rho, 9), (x, sup.x, 25), (det_op, sup.det, 6)):
+            assert _pattern(dense) == set(zip(*support))
+            assert len(support[0]) == count
+        # X from the links: every second-order element included
+        x_plan = plan._coherences(0.93)[0]
+        assert np.abs(x_plan - x[sup.x]).max() <= 1e-12 * np.abs(x).max()
+        g = u2.conj().T @ det_op @ u2
+        g_pattern = _pattern(np.where(order == -1, g.T, 0.0))  # G[j, i]
+        assert g_pattern <= set(zip(*sup.pairs))
+        g_union |= g_pattern
+    assert g_union == set(zip(*sup.pairs))
+    assert len(sup.pairs[0]) == 12
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_plan_raises_on_free_evolution_across_m_blocks(preset, engine,
+                                                       monkeypatch):
+    stack = _Propagator.stack
+
+    def leaky(self, tau):
+        u = stack(self, tau)
+        u[:, 0, 1] += 1e-9  # (3/2, +1) <- (3/2, 0): M changes by 1
+        return u
+
+    exp = make_exp(preset, engine=engine, tau=np.linspace(1e-6, 20e-6, 4))
+    _EchoPlan(exp)
+    monkeypatch.setattr(_Propagator, "stack", leaky)
+    with pytest.raises(np.linalg.LinAlgError, match="conserve M"):
+        _EchoPlan(exp)
+
+
+@pytest.mark.parametrize("leaky_pulse", [1, 2])
+@pytest.mark.parametrize("kind", ["ideal", "finite"])
+def test_plan_raises_on_a_pulse_across_m_i_blocks(preset, kind, leaky_pulse,
+                                                  monkeypatch):
+    p1, p2 = _pulses(kind)
+    exp = EchoExperiment(system=preset, pulse1=p1, pulse2=p2,
+                         tau_grid=np.linspace(1e-6, 20e-6, 4), detect_m_i=1.0,
+                         resonance_offset_hz=0.0)
+    factory = engine_module._scaled_propagator
+
+    def leaky_factory(pulse, system, f_mw_hz=None):
+        scaled = factory(pulse, system, f_mw_hz)
+        if pulse is not (p1, p2)[leaky_pulse - 1]:
+            return scaled
+
+        def leaky(scale):
+            u = scaled(scale)
+            u[0, 1] += 1e-9  # m_i = +1 <- m_i = 0
+            return u
+        return leaky
+
+    run_two_pulse_echo(exp)
+    monkeypatch.setattr(engine_module, "_scaled_propagator", leaky_factory)
+    with pytest.raises(np.linalg.LinAlgError, match="conserve m_i"):
+        run_two_pulse_echo(exp)

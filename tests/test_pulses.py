@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eseem.hamiltonians import h_avg0, h_avg1
 from eseem.pulses import (PulseSpec, composite_pi, electron_rotation,
                           rotation_operator)
 from eseem.spinops import is_unitary, kron, spin_matrices
@@ -108,3 +109,28 @@ def test_pulse_spec_validation():
         PulseSpec(angle=np.pi, composite=())
     spec = PulseSpec(angle=np.pi)
     assert spec.segments() == ((np.pi, 0.0),)
+
+
+@pytest.mark.parametrize("s,i", [(1.5, 1.0), (0.5, 0.5), (2.5, 1.5)])
+def test_finite_pulse_is_block_diagonal_in_m_i(s, i):
+    # one electron block per m_i, exactly zero between them, equal to the
+    # dense exponential of drive + internal Hamiltonian to roundoff
+    p = nc60_params(s=s, i=i)
+    f_mw = p.f_e_hz + 0.3e6
+    cp3 = composite_pi()
+    pulse = PulseSpec(cp3.angle, model="finite", duration_s=112e-9,
+                      composite=cp3.composite)
+    u = rotation_operator(pulse, p, 1.07, f_mw)
+    m_i = p.basis.m_i_diagonal()
+    assert np.all(u[m_i[:, None] != m_i[None, :]] == 0.0)
+    h_int = h_avg0(p, f_mw) + h_avg1(p)
+    sx, sy, _ = spin_matrices(s)
+    w1 = pulse.angle / pulse.duration_s
+    dense = np.eye(p.basis.dim)
+    for angle, phase in pulse.segments():
+        drive = kron(sx * np.cos(phase) + sy * np.sin(phase),
+                     np.eye(p.basis.dim_i))
+        h = h_int - 1.07 * w1 * drive
+        w, v = np.linalg.eigh(h)
+        dense = (v * np.exp(-1j * w * angle / w1)) @ v.conj().T @ dense
+    assert np.abs(u - dense).max() <= 1e-13

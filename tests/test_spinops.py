@@ -170,3 +170,17 @@ def test_hermitian_unitary_predicates():
     assert is_hermitian(sx)
     assert is_unitary(expm_hermitian(sx, 0.3))
     assert not is_unitary(2 * np.eye(3))
+
+
+def test_expm_of_a_stack_exponentiates_each_matrix():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    h = (a + a.conj().swapaxes(-1, -2)) / 2
+    got = expm_hermitian(h, 0.7)
+    assert got.shape == h.shape
+    for k in np.ndindex(h.shape[:2]):
+        assert np.abs(got[k] - expm_hermitian(h[k], 0.7)).max() <= 1e-14
+    # every matrix of the stack is checked, not only the first
+    h[1, 2, 0, 1] += 1e-6
+    with pytest.raises(ValueError):
+        expm_hermitian(h, 0.7)
