@@ -15,8 +15,7 @@ from .engine import (EchoExperiment, EchoTrace, free_evolution,
 from .ensemble import (AngleDistribution, apply_t2, average_analytic_outer,
                        average_trace, i1_i2_ratio)
 from .hamiltonians import (StickLine, delta_hz, epr_stick_spectrum, h0_lab,
-                           h_avg0, h_avg1, h_rot_t, line_center_hz,
-                           reduced_block)
+                           h_avg0, h_avg1, h_rot_t, line_center_hz)
 from .pulses import PulseSpec, composite_pi, electron_rotation, rotation_operator
 from .spectral import (FitResult, PeakList, Spectrum, fft_magnitude,
                        find_peaks, fit_decay)
@@ -36,7 +35,7 @@ __all__ = [
     "fit_decay", "free_evolution", "h0_lab", "h_avg0", "h_avg1", "h_rot_t",
     "i1_i2_ratio", "kron", "line_center_hz", "microwave_freq_hz",
     "multiplicity", "nc60_params", "projections", "projector_mi",
-    "reduced_block", "rotation_operator", "run_two_pulse_echo",
+    "rotation_operator", "run_two_pulse_echo",
     "spin_matrices", "v_center", "v_general", "v_outer", "validate_aht",
     "__version__",
 ]

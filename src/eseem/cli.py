@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytic import coefficients, general_s_weights, v_general
 from .config import SCHEMA, ConfigError, RunConfig, load_preset, parse_config
-from .engine import EchoTrace, run_two_pulse_echo
+from .engine import EchoTrace
 from .ensemble import (AngleDistribution, apply_t2, average_analytic,
                        average_trace, averaged_component_weights)
 from .fileio import (read_trace_csv, write_spectrum_csv, write_trace_csv)
@@ -82,12 +82,8 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     multi = len(cfg.detect_m_i) > 1
     for m_i in cfg.detect_m_i:
-        exp = cfg.experiment(m_i)
-        if cfg.distribution is not None:
-            trace = average_trace(exp, cfg.distribution,
-                                  shared_b1=cfg.shared_b1)
-        else:
-            trace = run_two_pulse_echo(exp)
+        trace = average_trace(cfg.experiment(m_i), cfg.distribution,
+                              shared_b1=cfg.shared_b1)
         path = _out_path(args.out, m_i, multi)
         write_trace_csv(path, trace, extra_meta=cfg.echo,
                         im_residual=args.im_residual)
@@ -115,10 +111,8 @@ def cmd_analytic(args) -> int:
         else:
             co = coefficients(theta2)
             meta.update({"a0": co.a0, "a1": co.a1, "a2": co.a2})
-            dist = cfg.distribution or AngleDistribution(kind="delta",
-                                                         mean=theta2)
-            v = average_analytic(tau, m_i, theta1, theta2, dist, d,
-                                 shared_b1=cfg.shared_b1)
+            v = average_analytic(tau, m_i, theta1, theta2, cfg.distribution,
+                                 d, shared_b1=cfg.shared_b1)
         trace = EchoTrace(tau_s=tau, v=v, metadata=meta)
         if cfg.t2_s is not None:
             trace = apply_t2(trace, cfg.t2_s)
@@ -176,12 +170,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in values:
         if args.param == "theta2_deg":
-            dist = AngleDistribution(kind="delta", mean=np.deg2rad(value))
-        elif value > 0:  # sigma_rad
-            dist = AngleDistribution(kind="gaussian", mean=cfg.pulse2.angle,
-                                     sigma=float(value), nodes=41)
+            dist = AngleDistribution(mean=np.deg2rad(value))
         else:
-            dist = AngleDistribution(kind="delta", mean=cfg.pulse2.angle)
+            dist = AngleDistribution(mean=cfg.pulse2.angle, sigma=float(value))
         w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle)
         ratio = abs(w1) / abs(w2) if w2 != 0 else float("inf")
         rows.append((value, w0, w1, w2, ratio))

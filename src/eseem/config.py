@@ -170,7 +170,7 @@ class RunConfig:
     engine: str
     resonance_offset_hz: float | None
     t2_s: float | None
-    distribution: AngleDistribution | None
+    distribution: AngleDistribution
     shared_b1: bool
     steps_per_period: int
     echo: dict = field(default_factory=dict)   # flattened raw items
@@ -250,9 +250,8 @@ def parse_config(path: str | Path) -> RunConfig:
     ens = values["ensemble"]
     if ens["nodes"] % 2 == 0:
         raise ConfigError("ensemble.nodes", f"must be odd, got {ens['nodes']}")
-    dist = None if ens["sigma_rad"] == 0 else AngleDistribution(
-        kind="gaussian", mean=pulse2.angle, sigma=ens["sigma_rad"],
-        nodes=ens["nodes"])
+    dist = AngleDistribution(mean=pulse2.angle, sigma=ens["sigma_rad"],
+                             nodes=ens["nodes"])
 
     echo = {f"{block}.{key}": value
             for block, items in raw.items() for key, value in items.items()}

@@ -83,9 +83,9 @@ between an X element q = (a, b) and a rho1 element r = (k, l) in the same
 M block, so that X = W @ (rho1 spread over the links); G[j, i] and G[i, j]
 at the refocused pairs, the second for the Hermitian completion, summed
 over D's nonzeros from the gathered U1 elements and their frame phases;
-the T2 damping; one scale -> propagator factory per pulse; and X(tau),
-memoized on the pulse-1 scale, which stays fixed over the nodes unless
-both pulses share the B1 factor.  The stacks are built in blocks of
+the T2 damping (1 without T2); one scale -> propagator factory per pulse;
+and X(tau), memoized on the pulse-1 scale, which stays fixed over the nodes
+unless both pulses share the B1 factor.  The stacks are built in blocks of
 ``TAU_BLOCK`` points, which bounds the temporaries whatever the grid size.
 
 Per node, the refocused elements S = (R2 X R2^H)[i, j] are one product
@@ -482,7 +482,7 @@ class _EchoPlan:
                 d_rot * u1[:, kj].conj() * u1[:, li]).sum(axis=1)
             self._g_ij[blk] = pair_rot.conj() * (
                 d_rot * u1[:, ki].conj() * u1[:, lj]).sum(axis=1)
-        self.damping = (None if exp.t2_s is None
+        self.damping = (1.0 if exp.t2_s is None
                         else np.exp(-2.0 * tau / exp.t2_s))
         self._pulse1 = _scaled_propagator(exp.pulse1, system, self.f_mw_hz)
         self._pulse2 = _scaled_propagator(exp.pulse2, system, self.f_mw_hz)
@@ -530,16 +530,14 @@ def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
     ensemble module for B1-inhomogeneity averaging; composites scale all
     segments together).  ``plan`` takes the experiment's :class:`_EchoPlan`,
     which an ensemble average builds once and shares across its nodes; the
-    trace is the same with or without it.  When ``t2_s`` is set the trace
-    is damped by exp(-2*tau/T2).
+    trace is the same with or without it.  The trace is multiplied by the
+    plan's damping, exp(-2*tau/T2), or 1 when ``t2_s`` is not set.
     """
     if plan is None:
         plan = _EchoPlan(exp)
     amp = plan.amplitudes(scale1, scale2)
-    v = amp.real.copy()
+    v = amp.real * plan.damping
     v_im = amp.imag.copy()
-    if plan.damping is not None:
-        v = v * plan.damping
     meta = {
         "engine": exp.engine,
         "m_i": exp.detect_m_i,

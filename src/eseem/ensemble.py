@@ -3,9 +3,10 @@ decay.
 
 B1 inhomogeneity across the sample gives each spin packet its own rotation
 angles.  Averages over a Gaussian angle distribution are evaluated with
-Gauss-Hermite quadrature (deterministic, spectrally convergent).  Node
+Gauss-Hermite quadrature (deterministic, spectrally convergent); a fixed
+angle is the distribution of zero width, one node of weight 1.  Node
 contributions are added one at a time in node order, so an average is
-reproducible bit for bit.
+reproducible bit for bit, and a one-node average equals the single run.
 """
 
 from __future__ import annotations
@@ -17,34 +18,28 @@ import numpy as np
 from .analytic import coefficients, v_center, v_outer
 from .engine import EchoExperiment, EchoTrace, _EchoPlan, run_two_pulse_echo
 
-DISTRIBUTION_KINDS = ("delta", "gaussian")
-
 
 @dataclass(frozen=True)
 class AngleDistribution:
     """Distribution of the refocusing angle theta2 across the ensemble.
 
-    ``delta`` pins the angle at ``mean``; ``gaussian`` draws from
-    N(mean, sigma^2), integrated on ``nodes`` Gauss-Hermite points (odd, so
-    the mean itself is a node).
+    A Gaussian N(mean, sigma^2), integrated on ``nodes`` Gauss-Hermite points
+    (odd, so the mean itself is a node); sigma = 0 is the one node ``mean``.
     """
 
-    kind: str = "gaussian"
     mean: float = np.pi
     sigma: float = 0.0
     nodes: int = 41
 
     def __post_init__(self):
-        if self.kind not in DISTRIBUTION_KINDS:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if self.kind == "gaussian" and (self.nodes < 3 or self.nodes % 2 == 0):
+        if self.nodes < 3 or self.nodes % 2 == 0:
             raise ValueError("gaussian rule needs an odd node count >= 3")
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """(angles, weights) of the quadrature rule; weights sum to 1."""
-        if self.kind == "delta" or self.sigma == 0.0:
+        if self.sigma == 0.0:
             return np.array([self.mean]), np.array([1.0])
         x, w = np.polynomial.hermite.hermgauss(self.nodes)
         return self.mean + np.sqrt(2.0) * self.sigma * x, w / np.sqrt(np.pi)
@@ -79,7 +74,6 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
         "engine", "m_i", "theta1_rad", "theta2_rad", "pulse2_composite",
         "f_mw_hz", "t2_s")}
     meta.update({
-        "ensemble": dist.kind,
         "sigma_rad": dist.sigma,
         "mean_rad": dist.mean,
         "nodes": len(thetas),

@@ -115,23 +115,6 @@ def h_rot_t(p: SpinSystemParams, t: float,
                      + p.a_hz * (kron(sze, szn) + osc))
 
 
-def reduced_block(h: np.ndarray, p: SpinSystemParams, m_i: float,
-                  rtol: float = 1e-9) -> np.ndarray:
-    """Extract the (2s+1)-dimensional fixed-``m_i`` block of ``h``.
-
-    Valid only for operators without cross-m_i elements (diagonal average
-    Hamiltonians, ideal pulse propagators); rejects inputs whose coupling
-    out of the manifold exceeds ``rtol`` times the largest entry.
-    """
-    basis = p.basis
-    idx = basis.mi_indices(m_i)
-    other = np.setdiff1d(np.arange(basis.dim), idx)
-    scale = max(1.0, float(np.abs(h).max()))
-    if other.size and np.abs(h[np.ix_(idx, other)]).max() > rtol * scale:
-        raise ValueError(f"operator couples m_i={m_i} to other manifolds")
-    return h[np.ix_(idx, idx)]
-
-
 @dataclass(frozen=True)
 class StickLine:
     """One allowed electron transition of the field-swept spectrum."""

@@ -11,10 +11,11 @@ With this choice the spin-3/2 rotation matrix has the closed trigonometric
 form asserted in the tests (cos^3, sin^3, cos(3theta/2)... entries) and the
 perfect pi pulse is the anti-diagonal matrix filled with -i.
 
-Ideal pulses act as identity on the nuclear space (the hyperfine coupling
-cannot drive electron-nuclear flip-flops on pulse timescales).  Finite
-pulses evolve under drive + internal secular Hamiltonian for the stated
-duration.
+Finite pulses evolve under drive + internal secular Hamiltonian for the
+stated duration.  Ideal pulses are their short-pulse limit, the same
+propagation without the internal Hamiltonian, so they act as identity on
+the nuclear space (the hyperfine coupling cannot drive electron-nuclear
+flip-flops on pulse timescales).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import h_avg0, h_avg1
-from .spinops import expm_hermitian, kron, multiplicity, spin_matrices
+from .spinops import expm_hermitian, multiplicity, spin_matrices
 from .system import SpinSystemParams
 
 PULSE_MODELS = ("ideal", "finite")
@@ -94,15 +95,15 @@ def rotation_operator(pulse: PulseSpec, system: SpinSystemParams,
     """Full-space propagator of one pulse.
 
     ``scale`` multiplies every segment angle (common B1 amplitude factor).
-    Ideal pulses are nuclear-space identities; finite pulses propagate
-    under drive plus the secular internal Hamiltonian for each segment:
+    Each segment propagates under the drive plus the secular internal
+    Hamiltonian:
 
         U_seg = exp(-i*(H_int + H_drive)*t_seg),
         H_drive = -(w1)*(Sx cos(phi) + Sy sin(phi)),  w1 = theta_seg/t_seg
 
-    (the drive sign matches the ideal-pulse rotation convention; as the
-    duration shrinks at fixed angle the finite propagator converges to the
-    ideal one).
+    (the drive sign matches :func:`electron_rotation`).  An ideal pulse is
+    the case H_int = 0, w1 = 1: a nuclear-space identity, and the limit the
+    finite propagator converges to as the duration shrinks at fixed angle.
     """
     return _scaled_propagator(pulse, system, f_mw_hz)(scale)
 
@@ -112,30 +113,25 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
     """scale -> :func:`rotation_operator` of ``pulse``, with everything that
     does not depend on the scale (internal Hamiltonian, segment drive
     operators) built once for repeated calls."""
-    eye_n = np.eye(multiplicity(system.i))
-    segments = pulse.segments()
-    if pulse.model == "ideal":
-        def ideal(scale: float) -> np.ndarray:
-            u = np.eye(multiplicity(system.s), dtype=complex)
-            for angle, phase in segments:
-                u = electron_rotation(scale * angle, phase, system.s) @ u
-            return kron(u, eye_n)
-        return ideal
-
-    # finite model: shared drive amplitude set by the nominal angle/duration.
     # H_int + drive conserves m_i, so each segment exponentiates the 2I+1
     # electron blocks h[:, k, :, k] of the (m_s, m_i, m_s', m_i') view at once
-    # and the propagator is exactly zero between m_i blocks
-    w1_nominal = pulse.angle / pulse.duration_s
+    # and the propagator is exactly zero between m_i blocks.  A finite pulse
+    # shares the drive amplitude set by its nominal angle/duration; an ideal
+    # pulse has no internal evolution (one zero block for every m_i) and unit
+    # drive amplitude, so each segment lasts its angle
     d_s, d_i = multiplicity(system.s), multiplicity(system.i)
     nuclear = np.arange(d_i)
-    h_int = (h_avg0(system, f_mw_hz) + h_avg1(system)).reshape(
-        d_s, d_i, d_s, d_i)[:, nuclear, :, nuclear]
+    if pulse.model == "finite":
+        w1_nominal = pulse.angle / pulse.duration_s
+        h_int = (h_avg0(system, f_mw_hz) + h_avg1(system)).reshape(
+            d_s, d_i, d_s, d_i)[:, nuclear, :, nuclear]
+    else:
+        w1_nominal, h_int = 1.0, np.zeros((1, d_s, d_s))
     sx, sy, _ = spin_matrices(system.s)
     drives = [(angle / w1_nominal, sx * np.cos(phase) + sy * np.sin(phase))
-              for angle, phase in segments]
+              for angle, phase in pulse.segments()]
 
-    def finite(scale: float) -> np.ndarray:
+    def propagator(scale: float) -> np.ndarray:
         blocks = np.eye(d_s, dtype=complex)
         for t_seg, drive in drives:
             h_drive = -scale * w1_nominal * drive
@@ -143,4 +139,4 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
         u = np.zeros((d_s, d_i, d_s, d_i), dtype=complex)
         u[:, nuclear, :, nuclear] = blocks
         return u.reshape(d_s * d_i, d_s * d_i)
-    return finite
+    return propagator

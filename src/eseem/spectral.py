@@ -46,7 +46,6 @@ class Spectrum:
 @dataclass
 class PeakList:
     peaks: list[tuple[float, float]] = field(default_factory=list)
-    method: str = "parabolic"
 
     def frequencies(self) -> list[float]:
         return [f for f, _ in self.peaks]

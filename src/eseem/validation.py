@@ -331,8 +331,7 @@ def _quadrature_convergence() -> tuple[float, float]:
     tau = np.linspace(1e-6, 150e-6, 128)
     ref = None
     for nodes in (41, 83):
-        dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=0.31,
-                                 nodes=nodes)
+        dist = AngleDistribution(mean=np.pi, sigma=0.31, nodes=nodes)
         v = average_analytic_outer(tau, np.pi / 2, dist, d)
         if ref is None:
             ref = v
@@ -344,7 +343,7 @@ def _ensemble_linearity() -> tuple[float, float]:
     p = nc60_params()
     d = delta_hz(p)
     tau = np.linspace(1e-6, 120e-6, 64)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=0.31, nodes=21)
+    dist = AngleDistribution(mean=np.pi, sigma=0.31, nodes=21)
     numeric = average_trace(_ideal_echo(p, tau), dist).v
     analytic = average_analytic_outer(tau, np.pi / 2, dist, d)
     return float(np.abs(numeric - analytic).max()), 1e-8
@@ -354,7 +353,7 @@ def _composite_suppression() -> tuple[float, float]:
     p = nc60_params()
     d = delta_hz(p)
     tau = np.linspace(1e-6, 200e-6, 512)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=0.31, nodes=41)
+    dist = AngleDistribution(mean=np.pi, sigma=0.31, nodes=41)
     plain = _ideal_echo(p, tau)
     mags = {}
     for name, exp in (("plain", plain),
@@ -367,12 +366,11 @@ def _composite_suppression() -> tuple[float, float]:
 
 
 def _b1_ratio() -> tuple[float, float]:
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=0.31, nodes=41)
+    dist = AngleDistribution(mean=np.pi, sigma=0.31, nodes=41)
     ratio = i1_i2_ratio(dist)
     prev = 0.0
     for sigma in (0.1, 0.2, 0.3, 0.4, 0.5):
-        cur = i1_i2_ratio(AngleDistribution(kind="gaussian", mean=np.pi,
-                                            sigma=sigma, nodes=41))
+        cur = i1_i2_ratio(AngleDistribution(mean=np.pi, sigma=sigma, nodes=41))
         if cur <= prev:  # monotonicity breach dwarfs the value tolerance
             return 999.0, 0.03
         prev = cur
@@ -423,7 +421,7 @@ def _fit_recovery_engine() -> tuple[float, float]:
     d = delta_hz(p)
     exp = _ideal_echo(p, np.linspace(1e-6, 200e-6, 512), m_i=-1.0,
                       engine="exact-lab-frame", t2_s=210e-6)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=0.31, nodes=21)
+    dist = AngleDistribution(mean=np.pi, sigma=0.31, nodes=21)
     fit = fit_decay(average_trace(exp, dist), model="exp-two-cosine")
     return float(abs(fit.params["delta_hz"] - d) / d), 1e-2
 
@@ -506,9 +504,9 @@ def run_checks() -> list[CheckResult]:
     """Run the whole invariant suite."""
     results = []
     for check_id, description, fn in CHECKS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         measured, bound = fn()
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         if check_id == "ensemble.composite":
             passed = measured >= bound  # suppression factor has a floor
         else:

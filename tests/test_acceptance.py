@@ -87,7 +87,7 @@ def test_03_exact_oracle_frequencies():
     p = nc60_params()
     d = delta_hz(p)
     exp = make_exp(p, -1.0, engine="exact-lab-frame", t2_s=T2_S)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                              nodes=41)
     trace = average_trace(exp, dist)
     spec = fft_magnitude(trace, baseline="exp")
@@ -121,7 +121,7 @@ def test_04_pulse_angle_dependence():
 
 
 def test_05_b1_inhomogeneity_ratio():
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                              nodes=41)
     ratio = i1_i2_ratio(dist)
     ok = abs(ratio - 0.17) <= 0.03
@@ -142,7 +142,7 @@ def test_06_composite_pulse_restoration():
     t0 = time.time()
     p = nc60_params()
     d = delta_hz(p)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                              nodes=41)
     mags = {}
     for name, pulse2 in (("plain", PulseSpec(np.pi)),

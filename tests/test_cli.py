@@ -10,8 +10,8 @@ import pytest
 import eseem
 from eseem.analytic import coefficients
 from eseem.cli import main
-from eseem.config import preset_path
-from eseem.engine import EchoTrace
+from eseem.config import parse_config, preset_path
+from eseem.engine import EchoTrace, run_two_pulse_echo
 from eseem.fileio import read_spectrum_csv, read_trace_csv, write_trace_csv
 from eseem.hamiltonians import delta_hz
 from eseem.system import nc60_params
@@ -95,6 +95,18 @@ def test_simulate_multi_mi_files(fast_cfg, tmp_path):
     a = read_trace_csv(tmp_path / "multi_mim1.csv")
     b = read_trace_csv(tmp_path / "multi_mip1.csv")
     assert np.abs(a.v - b.v).max() <= 1e-9
+
+
+def test_zero_width_simulate_is_the_single_run(tmp_path):
+    # sigma = 0 is the one-node average of weight 1: the single run's bits
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(FAST_CFG.replace("sigma_rad = 0.31", "sigma_rad = 0"))
+    out = tmp_path / "fixed.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    trace = read_trace_csv(out)
+    single = run_two_pulse_echo(parse_config(cfg).experiment(-1.0))
+    assert trace.v.tobytes() == single.v.tobytes()
+    assert trace.metadata["nodes"] == "1"
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):

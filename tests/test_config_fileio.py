@@ -56,7 +56,7 @@ def test_parse_full_config(tmp_path):
     assert cfg.tau_grid.size == 64
     assert cfg.detect_m_i == [-1.0, 0.0, 1.0]
     assert cfg.t2_s == pytest.approx(210e-6)
-    assert cfg.distribution is not None and cfg.distribution.nodes == 21
+    assert cfg.distribution.nodes == 21
     assert cfg.echo["sequence.theta2_deg"] == "120"
     exp = cfg.experiment(-1.0)
     assert exp.detect_m_i == -1.0

@@ -34,13 +34,13 @@ def make_exp(p, pulse2=None, tau=None, m_i=1.0):
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        AngleDistribution(kind="uniform")
-    with pytest.raises(ValueError):
         AngleDistribution(sigma=-0.1)
     with pytest.raises(ValueError):
         AngleDistribution(sigma=0.1, nodes=40)  # even
     with pytest.raises(ValueError):
         AngleDistribution(sigma=0.1, nodes=1)
+    with pytest.raises(ValueError):  # the node rule holds at zero width too
+        AngleDistribution(mean=1.0, nodes=40)
     thetas, weights = AngleDistribution(sigma=0.2, nodes=11).points()
     assert thetas.size == 11 and weights.sum() == pytest.approx(1.0)
     assert np.pi in thetas  # odd rule includes the mean
@@ -48,7 +48,7 @@ def test_distribution_validation():
 
 def test_zero_width_average_is_identity(preset, tmp_path):
     exp = make_exp(preset)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=0.0)
+    dist = AngleDistribution(mean=np.pi, sigma=0.0)
     averaged = average_trace(exp, dist)
     plain = run_two_pulse_echo(exp)
     assert np.abs(averaged.v - plain.v).max() <= 1e-12
@@ -75,7 +75,7 @@ def test_average_trace_is_weighted_sum_of_node_traces(preset, shared_b1):
                          tau_grid=tau, detect_m_i=-1.0,
                          engine="exact-lab-frame", resonance_offset_hz=0.0,
                          t2_s=210e-6)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                              nodes=11)
     averaged = average_trace(exp, dist, shared_b1=shared_b1)
     thetas, weights = dist.points()
@@ -100,25 +100,25 @@ def test_delta_distribution_off_nominal(preset):
     # point mass at 2pi/3 reproduces the closed form at that angle exactly
     d = delta_hz(preset)
     exp = make_exp(preset)
-    dist = AngleDistribution(kind="delta", mean=2 * np.pi / 3)
+    dist = AngleDistribution(mean=2 * np.pi / 3)
     averaged = average_trace(exp, dist)
     ref = v_outer(exp.tau_grid, np.pi / 2, 2 * np.pi / 3, d)
     assert np.abs(averaged.v - ref).max() <= 1e-8
 
 
 def test_b1_spread_reintroduces_fundamental(preset):
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1)
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1)
     w0, w1, w2 = averaged_component_weights(dist)
     assert w1 > 0.1          # fundamental no longer absent
     assert w2 > 5 * w1       # second harmonic still dominates
     none = averaged_component_weights(
-        AngleDistribution(kind="gaussian", mean=np.pi, sigma=0.0))
+        AngleDistribution(mean=np.pi, sigma=0.0))
     assert abs(none[1]) <= 1e-30
 
 
 def test_i1_i2_ratio_against_dense_quadrature_oracle():
     # oracle: trapezoid integration of the same expectation values
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                              nodes=41)
     got = i1_i2_ratio(dist)
     theta = np.linspace(np.pi - 8 * SIGMA_B1, np.pi + 8 * SIGMA_B1, 20001)
@@ -134,11 +134,11 @@ def test_i1_i2_ratio_against_dense_quadrature_oracle():
 
 
 def test_i1_i2_ratio_monotone_in_sigma():
-    prev = i1_i2_ratio(AngleDistribution(kind="gaussian", mean=np.pi,
+    prev = i1_i2_ratio(AngleDistribution(mean=np.pi,
                                          sigma=0.0))
     assert prev <= 1e-12
     for sigma in (0.1, 0.2, 0.3, 0.4, 0.5):
-        cur = i1_i2_ratio(AngleDistribution(kind="gaussian", mean=np.pi,
+        cur = i1_i2_ratio(AngleDistribution(mean=np.pi,
                                             sigma=sigma))
         assert cur > prev
         prev = cur
@@ -149,11 +149,11 @@ def test_quadrature_node_convergence(preset):
     tau = np.linspace(1e-6, 150e-6, 96)
     coarse = average_analytic_outer(
         tau, np.pi / 2,
-        AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+        AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                           nodes=41), d)
     fine = average_analytic_outer(
         tau, np.pi / 2,
-        AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+        AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                           nodes=83), d)
     assert np.abs(coarse - fine).max() / np.abs(fine).max() <= 1e-6
 
@@ -161,7 +161,7 @@ def test_quadrature_node_convergence(preset):
 def test_numeric_analytic_linearity(preset):
     d = delta_hz(preset)
     tau = np.linspace(1e-6, 120e-6, 64)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                              nodes=21)
     numeric = average_trace(make_exp(preset, tau=tau), dist).v
     analytic = average_analytic_outer(tau, np.pi / 2, dist, d)
@@ -170,7 +170,7 @@ def test_numeric_analytic_linearity(preset):
 
 def test_shared_b1_scales_first_pulse(preset):
     tau = np.linspace(1e-6, 60e-6, 32)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                              nodes=11)
     fixed = average_trace(make_exp(preset, tau=tau), dist).v
     shared = average_trace(make_exp(preset, tau=tau), dist, shared_b1=True).v
@@ -182,7 +182,7 @@ def test_shared_b1_scales_first_pulse(preset):
 def test_composite_pulse_suppresses_fundamental(preset):
     d = delta_hz(preset)
     tau = np.linspace(1e-6, 200e-6, 512)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=SIGMA_B1,
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                              nodes=41)
     mag = {}
     for name, pulse2 in (("plain", PulseSpec(np.pi)),

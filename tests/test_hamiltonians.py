@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from eseem.hamiltonians import (TWO_PI, delta_hz, epr_stick_spectrum, h0_lab,
-                                h_avg0, h_avg1, h_rot_t, line_center_hz,
-                                reduced_block)
+                                h_avg0, h_avg1, h_rot_t, line_center_hz)
 from eseem.spinops import kron, spin_matrices
 from eseem.system import (BOHR_MAGNETON, NUCLEAR_MAGNETON, PLANCK_H,
                           SpinSystemParams, nc60_params)
@@ -12,6 +11,12 @@ from eseem.system import (BOHR_MAGNETON, NUCLEAR_MAGNETON, PLANCK_H,
 @pytest.fixture
 def preset():
     return nc60_params()
+
+
+def mi_block(h, p, m_i):
+    """The (2s+1)-dimensional fixed-``m_i`` block of ``h``."""
+    idx = p.basis.mi_indices(m_i)
+    return h[np.ix_(idx, idx)]
 
 
 def test_delta_value(preset):
@@ -140,7 +145,7 @@ def test_reduced_block_on_resonance(preset):
     d_ang = TWO_PI * delta_hz(preset)
     f_mw = line_center_hz(preset, 1.0)
     h = h_avg0(preset, f_mw_hz=f_mw) + h_avg1(preset)
-    block = reduced_block(h, preset, 1.0)
+    block = mi_block(h, preset, 1.0)
     diag = np.diag(block).real
     # zero offset: after the constant shift only the quadratic part is left,
     # delta on the outer levels and nothing on the inner ones
@@ -150,7 +155,7 @@ def test_reduced_block_on_resonance(preset):
 
 def test_reduced_block_mi0_affine(preset):
     h = h_avg0(preset, f_mw_hz=preset.f_e_hz) + h_avg1(preset)
-    block = reduced_block(h, preset, 0.0)
+    block = mi_block(h, preset, 0.0)
     diag = np.diag(block).real
     ms = np.array([1.5, 0.5, -0.5, -1.5])
     affine = np.polyval(np.polyfit(ms, diag, 1), ms)
@@ -165,16 +170,11 @@ def test_reduced_block_spin_half_no_relative_shift():
     h1 = h_avg1(p)
     q_i = p.i * (p.i + 1)
     for m_i in (1.0, 0.0, -1.0):
-        block = reduced_block(h1, p, m_i)
+        block = mi_block(h1, p, m_i)
         diag = np.diag(block).real
         splitting = diag[0] - diag[1]
         assert splitting == pytest.approx(0.5 * d_ang * (q_i - m_i ** 2),
                                           abs=1e-9 * d_ang)
-
-
-def test_reduced_block_rejects_cross_manifold_coupling(preset):
-    with pytest.raises(ValueError):
-        reduced_block(h0_lab(preset), preset, 1.0)
 
 
 def test_stick_spectrum_pattern(preset):

@@ -4,7 +4,7 @@ import pytest
 from eseem.hamiltonians import h_avg0, h_avg1
 from eseem.pulses import (PulseSpec, composite_pi, electron_rotation,
                           rotation_operator)
-from eseem.spinops import is_unitary, kron, spin_matrices
+from eseem.spinops import is_unitary, kron, multiplicity, spin_matrices
 from eseem.system import nc60_params
 
 
@@ -46,10 +46,18 @@ def test_half_pi_turns_sz_into_sy():
     assert got[1, 2] == pytest.approx(-1j, abs=1e-12)
 
 
-def test_rotation_operator_ideal_is_nuclear_identity():
-    p = nc60_params()
-    u = rotation_operator(PulseSpec(angle=1.1, phase=0.4), p)
-    expected = kron(electron_rotation(1.1, 0.4, 1.5), np.eye(3))
+@pytest.mark.parametrize("pulse", [PulseSpec(angle=1.1, phase=0.4),
+                                   composite_pi()], ids=["single", "cp3"])
+@pytest.mark.parametrize("scale", [0.8, 1.0, 1.13])
+@pytest.mark.parametrize("s, i", [(0.5, 0.5), (1.0, 1.0), (1.5, 1.0),
+                                  (2.5, 1.5)])
+def test_rotation_operator_ideal_is_nuclear_identity(s, i, scale, pulse):
+    p = nc60_params(s=s, i=i)
+    u = rotation_operator(pulse, p, scale)
+    electron = np.eye(multiplicity(s), dtype=complex)
+    for angle, phase in pulse.segments():
+        electron = electron_rotation(scale * angle, phase, s) @ electron
+    expected = kron(electron, np.eye(multiplicity(i)))
     assert np.abs(u - expected).max() <= 1e-12
     assert is_unitary(u)
 

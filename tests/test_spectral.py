@@ -249,7 +249,7 @@ def test_fit_engine_trace_recovers_delta():
                          tau_grid=np.linspace(1e-6, 200e-6, 512),
                          detect_m_i=-1.0, engine="exact-lab-frame",
                          resonance_offset_hz=0.0)
-    dist = AngleDistribution(kind="gaussian", mean=np.pi, sigma=0.31, nodes=21)
+    dist = AngleDistribution(mean=np.pi, sigma=0.31, nodes=21)
     trace = average_trace(exp, dist)
     trace.v *= np.exp(-2 * trace.tau_s / 210e-6)
     fit = fit_decay(trace, model="exp-two-cosine")
