@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,7 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
+@cache  # parse_args leaves the parser unchanged: one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eseem",

@@ -73,8 +73,8 @@ m_i.  ``_supports`` derives four index sets from the basis once per
 
 The kernel checks these laws rather than assume them: an element of the
 U1 stack between M blocks, or of a pulse propagator between m_i blocks,
-above ``CONSERVATION_TOL`` times the largest element raises
-``LinAlgError`` rather than drop signal.
+above ``CONSERVATION_TOL`` times the largest element of its own propagator
+raises ``LinAlgError`` rather than drop signal.
 
 Per experiment (``_EchoPlan``), everything that does not depend on the
 pulse scales of an ensemble node is built once: the products
@@ -83,16 +83,20 @@ between an X element q = (a, b) and a rho1 element r = (k, l) in the same
 M block, so that X = W @ (rho1 spread over the links); G[j, i] and G[i, j]
 at the refocused pairs, the second for the Hermitian completion, summed
 over D's nonzeros from the gathered U1 elements and their frame phases;
-the T2 damping (1 without T2); one scale -> propagator factory per pulse;
-and X(tau), memoized on the pulse-1 scale, which stays fixed over the nodes
-unless both pulses share the B1 factor.  The stacks are built in blocks of
-``TAU_BLOCK`` points, which bounds the temporaries whatever the grid size.
+the T2 damping (1 without T2); one factory per pulse that maps an array of
+scales to a stack of propagators; and X(tau), memoized on the pulse-1
+scale, which stays fixed over the nodes unless both pulses share the B1
+factor.  The stacks are built in blocks of ``TAU_BLOCK`` points, which
+bounds the temporaries whatever the grid size.
 
-Per node, the refocused elements S = (R2 X R2^H)[i, j] are one product
-X @ K of the (n_tau, 25) coherences with the (25, 12) matrix
-K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q], and the amplitude is
-sum S G[j, i] + conj(S) G[i, j].  The imaginary part is kept as the
-roundoff residual.
+Per ensemble average, ``_EchoPlan.tabulate`` takes the node scales and
+calls each pulse factory once, for all nodes together.  It keeps per scale
+the +1 coherences rho1 after pulse 1 and the (25, 12) matrix
+K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] after pulse 2, gathered for all
+nodes at once.  Per node, the refocused elements S = (R2 X R2^H)[i, j] are
+then one product X @ K of the (n_tau, 25) coherences with that node's K,
+and the amplitude is sum S G[j, i] + conj(S) G[i, j].  The imaginary part
+is kept as the roundoff residual.
 """
 
 from __future__ import annotations
@@ -211,14 +215,16 @@ def detection_operator(system: SpinSystemParams, m_i: float) -> np.ndarray:
 
 def _check_conserved(u: np.ndarray, leak: np.ndarray, what: str,
                      label: str) -> None:
-    """Raise unless the elements of ``u`` (a matrix or a stack of them) on
-    the ``leak`` mask stay within ``CONSERVATION_TOL`` of its scale."""
+    """Raise unless the elements on the ``leak`` mask of each matrix of the
+    stack ``u`` stay within ``CONSERVATION_TOL`` of that matrix's largest
+    element."""
     mag = np.abs(u)
-    worst = mag[..., leak].max(initial=0.0)
-    if worst > CONSERVATION_TOL * mag.max():
+    worst = mag[..., leak].max(axis=-1, initial=0.0)
+    bad = worst > CONSERVATION_TOL * mag.max(axis=(-2, -1))
+    if bad.any():
         raise np.linalg.LinAlgError(
             f"{what} propagator does not conserve {label}: element "
-            f"{worst:.3g} between {label} blocks")
+            f"{worst[bad].max():.3g} between {label} blocks")
 
 
 def _total_m_blocks(system: SpinSystemParams) -> list[np.ndarray]:
@@ -439,9 +445,10 @@ class _EchoPlan:
     scales of an ensemble node, built once; see "Echo kernel" above.
 
     Holds the supports, the products W(tau) of U1 elements along the links,
-    G(tau) = U2^H D U2 at the refocused pairs, the T2 damping, one scale ->
-    propagator factory per pulse, and a one-entry memo of the pulse-1
-    coherences X(tau) keyed on ``scale1``.
+    G(tau) = U2^H D U2 at the refocused pairs, the T2 damping, one batched
+    propagator factory per pulse, the per-scale tables of :meth:`tabulate`,
+    and a one-entry memo of the pulse-1 coherences X(tau) keyed on
+    ``scale1``.
     """
 
     def __init__(self, exp: EchoExperiment):
@@ -486,37 +493,47 @@ class _EchoPlan:
                         else np.exp(-2.0 * tau / exp.t2_s))
         self._pulse1 = _scaled_propagator(exp.pulse1, system, self.f_mw_hz)
         self._pulse2 = _scaled_propagator(exp.pulse2, system, self.f_mw_hz)
+        self._rho1, self._k = {}, {}
         self._x_scale = None
         self._x = None
 
-    def _pulse(self, factory, scale: float) -> np.ndarray:
-        u = factory(scale)
-        _check_conserved(u, self.supports.mi_leak, "pulse", "m_i")
-        return u
+    def tabulate(self, scales1: np.ndarray, scales2: np.ndarray) -> None:
+        """Propagate each pulse at all of its node scales (1-d arrays) in one
+        batched call, and keep per scale what the amplitudes read of it: the
+        +1 coherences rho1 after pulse 1 and K after pulse 2.  Replaces the
+        tables of the previous call."""
+        sup = self.supports
+        (a, b), (k, l), (i, j) = sup.x, sup.rho, sup.pairs
+        r1, r2 = self._pulse1(scales1), self._pulse2(scales2)
+        _check_conserved(np.concatenate([r1, r2]), sup.mi_leak, "pulse", "m_i")
+        rho = (r1 @ self._sigma0 @ _dagger(r1))[:, k, l]
+        # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q]
+        k2 = r2[:, i, a[:, None]] * r2[:, j, b[:, None]].conj()
+        self._rho1 = dict(zip(scales1.tolist(), rho))
+        self._k = dict(zip(scales2.tolist(), k2))
 
     def _coherences(self, scale1: float) -> np.ndarray:
-        """X(tau) = U1 rho1 U1^H at its support, shape (n_tau, n_x), with
-        rho1 the +1 coherences after pulse 1."""
+        """X(tau) = U1 rho1 U1^H at its support, shape (n_tau, n_x), from the
+        tabulated rho1 of ``scale1``."""
         if scale1 != self._x_scale:
             sup = self.supports
-            r1 = self._pulse(self._pulse1, scale1)
-            rho = (r1 @ self._sigma0 @ r1.conj().T)[sup.rho]
             # X[a_q, b_q] = sum of W[:, e] rho1[k_r, l_r] over its links
             q, r = sup.links
             spread = np.zeros((q.size, sup.x[0].size), dtype=complex)
-            spread[np.arange(q.size), q] = rho[r]
+            spread[np.arange(q.size), q] = self._rho1[scale1][r]
             self._x = self._w @ spread
             self._x_scale = scale1
         return self._x
 
     def amplitudes(self, scale1: float, scale2: float) -> np.ndarray:
-        """Complex echo amplitude at every tau for the given pulse scales."""
+        """Complex echo amplitude at every tau for the given pulse scales,
+        read from the tables of :meth:`tabulate`; a scale missing from them
+        is tabulated on its own."""
+        if scale1 not in self._rho1 or scale2 not in self._k:
+            self.tabulate(np.array([scale1]), np.array([scale2]))
         x = self._coherences(scale1)
-        r2 = self._pulse(self._pulse2, scale2)
-        (a, b), (i, j) = self.supports.x, self.supports.pairs
         # S[:, p] = (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p]
-        k = r2[i, a[:, None]] * r2[j, b[:, None]].conj()
-        s = x @ k
+        s = x @ self._k[scale2]
         # Tr[(Z + Z^H) G] over the refocused elements Z[i, j] = S
         return (s * self._g_ji + s.conj() * self._g_ij).sum(axis=1)
 

@@ -55,15 +55,16 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
     modeling both pulses sampling one B1 value; default off, so only the
     refocusing angle varies.  Everything that does not depend on a node's
     scales (free evolution and pulse generators, and without ``shared_b1``
-    the pulse-1 coherences) is built once and shared by every node.
+    the pulse-1 coherences) is built once and shared by every node, and one
+    batched call per pulse propagates all node scales before the node loop.
     """
     thetas, weights = dist.points()
-    nominal2 = exp.pulse2.angle
+    scales2 = thetas / exp.pulse2.angle
     plan = _EchoPlan(exp)
+    plan.tabulate(scales2 if shared_b1 else np.ones(1), scales2)
     acc = acc_im = -0.0  # the exact identity of float addition
     residual = 0.0
-    for theta, weight in zip(thetas, weights):
-        scale2 = theta / nominal2
+    for scale2, weight in zip(scales2, weights):
         scale1 = scale2 if shared_b1 else 1.0
         trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2,
                                    plan=plan)

@@ -92,7 +92,8 @@ def electron_rotation(theta: float, phi: float, s: float) -> np.ndarray:
 def rotation_operator(pulse: PulseSpec, system: SpinSystemParams,
                       scale: float = 1.0,
                       f_mw_hz: float | None = None) -> np.ndarray:
-    """Full-space propagator of one pulse.
+    """Full-space propagator of one pulse: the one-element case of
+    :func:`_scaled_propagator`.
 
     ``scale`` multiplies every segment angle (common B1 amplitude factor).
     Each segment propagates under the drive plus the secular internal
@@ -105,22 +106,24 @@ def rotation_operator(pulse: PulseSpec, system: SpinSystemParams,
     the case H_int = 0, w1 = 1: a nuclear-space identity, and the limit the
     finite propagator converges to as the duration shrinks at fixed angle.
     """
-    return _scaled_propagator(pulse, system, f_mw_hz)(scale)
+    return _scaled_propagator(pulse, system, f_mw_hz)(np.array([scale]))[0]
 
 
 def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
                        f_mw_hz: float | None = None):
-    """scale -> :func:`rotation_operator` of ``pulse``, with everything that
-    does not depend on the scale (internal Hamiltonian, segment drive
-    operators) built once for repeated calls."""
+    """scales -> the (n, d, d) stack of :func:`rotation_operator` of
+    ``pulse`` at each of n scales (a 1-d array), with everything that does
+    not depend on the scale (internal Hamiltonian, segment drive operators,
+    the scatter index) built once for repeated calls."""
     # H_int + drive conserves m_i, so each segment exponentiates the 2I+1
-    # electron blocks h[:, k, :, k] of the (m_s, m_i, m_s', m_i') view at once
-    # and the propagator is exactly zero between m_i blocks.  A finite pulse
-    # shares the drive amplitude set by its nominal angle/duration; an ideal
-    # pulse has no internal evolution (one zero block for every m_i) and unit
-    # drive amplitude, so each segment lasts its angle
+    # electron blocks h[:, k, :, k] of the (m_s, m_i, m_s', m_i') view of
+    # every scale in one batched call, and the propagator is exactly zero
+    # between m_i blocks.  A finite pulse shares the drive amplitude set by
+    # its nominal angle/duration; an ideal pulse has no internal evolution
+    # (one zero block for every m_i) and unit drive amplitude, so each
+    # segment lasts its angle
     d_s, d_i = multiplicity(system.s), multiplicity(system.i)
-    nuclear = np.arange(d_i)
+    dim, nuclear = d_s * d_i, np.arange(d_i)
     if pulse.model == "finite":
         w1_nominal = pulse.angle / pulse.duration_s
         h_int = (h_avg0(system, f_mw_hz) + h_avg1(system)).reshape(
@@ -130,13 +133,17 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
     sx, sy, _ = spin_matrices(system.s)
     drives = [(angle / w1_nominal, sx * np.cos(phase) + sy * np.sin(phase))
               for angle, phase in pulse.segments()]
+    # where each element of the blocks lands in a flattened propagator
+    flat = np.arange(dim * dim).reshape(
+        d_s, d_i, d_s, d_i)[:, nuclear, :, nuclear]
 
-    def propagator(scale: float) -> np.ndarray:
+    def propagator(scales: np.ndarray) -> np.ndarray:
+        scales = np.asarray(scales, dtype=float).reshape(-1, 1, 1, 1)
+        minus_w1 = -scales * w1_nominal
         blocks = np.eye(d_s, dtype=complex)
         for t_seg, drive in drives:
-            h_drive = -scale * w1_nominal * drive
-            blocks = expm_hermitian(h_int + h_drive, t_seg) @ blocks
-        u = np.zeros((d_s, d_i, d_s, d_i), dtype=complex)
-        u[:, nuclear, :, nuclear] = blocks
-        return u.reshape(d_s * d_i, d_s * d_i)
+            blocks = expm_hermitian(h_int + minus_w1 * drive, t_seg) @ blocks
+        u = np.zeros((scales.shape[0], dim * dim), dtype=complex)
+        u[:, flat] = blocks
+        return u.reshape(-1, dim, dim)
     return propagator

@@ -9,7 +9,7 @@ import pytest
 
 import eseem
 from eseem.analytic import coefficients
-from eseem.cli import main
+from eseem.cli import build_parser, main
 from eseem.config import parse_config, preset_path
 from eseem.engine import EchoTrace, run_two_pulse_echo
 from eseem.fileio import read_spectrum_csv, read_trace_csv, write_trace_csv
@@ -247,6 +247,32 @@ def test_sweep_theta2_bounds(tmp_path, capsys, option, value):
     err = capsys.readouterr().err
     assert f"{option}: theta2_deg must be in [0, 360]" in err
     assert not out.exists()
+
+
+def _exit_and_stdout(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:   # argparse rejects the option itself
+        code = exit_.code
+    return code, capsys.readouterr().out
+
+
+def test_one_parser_serves_every_main(fast_cfg, tmp_path, capsys):
+    # a rejected option leaves nothing in the cached parser for the
+    # commands after it: they run as with a parser of their own
+    assert build_parser() is build_parser()
+    trace = tmp_path / "t.csv"
+    calls = [["simulate", "--config", str(fast_cfg), "--bogus"],
+             ["simulate", "--config", str(fast_cfg), "--out", str(trace)],
+             ["fit", str(trace), "--json"]]
+    shared = [_exit_and_stdout(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_exit_and_stdout(argv, capsys))
+    assert [code for code, _ in shared] == [2, 0, 0]
+    assert shared == fresh
+    assert json.loads(shared[2][1])["converged"]
 
 
 def test_config_preset_exclusive(tmp_path, fast_cfg):

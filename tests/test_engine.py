@@ -11,6 +11,7 @@ from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
                           _Propagator, _unitary_eigen, detection_operator,
                           free_evolution, microwave_freq_hz,
                           run_two_pulse_echo, thermal_deviation, validate_aht)
+from eseem.ensemble import AngleDistribution, average_trace
 from eseem.hamiltonians import TWO_PI, delta_hz, h_rot_t, line_center_hz
 from eseem.pulses import PulseSpec, composite_pi, rotation_operator
 from eseem.spinops import (is_unitary, kron, projections, projector_mi,
@@ -561,6 +562,7 @@ def test_supports_are_the_dense_nonzero_patterns(preset):
             assert _pattern(dense) == set(zip(*support))
             assert len(support[0]) == count
         # X from the links: every second-order element included
+        plan.tabulate(np.array([0.93]), np.array([1.0]))
         x_plan = plan._coherences(0.93)[0]
         assert np.abs(x_plan - x[sup.x]).max() <= 1e-12 * np.abs(x).max()
         g = u2.conj().T @ det_op @ u2
@@ -613,3 +615,56 @@ def test_plan_raises_on_a_pulse_across_m_i_blocks(preset, kind, leaky_pulse,
     monkeypatch.setattr(engine_module, "_scaled_propagator", leaky_factory)
     with pytest.raises(np.linalg.LinAlgError, match="conserve m_i"):
         run_two_pulse_echo(exp)
+
+
+def test_average_builds_each_pulse_once(preset, monkeypatch):
+    # every node's propagators come from one batched call per pulse
+    calls = []
+    factory = engine_module._scaled_propagator
+
+    def counting_factory(pulse, system, f_mw_hz=None):
+        scaled = factory(pulse, system, f_mw_hz)
+
+        def counted(scales):
+            calls.append((pulse, len(scales)))
+            return scaled(scales)
+        return counted
+
+    monkeypatch.setattr(engine_module, "_scaled_propagator", counting_factory)
+    p1, p2 = _pulses("cp3")
+    exp = EchoExperiment(system=preset, pulse1=p1, pulse2=p2,
+                         tau_grid=np.linspace(1e-6, 20e-6, 4), detect_m_i=1.0,
+                         resonance_offset_hz=0.0)
+    dist = AngleDistribution(sigma=0.31, nodes=41)
+    for shared_b1 in (False, True):
+        calls.clear()
+        average_trace(exp, dist, shared_b1=shared_b1)
+        assert calls == [(p1, 41 if shared_b1 else 1), (p2, 41)]
+
+
+@pytest.mark.parametrize("shared_b1, leaky_pulse", [(False, 2), (True, 1),
+                                                    (True, 2)])
+def test_average_raises_on_a_stacked_pulse_across_m_i_blocks(
+        preset, shared_b1, leaky_pulse, monkeypatch):
+    p1, p2 = _pulses("finite")
+    exp = EchoExperiment(system=preset, pulse1=p1, pulse2=p2,
+                         tau_grid=np.linspace(1e-6, 20e-6, 4), detect_m_i=1.0,
+                         resonance_offset_hz=0.0)
+    dist = AngleDistribution(sigma=0.31, nodes=5)
+    factory = engine_module._scaled_propagator
+
+    def leaky_factory(pulse, system, f_mw_hz=None):
+        scaled = factory(pulse, system, f_mw_hz)
+        if pulse is not (p1, p2)[leaky_pulse - 1]:
+            return scaled
+
+        def leaky(scales):
+            u = scaled(scales)
+            u[..., 0, 1] += 1e-9  # m_i = +1 <- m_i = 0, in every node
+            return u
+        return leaky
+
+    average_trace(exp, dist, shared_b1=shared_b1)
+    monkeypatch.setattr(engine_module, "_scaled_propagator", leaky_factory)
+    with pytest.raises(np.linalg.LinAlgError, match="conserve m_i"):
+        average_trace(exp, dist, shared_b1=shared_b1)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from eseem.hamiltonians import h_avg0, h_avg1
-from eseem.pulses import (PulseSpec, composite_pi, electron_rotation,
-                          rotation_operator)
+from eseem.pulses import (PulseSpec, _scaled_propagator, composite_pi,
+                          electron_rotation, rotation_operator)
 from eseem.spinops import is_unitary, kron, multiplicity, spin_matrices
 from eseem.system import nc60_params
 
@@ -60,6 +60,29 @@ def test_rotation_operator_ideal_is_nuclear_identity(s, i, scale, pulse):
     expected = kron(electron, np.eye(multiplicity(i)))
     assert np.abs(u - expected).max() <= 1e-12
     assert is_unitary(u)
+
+
+@pytest.mark.parametrize("model", ["ideal", "finite"])
+@pytest.mark.parametrize("segments", ["single", "cp3"])
+@pytest.mark.parametrize("s, i", [(0.5, 0.5), (1.0, 1.0), (1.5, 1.0),
+                                  (2.5, 1.5)])
+def test_stack_rows_are_the_single_calls(s, i, segments, model):
+    # one batched call over the scales gives each one-element call's matrix
+    p = nc60_params(s=s, i=i)
+    f_mw = p.f_e_hz + 0.3e6
+    composite = composite_pi().composite if segments == "cp3" else None
+    duration = 112e-9 if model == "finite" else None
+    pulse = PulseSpec(np.pi, model=model, duration_s=duration,
+                      composite=composite)
+    scales = np.array([0.4, 0.93, 1.0, 1.07, 1.9])
+    stack = _scaled_propagator(pulse, p, f_mw)(scales)
+    dim = p.basis.dim
+    assert stack.shape == (scales.size, dim, dim)
+    for row, scale in zip(stack, scales):
+        one = rotation_operator(pulse, p, scale, f_mw)
+        assert one.shape == (dim, dim)
+        assert np.abs(row - one).max() <= 1e-14
+        assert is_unitary(row)
 
 
 def test_composite_pi_nets_a_pi_rotation():
