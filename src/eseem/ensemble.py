@@ -12,6 +12,7 @@ reproducible bit for bit, and a one-node average equals the single run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +42,17 @@ class AngleDistribution:
         """(angles, weights) of the quadrature rule; weights sum to 1."""
         if self.sigma == 0.0:
             return np.array([self.mean]), np.array([1.0])
-        x, w = np.polynomial.hermite.hermgauss(self.nodes)
-        return self.mean + np.sqrt(2.0) * self.sigma * x, w / np.sqrt(np.pi)
+        x, w = _gauss_hermite(self.nodes)
+        return self.mean + np.sqrt(2.0) * self.sigma * x, w
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite abscissae and weights normalized to sum 1."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / np.sqrt(np.pi)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,

@@ -7,7 +7,14 @@ full run configuration for provenance; the ``generated`` timestamp line is
 the only line that changes from run to run.  When the ``SOURCE_DATE_EPOCH``
 environment variable holds a Unix time in whole seconds, that line shows
 that time instead of the clock, so two runs write identical bytes; any
-other value is a ``ConfigError``.
+other value is a ``ConfigError``.  A multi-line value is written on one
+header line, its lines joined by a space.
+
+Both writers share one table writer that formats ``ROW_BLOCK`` rows per
+``%`` call, which keeps a long spectrum's memory small.  The reader takes
+``# key = value`` lines as metadata wherever they stand, skips blank lines,
+names the columns from the first other line and parses the rest with one
+``np.loadtxt`` call; a ragged row or a non-numeric cell is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from .engine import EchoTrace
 from .spectral import Spectrum
 
 FLOAT_FMT = "%.17g"
+# rows formatted per write call; bounds the memory a long table takes
+ROW_BLOCK = 1024
 
 
 def _generated() -> datetime:
@@ -41,8 +50,26 @@ def _generated() -> datetime:
 def _header_lines(meta: dict) -> list[str]:
     lines = [f"# generated = {_generated().isoformat()}"]
     for key in sorted(meta):
-        lines.append(f"# {key} = {meta[key]}")
+        # a multi-line config value would break the comment line
+        value = " ".join(str(meta[key]).splitlines())
+        lines.append(f"# {key} = {value}")
     return lines
+
+
+def _write_table(path: str | Path, meta: dict, columns: list[str],
+                 data: list[np.ndarray]) -> None:
+    """Header comments, the column line, then one ``FLOAT_FMT`` row per
+    index of the equal-length ``data`` columns, formatted ``ROW_BLOCK`` rows
+    at a time."""
+    row_fmt = ",".join([FLOAT_FMT] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        for line in _header_lines(meta):
+            fh.write(line + "\n")
+        fh.write(",".join(columns) + "\n")
+        n = len(data[0])
+        for k in range(0, n, ROW_BLOCK):
+            block = np.column_stack([col[k:k + ROW_BLOCK] for col in data])
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_trace_csv(path: str | Path, trace: EchoTrace,
@@ -57,12 +84,7 @@ def write_trace_csv(path: str | Path, trace: EchoTrace,
         cols.append("v_im_residual")
         vim = trace.v_im if trace.v_im is not None else np.zeros_like(trace.v)
         data.append(vim)
-    with open(path, "w") as fh:
-        for line in _header_lines(meta):
-            fh.write(line + "\n")
-        fh.write(",".join(cols) + "\n")
-        for row in zip(*data):
-            fh.write(",".join(FLOAT_FMT % x for x in row) + "\n")
+    _write_table(path, meta, cols, data)
 
 
 def write_spectrum_csv(path: str | Path, spec: Spectrum,
@@ -71,36 +93,34 @@ def write_spectrum_csv(path: str | Path, spec: Spectrum,
             "n_time": spec.n_time, "dt_s": spec.dt_s}
     if extra_meta:
         meta.update(extra_meta)
-    with open(path, "w") as fh:
-        for line in _header_lines(meta):
-            fh.write(line + "\n")
-        fh.write("freq_hz,magnitude\n")
-        for f, m in zip(spec.freq_hz, spec.magnitude):
-            fh.write(f"{FLOAT_FMT % f},{FLOAT_FMT % m}\n")
+    _write_table(path, meta, ["freq_hz", "magnitude"],
+                 [spec.freq_hz, spec.magnitude])
 
 
 def _read_csv(path: str | Path) -> tuple[dict, list[str], np.ndarray]:
+    """Metadata from every ``# key = value`` line, the column names from the
+    first other non-blank line, and the rows after it as one float array."""
     meta: dict[str, str] = {}
-    rows = []
     columns: list[str] = []
+    rows: list[str] = []
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            if not columns:
-                columns = [c.strip() for c in line.split(",")]
-                continue
-            rows.append([float(x) for x in line.split(",")])
-    if not columns or not rows:
+        lines = fh.read().splitlines()
+    for raw in lines:
+        line = raw.strip()
+        if line.startswith("#"):
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif not line:
+            continue
+        elif columns:
+            rows.append(line)
+        else:
+            columns = [c.strip() for c in line.split(",")]
+    if not rows:
         raise ValueError(f"no tabular data in {path}")
-    return meta, columns, np.asarray(rows)
+    return meta, columns, np.loadtxt(rows, delimiter=",", comments=None,
+                                     ndmin=2)
 
 
 def read_trace_csv(path: str | Path) -> EchoTrace:

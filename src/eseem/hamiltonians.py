@@ -10,6 +10,12 @@ Builds, in angular units (rad/s) on the electron-major product basis:
 
 plus fixed-m_i reduced blocks and the second-order stick spectrum.
 
+The product-space operators these builders combine (Sz, Iz, Sz*Iz, the two
+transverse couplings and the two terms of the first-order correction) are
+built once per (s, i) pair and cached read-only; every builder returns a
+fresh, writable matrix.  :func:`h_rot_t` takes one time or an array of
+times.
+
 The second-order shift d is reported in linear units as ``delta_hz`` so the
 kilohertz-scale modulation frequencies read directly off experiment-style
 numbers.
@@ -18,6 +24,8 @@ numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +41,36 @@ def delta_hz(p: SpinSystemParams) -> float:
     return p.a_hz ** 2 / p.f_e_hz
 
 
-def _operators(p: SpinSystemParams):
-    sxe, sye, sze = spin_matrices(p.s)
-    sxn, syn, szn = spin_matrices(p.i)
-    ie = np.eye(multiplicity(p.s))
-    in_ = np.eye(multiplicity(p.i))
-    return sxe, sye, sze, sxn, syn, szn, ie, in_
+class _ProductOperators(NamedTuple):
+    """Product-space operators of one (s, i) pair, combined by the
+    Hamiltonian builders; every array is read-only."""
+
+    sz: np.ndarray          # Sz x 1
+    iz: np.ndarray          # 1 x Iz
+    sz_iz: np.ndarray       # Sz x Iz
+    flip_flop: np.ndarray   # Sx x Ix + Sy x Iy
+    cross: np.ndarray       # Sx x Iy - Sy x Ix
+    sz_quad: np.ndarray     # Sz x (I(I+1) - Iz^2)
+    iz_quad: np.ndarray     # (S(S+1) - Sz^2) x Iz
+
+
+@lru_cache(maxsize=None)
+def _product_operators(s: float, i: float) -> _ProductOperators:
+    sxe, sye, sze = spin_matrices(s)
+    sxn, syn, szn = spin_matrices(i)
+    ie = np.eye(multiplicity(s))
+    in_ = np.eye(multiplicity(i))
+    ops = _ProductOperators(
+        sz=kron(sze, in_),
+        iz=kron(ie, szn),
+        sz_iz=kron(sze, szn),
+        flip_flop=kron(sxe, sxn) + kron(sye, syn),
+        cross=kron(sxe, syn) - kron(sye, sxn),
+        sz_quad=kron(sze, i * (i + 1) * in_ - szn @ szn),
+        iz_quad=kron(s * (s + 1) * ie - sze @ sze, szn))
+    for op in ops:
+        op.flags.writeable = False
+    return ops
 
 
 def h0_lab(p: SpinSystemParams) -> np.ndarray:
@@ -47,11 +79,9 @@ def h0_lab(p: SpinSystemParams) -> np.ndarray:
     Hermitian, dimension (2s+1)(2i+1); commutes with Sz+Iz, so it is block
     diagonal in the total projection.
     """
-    sxe, sye, sze, sxn, syn, szn, ie, in_ = _operators(p)
-    coupling = kron(sxe, sxn) + kron(sye, syn) + kron(sze, szn)
-    return TWO_PI * (p.f_e_hz * kron(sze, in_)
-                     - p.f_i_hz * kron(ie, szn)
-                     + p.a_hz * coupling)
+    ops = _product_operators(p.s, p.i)
+    return TWO_PI * (p.f_e_hz * ops.sz - p.f_i_hz * ops.iz
+                     + p.a_hz * (ops.flip_flop + ops.sz_iz))
 
 
 def _f_mw_effective(p: SpinSystemParams, f_mw_hz: float | None) -> float:
@@ -69,10 +99,9 @@ def h_avg0(p: SpinSystemParams, f_mw_hz: float | None = None) -> np.ndarray:
     Diagonal in the product basis; supports no echo modulation on its own.
     """
     f_mw = _f_mw_effective(p, f_mw_hz)
-    _, _, sze, _, _, szn, ie, in_ = _operators(p)
-    return TWO_PI * ((p.f_e_hz - f_mw) * kron(sze, in_)
-                     - p.f_i_hz * kron(ie, szn)
-                     + p.a_hz * kron(sze, szn))
+    ops = _product_operators(p.s, p.i)
+    return TWO_PI * ((p.f_e_hz - f_mw) * ops.sz - p.f_i_hz * ops.iz
+                     + p.a_hz * ops.sz_iz)
 
 
 def h_avg1(p: SpinSystemParams) -> np.ndarray:
@@ -83,14 +112,11 @@ def h_avg1(p: SpinSystemParams) -> np.ndarray:
     shifts within a fixed-m_i manifold and hence all modulation effects.
     """
     d_ang = TWO_PI * delta_hz(p)
-    _, _, sze, _, _, szn, ie, in_ = _operators(p)
-    qi = p.i * (p.i + 1)
-    qs = p.s * (p.s + 1)
-    return 0.5 * d_ang * (kron(sze, qi * in_ - szn @ szn)
-                          - kron(qs * ie - sze @ sze, szn))
+    ops = _product_operators(p.s, p.i)
+    return 0.5 * d_ang * (ops.sz_quad - ops.iz_quad)
 
 
-def h_rot_t(p: SpinSystemParams, t: float,
+def h_rot_t(p: SpinSystemParams, t: float | np.ndarray,
             f_mw_hz: float | None = None) -> np.ndarray:
     """Rotating-frame Hamiltonian at time ``t`` (angular units).
 
@@ -100,19 +126,18 @@ def h_rot_t(p: SpinSystemParams, t: float,
         Om*Sz - wI*Iz + a*[Sz*Iz + (Sx*Ix + Sy*Iy)*cos(w_mw*t)
                                  + (Sx*Iy - Sy*Ix)*sin(w_mw*t)]
 
-    At t=0 this equals h0_lab - w_mw*Sz, and its average over one microwave
-    period is :func:`h_avg0`.
+    ``t`` may be an array; the result then has shape ``t.shape + (d, d)``,
+    each matrix equal to the scalar call at that time.  At t=0 this equals
+    h0_lab - w_mw*Sz, and its average over one microwave period is
+    :func:`h_avg0`.
     """
     f_mw = _f_mw_effective(p, f_mw_hz)
     w_mw = TWO_PI * f_mw
-    sxe, sye, sze, sxn, syn, szn, ie, in_ = _operators(p)
-    c = np.cos(w_mw * t)
-    s = np.sin(w_mw * t)
-    osc = (kron(sxe, sxn) + kron(sye, syn)) * c \
-        + (kron(sxe, syn) - kron(sye, sxn)) * s
-    return TWO_PI * ((p.f_e_hz - f_mw) * kron(sze, in_)
-                     - p.f_i_hz * kron(ie, szn)
-                     + p.a_hz * (kron(sze, szn) + osc))
+    ops = _product_operators(p.s, p.i)
+    wt = w_mw * np.asarray(t, dtype=float)[..., None, None]
+    osc = ops.flip_flop * np.cos(wt) + ops.cross * np.sin(wt)
+    return TWO_PI * ((p.f_e_hz - f_mw) * ops.sz - p.f_i_hz * ops.iz
+                     + p.a_hz * (ops.sz_iz + osc))
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,22 @@ def test_spectrum_pipeline_peaks(fast_cfg, tmp_path, capsys):
     assert grid.size == mag.size and meta["baseline"] == "exp"
 
 
+def test_multi_line_config_value_keeps_the_chain_readable(tmp_path):
+    # a continued value must stay one header line, or its continuation
+    # lines read back as data rows
+    cfg = tmp_path / "multi.cfg"
+    cfg.write_text(FAST_CFG.replace(
+        "theta2_deg = 180\n",
+        "theta2_deg = 180\ncomposite = 90@0,\n    180@90,\n    90@0\n"))
+    trace = tmp_path / "tr.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(trace)]) == 0
+    assert read_trace_csv(trace).metadata["sequence.composite"] == \
+        "90@0, 180@90, 90@0"
+    assert main(["spectrum", str(trace), "--out",
+                 str(tmp_path / "sp.csv")]) == 0
+    assert main(["fit", str(trace), "--json"]) == 0
+
+
 def test_spectrum_roundtrip_values(fast_cfg, tmp_path):
     # written trace values survive the file boundary bit-exactly
     trace_path = tmp_path / "tr.csv"

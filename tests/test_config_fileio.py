@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from eseem.config import (SCHEMA, ConfigError, Range, load_preset,
                           parse_config, preset_path)
 from eseem.engine import EchoTrace
-from eseem.fileio import (read_spectrum_csv, read_trace_csv,
-                          write_spectrum_csv, write_trace_csv)
-from eseem.spectral import fft_magnitude
+from eseem.fileio import (FLOAT_FMT, ROW_BLOCK, read_spectrum_csv,
+                          read_trace_csv, write_spectrum_csv, write_trace_csv)
+from eseem.spectral import Spectrum, fft_magnitude
 
 GOOD_CFG = """
 [system]
@@ -201,3 +202,73 @@ def test_readers_reject_wrong_schema(tmp_path):
         read_trace_csv(path)
     with pytest.raises(ValueError):
         read_spectrum_csv(path)
+
+
+def per_row_rows(*columns):
+    """The data lines of the per-row writer the block writer replaced."""
+    return "".join(",".join(FLOAT_FMT % x for x in row) + "\n"
+                   for row in zip(*columns))
+
+
+EDGE_FLOATS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                        -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e22,
+                        0.1, np.pi, 1e-300])
+
+
+@pytest.mark.parametrize("n", [0, 1, len(EDGE_FLOATS), ROW_BLOCK + 3])
+def test_writers_match_per_row_reference(tmp_path, n):
+    values = np.resize(EDGE_FLOATS, n)
+    tau = np.arange(n, dtype=float) * 1e-6
+    v_im = values[::-1].copy()
+    trace = EchoTrace(tau_s=tau, v=values, metadata={"k": 1}, v_im=v_im)
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, trace, im_residual=True)
+    text = path.read_text()
+    head = "\n".join(text.splitlines()[:3]) + "\n"
+    assert head.endswith("tau_s,v,v_im_residual\n")
+    assert text == head + per_row_rows(tau, values, v_im)
+    spec = Spectrum(freq_hz=tau, magnitude=values, window="hann",
+                    zero_pad_factor=1, n_time=n, dt_s=1e-6)
+    write_spectrum_csv(path, spec)
+    text = path.read_text()
+    cut = text.index("freq_hz,magnitude\n") + len("freq_hz,magnitude\n")
+    assert text[cut:] == per_row_rows(tau, values)
+
+
+def test_spectrum_writer_memory_is_bounded(tmp_path):
+    n = 262_144
+    freq = np.linspace(0.0, 1e6, n)
+    spec = Spectrum(freq_hz=freq, magnitude=np.sqrt(freq), window="hann",
+                    zero_pad_factor=1, n_time=n, dt_s=1e-6)
+    tracemalloc.start()
+    try:
+        write_spectrum_csv(tmp_path / "big.csv", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_reader_accepts_crlf_blank_and_late_comment_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"# engine = x\r\n\r\ntau_s,v\r\n1e-6,0.5\r\n  \r\n"
+                     b"  # note = late\r\n2e-6 , -0\r\n")
+    trace = read_trace_csv(path)
+    assert trace.metadata["engine"] == "x"
+    assert trace.metadata["note"] == "late"
+    assert trace.tau_s.tolist() == [1e-6, 2e-6]
+    assert trace.v.tolist() == [0.5, 0.0]
+    assert np.signbit(trace.v[1])
+
+
+@pytest.mark.parametrize("body", [
+    "tau_s,v\n",                 # only a header
+    "tau_s,v\n1,2\n3,4,5\n",      # ragged row
+    "tau_s,v\n1,2\n3,90@0\n",     # non-numeric cell
+    "tau_s,v\n1,\n",              # empty cell
+])
+def test_reader_rejects_malformed_tables(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text("# a = b\n" + body)
+    with pytest.raises(ValueError):
+        read_trace_csv(path)

@@ -46,6 +46,21 @@ def test_distribution_validation():
     assert np.pi in thetas  # odd rule includes the mean
 
 
+def test_gauss_hermite_rule_is_cached_read_only():
+    from eseem.ensemble import _gauss_hermite
+    dist = AngleDistribution(mean=1.0, sigma=0.2, nodes=13)
+    first = dist.points()
+    hits = _gauss_hermite.cache_info().hits
+    thetas, weights = dist.points()
+    assert _gauss_hermite.cache_info().hits == hits + 1
+    assert np.array_equal(thetas, first[0]) and weights is first[1]
+    x, w = np.polynomial.hermite.hermgauss(13)
+    assert np.array_equal(thetas, 1.0 + np.sqrt(2.0) * 0.2 * x)
+    assert np.array_equal(weights, w / np.sqrt(np.pi))
+    for arr in _gauss_hermite(13):
+        assert not arr.flags.writeable
+
+
 def test_zero_width_average_is_identity(preset, tmp_path):
     exp = make_exp(preset)
     dist = AngleDistribution(mean=np.pi, sigma=0.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from eseem.hamiltonians import (TWO_PI, delta_hz, epr_stick_spectrum, h0_lab,
-                                h_avg0, h_avg1, h_rot_t, line_center_hz)
-from eseem.spinops import kron, spin_matrices
+from eseem.hamiltonians import (TWO_PI, _product_operators, delta_hz,
+                                epr_stick_spectrum, h0_lab, h_avg0, h_avg1,
+                                h_rot_t, line_center_hz)
+from eseem.spinops import kron, multiplicity, spin_matrices
 from eseem.system import (BOHR_MAGNETON, NUCLEAR_MAGNETON, PLANCK_H,
                           SpinSystemParams, nc60_params)
 
@@ -139,6 +140,78 @@ def test_h_rot_t_static_when_decoupled():
     h1 = h_rot_t(p, 0.0, f_mw_hz=9.67e9)
     h2 = h_rot_t(p, 0.77e-10, f_mw_hz=9.67e9)
     assert np.abs(h1 - h2).max() <= 1e-9
+
+
+def kron_reference(p, f_mw, t):
+    """h0_lab, h_avg0, h_avg1 and h_rot_t(t) built term by term from kron,
+    in the builders' order of operations."""
+    sxe, sye, sze = spin_matrices(p.s)
+    sxn, syn, szn = spin_matrices(p.i)
+    ie, in_ = np.eye(multiplicity(p.s)), np.eye(multiplicity(p.i))
+    h0 = TWO_PI * (p.f_e_hz * kron(sze, in_) - p.f_i_hz * kron(ie, szn)
+                   + p.a_hz * (kron(sxe, sxn) + kron(sye, syn)
+                               + kron(sze, szn)))
+    avg0 = TWO_PI * ((p.f_e_hz - f_mw) * kron(sze, in_)
+                     - p.f_i_hz * kron(ie, szn) + p.a_hz * kron(sze, szn))
+    avg1 = 0.5 * TWO_PI * delta_hz(p) * (
+        kron(sze, p.i * (p.i + 1) * in_ - szn @ szn)
+        - kron(p.s * (p.s + 1) * ie - sze @ sze, szn))
+    c, s = np.cos(TWO_PI * f_mw * t), np.sin(TWO_PI * f_mw * t)
+    osc = (kron(sxe, sxn) + kron(sye, syn)) * c \
+        + (kron(sxe, syn) - kron(sye, sxn)) * s
+    rot = TWO_PI * ((p.f_e_hz - f_mw) * kron(sze, in_)
+                    - p.f_i_hz * kron(ie, szn)
+                    + p.a_hz * (kron(sze, szn) + osc))
+    return h0, avg0, avg1, rot
+
+
+@pytest.mark.parametrize("s, i", [(1.5, 1.0), (0.5, 0.5), (2.5, 1.5)])
+def test_builders_match_kron_reference_bit_for_bit(s, i):
+    p = nc60_params(s=s, i=i)
+    f_mw = p.f_e_hz + 3e6
+    t = 3.7e-11
+    want = kron_reference(p, f_mw, t)
+    got = (h0_lab(p), h_avg0(p, f_mw), h_avg1(p), h_rot_t(p, t, f_mw))
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_h_rot_t_array_equals_scalar_calls(preset):
+    f_mw = preset.f_e_hz + 1e6
+    t = np.linspace(0.0, 2.5 / f_mw, 37)
+    stack = h_rot_t(preset, t, f_mw)
+    assert stack.shape == (37, 12, 12)
+    for k, tk in enumerate(t):
+        assert stack[k].tobytes() == h_rot_t(preset, tk, f_mw).tobytes()
+    grid = h_rot_t(preset, t.reshape(1, 37, 1), f_mw)
+    assert grid.shape == (1, 37, 1, 12, 12)
+    assert grid.tobytes() == stack.tobytes()
+    assert h_rot_t(preset, 1e-11, f_mw).shape == (12, 12)
+
+
+@pytest.mark.parametrize("build", [
+    h0_lab, h_avg0, h_avg1, lambda p: h_rot_t(p, 3.7e-11),
+    lambda p: h_rot_t(p, np.array([0.0, 3.7e-11]))])
+def test_builders_return_fresh_writable_arrays(preset, build):
+    first = build(preset)
+    before = first.copy()
+    assert first.flags.writeable
+    first[...] = 7.0
+    assert build(preset).tobytes() == before.tobytes()
+
+
+def test_operator_table_is_read_only_and_built_once_per_pair():
+    from eseem.validation import run_checks
+    ops = _product_operators(1.5, 1.0)
+    for op in ops:
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+    _product_operators.cache_clear()
+    run_checks()
+    info = _product_operators.cache_info()
+    assert info.misses == info.currsize >= 1
+    assert info.hits > info.misses
 
 
 def test_reduced_block_on_resonance(preset):
