@@ -8,8 +8,9 @@ the dotted field path, which the CLI maps to exit code 2.
 
 Two sizes are capped before anything is allocated (fixed limits, not
 options): ``tau.points`` at ``MAX_TAU_POINTS`` = 65536, since a run keeps
-about 1.7 KB of propagator products and coherences per tau point and peaks
-near 2.2 KB (about 150 MB at the cap), and ``ensemble.nodes`` at ``MAX_ENSEMBLE_NODES`` = 1001, since the
+1.66 KB of propagator products and coherences per tau point and peaks at
+2.24 KB (147 MB at the cap, by tracemalloc on the exact engine), and
+``ensemble.nodes`` at ``MAX_ENSEMBLE_NODES`` = 1001, since the
 Gauss-Hermite rule builds a nodes x nodes matrix.  ``run.steps_per_period``
 must be at least the engine's ``MIN_STEPS_PER_PERIOD``.
 """

@@ -26,21 +26,26 @@ and equal to the closed-form modulation expressions at every pulse angle.
 Engines
 -------
 Each engine only supplies free-evolution propagators that start at t = 0.
-``_Propagator.stack`` builds U(0, tau) for a whole tau grid at once, as an
-(n_tau, d, d) stack (exactly the identity at tau = 0).  The rotating-frame
-Hamiltonian obeys h_rot(t + t0) = R(t0) h_rot(t) R(t0)^H with the diagonal
-R(t) = exp(+i*w_mw*Sz*t), so for every engine
+``_Propagator.elements`` gives U(0, tau) for a whole tau grid at once, at
+any set of its elements (exactly the identity's at tau = 0); the echo
+kernel asks for the 28 of 144 that lie inside M blocks, and
+``_Propagator.stack`` is the every-element case, an (n_tau, d, d) stack.
+The rotating-frame Hamiltonian obeys h_rot(t + t0) = R(t0) h_rot(t) R(t0)^H
+with the diagonal R(t) = exp(+i*w_mw*Sz*t), so for every engine
 U(t0, t0 + tau) = R(t0) U(0, tau) R(t0)^H; ``_Propagator.translate`` applies
-that one conjugation.
+that one conjugation.  R takes only the 2S+1 values of m_s, and is formed
+on those.
 
 average-hamiltonian
     Diagonal evolution under h_avg0 + h_avg1 (second-order secular
-    dynamics; the fast default): a stack of diagonal phases.
+    dynamics; the fast default): the diagonal phases, zero elsewhere.
 exact-lab-frame
     Rotating-frame propagator assembled from the exact lab Hamiltonian,
     U(0, tau) = exp(+i*w_mw*Sz*tau) exp(-i*H0*tau);
     machine-precision reference dynamics, vectorized over tau from one
-    eigendecomposition of H0.
+    eigendecomposition of H0: the phases exp(-i w_k tau) times the
+    requested columns of the flattened projectors v_k v_k^H, one
+    (n_tau x d) (d x n_elements) product, times each row's frame phase.
 stepped-rotating-frame
     Time-ordered product of unitary midpoint substeps of the periodic
     rotating-frame Hamiltonian; converges quadratically in the substep to
@@ -53,7 +58,7 @@ stepped-rotating-frame
 
 Echo kernel
 -----------
-One kernel contracts the stacks for every engine, in two stages.  The
+One kernel contracts the propagators of every engine, in two stages.  The
 free evolution enters as U1(tau) = U(0, tau) and G(tau) = U2(tau)^H D U2(tau),
 with U2(tau) = U(tau, 2 tau) = R(tau) U1(tau) R(tau)^H and D the detection
 operator, because Tr[U2 Z U2^H D] = Tr[Z G].
@@ -71,23 +76,37 @@ m_i.  ``_supports`` derives four index sets from the basis once per
   pairs where G can be nonzero (12 of the 27 of order -1);
 * D = Sy x P_mi: its nonzeros (6).
 
-The kernel checks these laws rather than assume them: an element of the
-U1 stack between M blocks, or of a pulse propagator between m_i blocks,
-above ``CONSERVATION_TOL`` times the largest element of its own propagator
-raises ``LinAlgError`` rather than drop signal.
+The kernel checks these laws rather than assume them: an element of U1
+between M blocks, or of a pulse propagator between m_i blocks, above
+``CONSERVATION_TOL`` times the largest element of its own propagator
+raises ``LinAlgError`` rather than drop signal.  For the pulses this is
+checked on every propagator.  For M it is checked on what decides U1
+(``_Propagator.conserves_m``):
+
+* average-hamiltonian: the exponential of a diagonal has nothing between
+  M blocks;
+* exact-lab-frame: |U1[m, n]| <= sum_k |v_k[m]| |v_k[n]| at every tau, so
+  the eigenvectors of H0 are checked once; should that bound fail, every
+  tau is checked on all elements instead;
+* stepped-rotating-frame: every tau, on all elements.
 
 Per experiment (``_EchoPlan``), everything that does not depend on the
 pulse scales of an ensemble node is built once: the products
 W[tau, e] = U1[a_q, k_r] conj U1[b_q, l_r] over the 55 links e = (q, r)
 between an X element q = (a, b) and a rho1 element r = (k, l) in the same
 M block, so that X = W @ (rho1 spread over the links); G[j, i] and G[i, j]
-at the refocused pairs, the second for the Hermitian completion, summed
-over D's nonzeros from the gathered U1 elements and their frame phases;
-the T2 damping (1 without T2); one factory per pulse that maps an array of
-scales to a stack of propagators; and X(tau), memoized on the pulse-1
-scale, which stays fixed over the nodes unless both pulses share the B1
-factor.  The stacks are built in blocks of ``TAU_BLOCK`` points, which
-bounds the temporaries whatever the grid size.
+at the refocused pairs, the second for the Hermitian completion, from the
+gathered U1 elements and their frame phases; the T2 damping (1 without
+T2); one factory per pulse that maps an array of scales to a stack of
+propagators; and X(tau), memoized on the pulse-1 scale, which stays fixed
+over the nodes unless both pulses share the B1 factor.  W and G read U1
+only inside M blocks, its 28 elements.  Of the 6 x 12 terms
+D[k, l] conj U2[k, j] U2[l, i] of G at the pairs, only those with k in the
+M block of j and l in that of i survive, at most one per pair: 8 on an
+outer line and 10 on the central one, and G is exactly zero at the other
+pairs.  W and G are built ``TAU_BLOCK`` points at a time, which bounds the
+temporaries whatever the grid size, with R(tau) formed once per block for
+both U1 and U2.
 
 Per ensemble average, ``_EchoPlan.tabulate`` takes the node scales and
 calls each pulse factory once, for all nodes together.  It keeps per scale
@@ -109,16 +128,19 @@ import numpy as np
 from .hamiltonians import (TWO_PI, _f_mw_effective, delta_hz, h0_lab, h_avg0,
                            h_avg1, h_rot_t, line_center_hz)
 from .pulses import PulseSpec, _scaled_propagator
-from .spinops import (ProductBasis, kron, multiplicity, projector_mi,
-                      spin_matrices)
+from .spinops import (ProductBasis, kron, multiplicity, projections,
+                      projector_mi, spin_matrices)
 from .system import SpinSystemParams
 
 ENGINES = ("average-hamiltonian", "exact-lab-frame", "stepped-rotating-frame")
 
 MIN_STEPS_PER_PERIOD = 20
 
-# tau points per block when building the stacks (see "Echo kernel" above);
-# 128 ran about 5 % faster than 64 on 512-point traces
+# tau points per block when the plan builds W and G from U1 (see "Echo
+# kernel" above): it bounds the (block, 28) U1 elements and their products,
+# or the (block, d, d) stack where every tau is checked.  128 ran about 5 %
+# faster than 64 on 512-point traces; building the whole grid at once
+# raised the peak RSS by 0.7-1.6 MB
 TAU_BLOCK = 128
 
 # the stepped engine's one-period product P: the weight c of its Hermitian
@@ -228,10 +250,12 @@ def _check_conserved(u: np.ndarray, leak: np.ndarray, what: str,
 
 
 def _total_m_blocks(system: SpinSystemParams) -> list[np.ndarray]:
-    """Basis indices of each value of M = m_s + m_i, which H0 conserves."""
+    """Basis indices of each value of M = m_s + m_i, which H0 conserves, in
+    ascending M (every value from -(S + I) to S + I occurs)."""
     basis = system.basis
     total = basis.m_s_diagonal() + basis.m_i_diagonal()
-    return [np.nonzero(total == m)[0] for m in np.unique(total)]
+    return [np.flatnonzero(total == m)
+            for m in projections(system.s + system.i)[::-1]]
 
 
 def _unitary_eigen(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +297,12 @@ def _unitary_eigen_blocks(u: np.ndarray, blocks: list[np.ndarray]
 
 class _Propagator:
     """Free-evolution propagator factory for one engine/frame, with the
-    expensive diagonalizations cached across tau points."""
+    expensive diagonalizations cached across tau points.
+
+    :meth:`elements` gives U(0, tau) at any set of elements for a tau grid;
+    :meth:`stack` is its every-element case.  :meth:`conserves_m` says
+    whether the engine bounds its elements between M blocks for every tau.
+    """
 
     def __init__(self, engine: str, system: SpinSystemParams,
                  f_mw_hz: float, steps_per_period: int = 40):
@@ -285,7 +314,10 @@ class _Propagator:
         self.steps_per_period = steps_per_period
         dim = system.basis.dim
         self._eye = np.eye(dim, dtype=complex)
-        self._mz = system.basis.m_s_diagonal()
+        # the 2S+1 distinct m_s and the level of each basis state
+        # (electron-major basis), for the frame rotation
+        self._m_s = projections(system.s)
+        self._level = np.repeat(np.arange(self._m_s.size), system.basis.dim_i)
         if engine == "average-hamiltonian":
             h = h_avg0(system, f_mw_hz) + h_avg1(system)
             self._phases = np.diag(h).real
@@ -309,26 +341,59 @@ class _Propagator:
             self._q, self._angles = _unitary_eigen_blocks(
                 period, _total_m_blocks(system))
 
-    def stack(self, tau) -> np.ndarray:
-        """Propagators U(0, tau[k]), shape (n_tau, d, d); every propagator
-        with tau = 0 is exactly the identity."""
+    def elements(self, tau, flat: np.ndarray,
+                 frame: np.ndarray | None = None) -> np.ndarray:
+        """U(0, tau[k]) at the flat indices ``flat`` (row * d + column),
+        shape (n_tau, flat.size); at tau = 0 exactly the identity's
+        elements.  ``frame`` may pass in the diagonal of R(tau) for the
+        column tau[:, None], as :meth:`_frame` forms it."""
         tau = np.asarray(tau, dtype=float)
         if np.any(tau < 0):
             raise ValueError("tau must be non-negative")
+        rows, cols = np.divmod(flat, self._eye.shape[0])
         if self.engine == "average-hamiltonian":
-            out = np.zeros(tau.shape + self._eye.shape, dtype=complex)
-            diag = np.arange(self._eye.shape[0])
-            out[:, diag, diag] = np.exp(-1j * self._phases * tau[:, None])
+            out = np.zeros((tau.size, flat.size), dtype=complex)
+            diag = rows == cols
+            out[:, diag] = np.exp(-1j * self._phases[rows[diag]]
+                                  * tau[:, None])
         elif self.engine == "exact-lab-frame":
             # exp(-i H0 tau) = sum_k e^(-i w_k tau) v_k v_k^H, one product
+            # with the requested columns of the projectors, then R(tau)
+            if frame is None:
+                frame = self._frame(tau[:, None])
             phases = np.exp(-1j * self._w0 * tau[:, None])
-            core = (phases @ self._projectors).reshape(
-                tau.shape + self._eye.shape)
-            out = self._frame(tau[:, None])[:, :, None] * core
+            out = frame[:, rows] * (phases @ self._projectors[:, flat])
         else:
-            out = np.array([self._stepped(t) for t in tau])
-        out[tau == 0.0] = self._eye
+            out = np.array([self._stepped(t).ravel()[flat] for t in tau])
+        out[tau == 0.0] = self._eye.ravel()[flat]
         return out
+
+    def stack(self, tau) -> np.ndarray:
+        """Propagators U(0, tau[k]), shape (n_tau, d, d): :meth:`elements`
+        at every element."""
+        dim = self._eye.shape[0]
+        return self.elements(tau, np.arange(dim * dim)).reshape(-1, dim, dim)
+
+    def conserves_m(self, m_leak: np.ndarray) -> bool:
+        """Whether every U(0, tau) passes the check of ``_check_conserved``
+        on the (d, d) mask ``m_leak`` of the elements between M blocks,
+        whatever tau, so that no tau needs checking.
+
+        The average-Hamiltonian propagator is the exponential of a
+        diagonal: it has nothing between M blocks.  The exact one obeys
+        |U[m, n]| <= sum_k |v_k[m]| |v_k[n]| at every tau, and a unitary's
+        largest element is at least 1/sqrt(d); so a bound within half of
+        ``CONSERVATION_TOL``/sqrt(d) passes, the other half left for the
+        roundoff of forming the elements.  The stepped engine has no such
+        bound.
+        """
+        if self.engine == "average-hamiltonian":
+            return True
+        if self.engine == "exact-lab-frame":
+            bound = np.abs(self._projectors[:, m_leak.ravel()]).sum(axis=0)
+            limit = 0.5 * CONSERVATION_TOL / np.sqrt(self._eye.shape[0])
+            return bool(bound.max(initial=0.0) <= limit)
+        return False
 
     def translate(self, t_start, u) -> np.ndarray:
         """U(t_start, t_start + tau) = R(t_start) U(0, tau) R(t_start)^H for
@@ -337,8 +402,10 @@ class _Propagator:
         return (r[..., :, None] * u) * r[..., None, :].conj()
 
     def _frame(self, t: float | np.ndarray) -> np.ndarray:
-        """Diagonal of the frame rotation R(t) = exp(+i*w_mw*Sz*t)."""
-        return np.exp(1j * TWO_PI * self.f_mw_hz * self._mz * t)
+        """Diagonal of the frame rotation R(t) = exp(+i*w_mw*Sz*t), formed
+        on the 2S+1 distinct m_s."""
+        return np.exp(1j * TWO_PI * self.f_mw_hz * self._m_s * t
+                      )[..., self._level]
 
     def _midpoint_run(self, n_sub: int, dt: float) -> np.ndarray:
         """Product of ``n_sub`` midpoint substeps of length ``dt`` from t = 0,
@@ -406,6 +473,14 @@ class _Supports:
     ``links`` holds the (q, r) with M(a_q) = M(k_r): the rho1 elements r
     that U1 carries onto each X element q (55).  ``m_leak`` and ``mi_leak``
     mark the elements that change M and m_i.
+
+    ``u1`` holds the flat indices row * d + column of U1's elements inside
+    M blocks (28 of 144), all that the kernel reads of U1.  ``w`` gives, per
+    link, the positions in ``u1`` of U1[a_q, k_r] and U1[b_q, l_r].
+    ``g_ji`` and ``g_ij`` give, for G[j, i] and G[i, j], the pairs p that G
+    reaches inside M blocks, the one element e of D that reaches each, and
+    the positions of the two U1 elements it takes (8 pairs on an outer
+    line, 10 on the central line).
     """
 
     rho: tuple[np.ndarray, np.ndarray]
@@ -415,6 +490,10 @@ class _Supports:
     links: tuple[np.ndarray, np.ndarray]
     m_leak: np.ndarray
     mi_leak: np.ndarray
+    u1: np.ndarray
+    w: tuple[np.ndarray, np.ndarray]
+    g_ji: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    g_ij: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -428,12 +507,29 @@ def _supports(s: float, i: float, m_i: float) -> _Supports:
     line = np.abs(nuclear - m_i) < 1e-9
     rho = np.nonzero((order == 1) & (d_mi == 0))
     x = np.nonzero(d_m == 1)
+    pairs = np.nonzero((order == -1) & (np.abs(d_m) == 1))
+    det = np.nonzero((np.abs(order) == 1) & line[:, None] & line)
+    links = np.nonzero(total[x[0], None] == total[rho[0]])
+    inside = d_m == 0
+    pos = np.full(d_m.shape, -1)
+    pos[inside] = np.arange(np.count_nonzero(inside))
+
+    def g_terms(rows, cols):
+        # G[rows_p, cols_p] = sum over e of D[dk_e, dl_e]
+        # conj U1[dk_e, rows_p] U1[dl_e, cols_p] (times frame phases).
+        # Inside M blocks, dk_e has the M of rows_p and the detected m_i,
+        # so at most one e reaches p
+        dk, dl = det
+        e, p = np.nonzero(inside[dk[:, None], rows]
+                          & inside[dl[:, None], cols])
+        return p, e, pos[dk[e], rows[p]], pos[dl[e], cols[p]]
+
+    (a, b), (k, l), (q, r) = x, rho, links
     sup = _Supports(
-        rho=rho, x=x,
-        pairs=np.nonzero((order == -1) & (np.abs(d_m) == 1)),
-        det=np.nonzero((np.abs(order) == 1) & line[:, None] & line),
-        links=np.nonzero(total[x[0], None] == total[rho[0]]),
-        m_leak=d_m != 0, mi_leak=d_mi != 0)
+        rho=rho, x=x, pairs=pairs, det=det, links=links,
+        m_leak=~inside, mi_leak=d_mi != 0,
+        u1=np.flatnonzero(inside), w=(pos[a[q], k[r]], pos[b[q], l[r]]),
+        g_ji=g_terms(pairs[1], pairs[0]), g_ij=g_terms(*pairs))
     for value in vars(sup).values():  # one instance serves every plan
         for arr in value if isinstance(value, tuple) else (value,):
             arr.flags.writeable = False
@@ -448,7 +544,10 @@ class _EchoPlan:
     G(tau) = U2^H D U2 at the refocused pairs, the T2 damping, one batched
     propagator factory per pulse, the per-scale tables of :meth:`tabulate`,
     and a one-entry memo of the pulse-1 coherences X(tau) keyed on
-    ``scale1``.
+    ``scale1``.  W and G come from U1 at its 28 elements inside M blocks
+    (``_Supports.u1``), one ``TAU_BLOCK`` of tau at a time; the M law is
+    checked once per propagator where the engine allows
+    (:meth:`_Propagator.conserves_m`), else on every element at every tau.
     """
 
     def __init__(self, exp: EchoExperiment):
@@ -458,37 +557,35 @@ class _EchoPlan:
                            exp.steps_per_period)
         self.supports = sup = _supports(system.s, system.i, exp.detect_m_i)
         self._sigma0 = thermal_deviation(system)
-        (a, b), (k, l), (i, j) = sup.x, sup.rho, sup.pairs
-        q, r = sup.links
-        d_k, d_l = sup.det
-        d_vals = detection_operator(system, exp.detect_m_i)[sup.det]
-        # flat indices row * dim + column into each propagator of the stack:
-        # W[:, e] = U1[a_q, k_r] conj U1[b_q, l_r] for the link e = (q, r),
-        # and the U1 elements that G[j_p, i_p] and G[i_p, j_p] take through
-        # D's elements (k_e, l_e)
         dim = system.basis.dim
-        ak, bl = a[q] * dim + k[r], b[q] * dim + l[r]
-        kj, li = d_k[:, None] * dim + j, d_l[:, None] * dim + i
-        ki, lj = d_k[:, None] * dim + i, d_l[:, None] * dim + j
+        per_tau = not prop.conserves_m(sup.m_leak)
+        flat = np.arange(dim * dim) if per_tau else sup.u1
+        w_a, w_b = sup.w
+        (i, j), (d_k, d_l) = sup.pairs, sup.det
+        d_vals = detection_operator(system, exp.detect_m_i)[sup.det]
         tau = exp.tau_grid
-        self._w = np.empty((tau.size, q.size), dtype=complex)
-        self._g_ji = np.empty((tau.size, i.size), dtype=complex)
-        self._g_ij = np.empty_like(self._g_ji)
+        self._w = np.empty((tau.size, w_a.size), dtype=complex)
+        self._g_ji = np.zeros((tau.size, i.size), dtype=complex)
+        self._g_ij = np.zeros_like(self._g_ji)
         for start in range(0, tau.size, TAU_BLOCK):
             blk = slice(start, start + TAU_BLOCK)
-            u1 = prop.stack(tau[blk])
-            _check_conserved(u1, sup.m_leak, "free evolution", "M")
-            u1 = u1.reshape(u1.shape[0], -1)
-            self._w[blk] = u1[:, ak] * u1[:, bl].conj()
-            # U2 = R(tau) U1 R(tau)^H with the diagonal frame rotation R: its
-            # phases factor out of each sum over D's elements
-            rot = prop._frame(tau[blk, None])
-            d_rot = (rot[:, d_k].conj() * rot[:, d_l] * d_vals)[:, :, None]
+            rot = prop._frame(tau[blk, None])  # for U1 and for U2
+            u1 = prop.elements(tau[blk], flat, rot)
+            if per_tau:
+                _check_conserved(u1.reshape(-1, dim, dim), sup.m_leak,
+                                 "free evolution", "M")
+                u1 = u1[:, sup.u1]
+            self._w[blk] = u1[:, w_a] * u1[:, w_b].conj()
+            # U2 = R U1 R^H with the diagonal frame rotation R: its phases
+            # factor out of G = U2^H D U2, which takes one element e of D at
+            # each pair p it reaches
+            d_rot = rot[:, d_k].conj() * rot[:, d_l] * d_vals
             pair_rot = rot[:, j] * rot[:, i].conj()
-            self._g_ji[blk] = pair_rot * (
-                d_rot * u1[:, kj].conj() * u1[:, li]).sum(axis=1)
-            self._g_ij[blk] = pair_rot.conj() * (
-                d_rot * u1[:, ki].conj() * u1[:, lj]).sum(axis=1)
+            for g, pair, (p, e, c_k, c_l) in (
+                    (self._g_ji, pair_rot, sup.g_ji),
+                    (self._g_ij, pair_rot.conj(), sup.g_ij)):
+                g[blk, p] = pair[:, p] * (
+                    d_rot[:, e] * u1[:, c_k].conj() * u1[:, c_l])
         self.damping = (1.0 if exp.t2_s is None
                         else np.exp(-2.0 * tau / exp.t2_s))
         self._pulse1 = _scaled_propagator(exp.pulse1, system, self.f_mw_hz)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import eseem.engine as engine_module
 from eseem.analytic import v_outer
-from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
-                          _Propagator, _unitary_eigen, detection_operator,
-                          free_evolution, microwave_freq_hz,
-                          run_two_pulse_echo, thermal_deviation, validate_aht)
+from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _dagger,
+                          _EchoPlan, _Propagator, _supports, _unitary_eigen,
+                          detection_operator, free_evolution,
+                          microwave_freq_hz, run_two_pulse_echo,
+                          thermal_deviation, validate_aht)
 from eseem.ensemble import AngleDistribution, average_trace
 from eseem.hamiltonians import TWO_PI, delta_hz, h_rot_t, line_center_hz
 from eseem.pulses import PulseSpec, composite_pi, rotation_operator
@@ -392,15 +393,16 @@ def test_validate_aht_warns_outside_perturbative_regime():
 def _reference_propagator(prop, t_start, tau):
     if tau == 0.0:
         return np.eye(prop.system.basis.dim, dtype=complex)
+    mz = prop.system.basis.m_s_diagonal()
     if prop.engine == "average-hamiltonian":
         u = np.diag(np.exp(-1j * prop._phases * tau))
     elif prop.engine == "exact-lab-frame":
         w_mw = TWO_PI * prop.f_mw_hz
         core = (prop._v0 * np.exp(-1j * prop._w0 * tau)) @ prop._v0.conj().T
-        u = np.exp(1j * w_mw * prop._mz * tau)[:, None] * core
+        u = np.exp(1j * w_mw * mz * tau)[:, None] * core
     else:
         u = prop._stepped(tau)
-    r = np.exp(1j * TWO_PI * prop.f_mw_hz * prop._mz * t_start)
+    r = np.exp(1j * TWO_PI * prop.f_mw_hz * mz * t_start)
     return (r[:, None] * u) * r.conj()
 
 
@@ -485,7 +487,7 @@ def test_propagator_stack_matches_single_calls(preset, engine):
             # the lab-frame form exp(+i w Sz (t0 + tau)) exp(-i H0 tau)
             # exp(-i w Sz t0) rounds its frame phases differently: they agree
             # to the float spacing of the largest phase
-            w = TWO_PI * prop.f_mw_hz * prop._mz
+            w = TWO_PI * prop.f_mw_hz * prop.system.basis.m_s_diagonal()
             core = (prop._v0 * np.exp(-1j * prop._w0 * tau[k])) \
                 @ prop._v0.conj().T
             lab = (np.exp(1j * w * (t_start[k] + tau[k]))[:, None] * core
@@ -576,18 +578,92 @@ def test_supports_are_the_dense_nonzero_patterns(preset):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_plan_raises_on_free_evolution_across_m_blocks(preset, engine,
                                                        monkeypatch):
-    stack = _Propagator.stack
+    # the per-tau check, which the stepped engine always runs and the other
+    # two fall back to when their bound fails, reads the leak where the
+    # plan takes U1 from
+    elements = _Propagator.elements
 
-    def leaky(self, tau):
-        u = stack(self, tau)
-        u[:, 0, 1] += 1e-9  # (3/2, +1) <- (3/2, 0): M changes by 1
+    def leaky(self, tau, flat, frame=None):
+        u = elements(self, tau, flat, frame)
+        u[:, flat == 1] += 1e-9  # U1[0, 1]: (3/2, +1) <- (3/2, 0), M up by 1
         return u
 
     exp = make_exp(preset, engine=engine, tau=np.linspace(1e-6, 20e-6, 4))
     _EchoPlan(exp)
-    monkeypatch.setattr(_Propagator, "stack", leaky)
+    monkeypatch.setattr(_Propagator, "elements", leaky)
+    monkeypatch.setattr(_Propagator, "conserves_m", lambda self, m_leak: False)
     with pytest.raises(np.linalg.LinAlgError, match="conserve M"):
         _EchoPlan(exp)
+
+
+def _crossing_params():
+    # a = 2 f_I puts (m_s, m_i) = (1/2, +1), (1/2, 0) and (1/2, -1) on one
+    # level to first order: three M blocks cross, so a dense eigh of H0 may
+    # mix them
+    f_i = nc60_params().f_i_hz
+    return nc60_params(a_hz=2.0 * f_i, f_i_hz=f_i)
+
+
+def test_exact_engine_bound_holds_at_a_level_crossing():
+    p = _crossing_params()
+    tau = np.linspace(0.0, 200e-6, 41)
+    exp = EchoExperiment(system=p, pulse1=PulseSpec(np.pi / 2),
+                         pulse2=PulseSpec(np.pi), tau_grid=tau,
+                         detect_m_i=1.0, engine="exact-lab-frame",
+                         resonance_offset_hz=0.0)
+    prop = _Propagator(exp.engine, p, microwave_freq_hz(exp))
+    sup = _supports(p.s, p.i, 1.0)
+    assert prop.conserves_m(sup.m_leak)
+    ref = _reference_amplitudes(exp)
+    trace = run_two_pulse_echo(exp)
+    got = trace.v + 1j * trace.v_im
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_exact_engine_falls_back_to_per_tau_check(preset, monkeypatch):
+    # a coupling between M blocks puts a leak into the eigenvectors, and so
+    # into every projector, above the bound
+    h0 = engine_module.h0_lab
+
+    def coupled(system):
+        h = h0(system).copy()
+        h[0, 1] += 1e4  # rad/s, (3/2, +1) <-> (3/2, 0)
+        h[1, 0] += 1e4
+        return h
+
+    exp = make_exp(preset, engine="exact-lab-frame",
+                   tau=np.linspace(1e-6, 20e-6, 4))
+    _EchoPlan(exp)
+    monkeypatch.setattr(engine_module, "h0_lab", coupled)
+    prop = _Propagator(exp.engine, preset, microwave_freq_hz(exp))
+    assert not prop.conserves_m(_supports(preset.s, preset.i, 1.0).m_leak)
+    with pytest.raises(np.linalg.LinAlgError, match="conserve M"):
+        _EchoPlan(exp)
+
+
+@pytest.mark.parametrize("s, i, m_i", [(1.5, 1.0, 1.0), (1.5, 1.0, 0.0),
+                                       (1.5, 1.0, -1.0), (2.5, 1.5, 0.5)])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_plan_w_and_g_equal_the_dense_stack(engine, s, i, m_i):
+    p = nc60_params(s=s, i=i)
+    stepped = engine == "stepped-rotating-frame"
+    tau = np.linspace(0.0, 60e-6, 5 if stepped else 300)  # three blocks
+    exp = EchoExperiment(system=p, pulse1=PulseSpec(np.pi / 2),
+                         pulse2=PulseSpec(np.pi), tau_grid=tau,
+                         detect_m_i=m_i, engine=engine,
+                         resonance_offset_hz=3e5)
+    plan = _EchoPlan(exp)
+    sup = plan.supports
+    prop = _Propagator(engine, p, microwave_freq_hz(exp))
+    u1 = prop.stack(tau)
+    u2 = prop.translate(tau, u1)
+    g = _dagger(u2) @ detection_operator(p, m_i) @ u2
+    (a, b), (k, l), (q, r) = sup.x, sup.rho, sup.links
+    w = u1[:, a[q], k[r]] * u1[:, b[q], l[r]].conj()
+    (pi, pj) = sup.pairs
+    for got, want in ((plan._w, w), (plan._g_ji, g[:, pj, pi]),
+                      (plan._g_ij, g[:, pi, pj])):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("leaky_pulse", [1, 2])
