@@ -105,10 +105,9 @@ def v_general(s: float, m_i: float, tau, delta_hz: float) -> np.ndarray:
     positive overall constant relative to the engine traces: a numerical
     ideal pi/2 - pi run equals exactly half this sum.
     """
-    validate_spin(s)
+    weights = general_s_weights(s)
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     out = np.zeros(tau.shape, dtype=complex)
-    for m in projections(s):
-        weight = (s - m) * (s + m + 1)
+    for m, weight in zip(projections(s), weights[::-1]):  # descending M
         out += weight * np.exp(1j * (1 + 2 * m) * m_i * TWO_PI * delta_hz * tau)
     return out

@@ -28,7 +28,8 @@ from .config import SCHEMA, ConfigError, RunConfig, load_preset, parse_config
 from .engine import EchoTrace
 from .ensemble import (AngleDistribution, apply_t2, average_analytic,
                        average_trace, averaged_component_weights)
-from .fileio import (read_trace_csv, write_spectrum_csv, write_trace_csv)
+from .fileio import (_write_table, read_trace_csv, write_spectrum_csv,
+                     write_trace_csv)
 from .hamiltonians import delta_hz
 from .spectral import (BASELINES, FIT_MODELS, WINDOWS, fft_magnitude,
                        find_peaks, fit_decay)
@@ -102,9 +103,8 @@ def cmd_analytic(args) -> int:
     tau = cfg.tau_grid
     multi = len(cfg.detect_m_i) > 1
     for m_i in cfg.detect_m_i:
-        meta = dict(cfg.echo)
-        meta.update({"model": "closed-form", "delta_hz": d, "m_i": m_i,
-                     "theta1_rad": theta1, "theta2_rad": theta2})
+        meta = {**cfg.echo, "model": "closed-form", "delta_hz": d,
+                "m_i": m_i, "theta1_rad": theta1, "theta2_rad": theta2}
         if args.general_s:
             weights = general_s_weights(cfg.system.s)
             meta["general_s_weights"] = ",".join("%g" % w for w in weights)
@@ -112,8 +112,8 @@ def cmd_analytic(args) -> int:
         else:
             co = coefficients(theta2)
             meta.update({"a0": co.a0, "a1": co.a1, "a2": co.a2})
-            v = average_analytic(tau, m_i, theta1, theta2, cfg.distribution,
-                                 d, shared_b1=cfg.shared_b1)
+            v = average_analytic(tau, m_i, theta1, cfg.distribution, d,
+                                 shared_b1=cfg.shared_b1)
         trace = EchoTrace(tau_s=tau, v=v, metadata=meta)
         if cfg.t2_s is not None:
             trace = apply_t2(trace, cfg.t2_s)
@@ -129,8 +129,7 @@ def cmd_spectrum(args) -> int:
     trace = read_trace_csv(args.trace)
     baseline = args.baseline
     if baseline == "auto":
-        baseline = "exp" if trace.metadata.get("t2_s") not in (None, "None") \
-            else "mean"
+        baseline = "exp" if trace.metadata.get("t2_s") is not None else "mean"
     spec = fft_magnitude(trace, window=args.window,
                          zero_pad_factor=args.zero_pad, baseline=baseline)
     peaks = find_peaks(spec, rel_threshold=args.threshold)
@@ -177,11 +176,9 @@ def cmd_sweep(args) -> int:
         w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle)
         ratio = abs(w1) / abs(w2) if w2 != 0 else float("inf")
         rows.append((value, w0, w1, w2, ratio))
-    with open(args.out, "w") as fh:
-        fh.write(f"# param = {args.param}\n# delta_hz = {d!r}\n")
-        fh.write(f"{args.param},w_const,w_fundamental,w_second_harmonic,ratio\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+    _write_table(args.out, {"param": args.param, "delta_hz": d},
+                 [args.param, "w_const", "w_fundamental", "w_second_harmonic",
+                  "ratio"], list(np.array(rows).T))
     print(f"wrote {args.out}")
     return EXIT_OK
 

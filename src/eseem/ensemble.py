@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .analytic import coefficients, v_center, v_outer
-from .engine import EchoExperiment, EchoTrace, _EchoPlan, run_two_pulse_echo
+from .engine import (EchoExperiment, EchoTrace, _echo_trace, _EchoPlan,
+                     _t2_damping, run_two_pulse_echo)
 
 
 @dataclass(frozen=True)
@@ -67,48 +68,38 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
     scales (free evolution and pulse generators, and without ``shared_b1``
     the pulse-1 coherences) is built once and shared by every node, and one
     batched call per pulse propagates all node scales before the node loop.
+    The trace adds ``sigma_rad``, ``mean_rad``, ``nodes`` and ``shared_b1``
+    to the run's labels; its ``max_imag_residual`` is the largest |Im| of
+    the averaged amplitude.
     """
     thetas, weights = dist.points()
     scales2 = thetas / exp.pulse2.angle
     plan = _EchoPlan(exp)
     plan.tabulate(scales2 if shared_b1 else np.ones(1), scales2)
     acc = acc_im = -0.0  # the exact identity of float addition
-    residual = 0.0
     for scale2, weight in zip(scales2, weights):
-        scale1 = scale2 if shared_b1 else 1.0
-        trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2,
-                                   plan=plan)
+        trace = run_two_pulse_echo(exp, scale1=scale2 if shared_b1 else 1.0,
+                                   scale2=scale2, plan=plan)
         acc = acc + weight * trace.v
         acc_im = acc_im + weight * trace.v_im
-        residual = max(residual, trace.metadata["max_imag_residual"])
-    meta = {key: trace.metadata[key] for key in (
-        "engine", "m_i", "theta1_rad", "theta2_rad", "pulse2_composite",
-        "f_mw_hz", "t2_s")}
-    meta.update({
-        "sigma_rad": dist.sigma,
-        "mean_rad": dist.mean,
-        "nodes": len(thetas),
-        "shared_b1": shared_b1,
-        "max_imag_residual": residual,
-    })
-    return EchoTrace(tau_s=exp.tau_grid.copy(), v=acc, metadata=meta,
-                     v_im=acc_im)
+    return _echo_trace(exp, plan.f_mw_hz, acc, acc_im, sigma_rad=dist.sigma,
+                       mean_rad=dist.mean, nodes=len(thetas),
+                       shared_b1=shared_b1)
 
 
-def average_analytic(tau, m_i: float, theta1: float, theta2: float,
-                     dist: AngleDistribution, delta_hz: float, *,
-                     shared_b1: bool = False) -> np.ndarray:
+def average_analytic(tau, m_i: float, theta1: float, dist: AngleDistribution,
+                     delta_hz: float, *, shared_b1: bool = False) -> np.ndarray:
     """Closed-form amplitude of the ``m_i`` line averaged over theta2.
 
     ``v_outer`` for the outer lines, ``v_center`` for m_i = 0.  With
     ``shared_b1`` each node also scales theta1 by its theta2 over the
-    nominal ``theta2``, as :func:`average_trace` scales pulse 1.
+    nominal theta2 ``dist.mean``, as :func:`average_trace` scales pulse 1.
     """
     thetas, weights = dist.points()
     tau = np.asarray(tau, dtype=float)
     acc = np.zeros(tau.shape)
     for theta, weight in zip(thetas, weights):
-        t1 = theta / theta2 * theta1 if shared_b1 else theta1
+        t1 = theta / dist.mean * theta1 if shared_b1 else theta1
         v = v_outer(tau, t1, theta, delta_hz) if abs(m_i) > 1e-9 \
             else v_center(tau, t1, theta)
         acc = acc + weight * v
@@ -118,7 +109,7 @@ def average_analytic(tau, m_i: float, theta1: float, theta2: float,
 def average_analytic_outer(tau, theta1: float, dist: AngleDistribution,
                            delta_hz: float) -> np.ndarray:
     """Closed-form outer-line amplitude averaged over theta2."""
-    return average_analytic(tau, 1.0, theta1, dist.mean, dist, delta_hz)
+    return average_analytic(tau, 1.0, theta1, dist, delta_hz)
 
 
 def averaged_component_weights(dist: AngleDistribution,
@@ -142,26 +133,27 @@ def averaged_component_weights(dist: AngleDistribution,
     return w0, w1, w2
 
 
-def i1_i2_ratio(dist: AngleDistribution, theta1: float = np.pi / 2) -> float:
+def i1_i2_ratio(dist: AngleDistribution) -> float:
     """Intensity ratio of the fundamental to the second-harmonic echo
     modulation component under the angle distribution.
 
     Zero for a perfect pi pulse (A1(pi) = 0); grows with the angular spread
     sigma.  A Gaussian spread of 0.31 rad around pi gives about 0.17, the
-    signature of ~10% B1 inhomogeneity.
+    signature of ~10% B1 inhomogeneity.  The first pulse's sin(theta1)
+    scales both weights, so it cancels.
     """
-    _, w1, w2 = averaged_component_weights(dist, theta1)
+    _, w1, w2 = averaged_component_weights(dist)
     if w2 == 0.0:
         raise ValueError("second-harmonic weight vanished; ratio undefined")
     return abs(w1) / abs(w2)
 
 
 def apply_t2(trace: EchoTrace, t2_s: float) -> EchoTrace:
-    """Damp a trace by the phenomenological echo decay exp(-2*tau/T2)."""
+    """Damp a trace by the phenomenological echo decay exp(-2*tau/T2), the
+    damping the engine applies to a run with ``t2_s``, and label it with
+    ``t2_s``; the imaginary residual is not carried over."""
     if t2_s <= 0:
         raise ValueError("t2_s must be positive")
-    meta = dict(trace.metadata)
-    meta["t2_s"] = t2_s
     return EchoTrace(tau_s=trace.tau_s.copy(),
-                     v=trace.v * np.exp(-2.0 * trace.tau_s / t2_s),
-                     metadata=meta)
+                     v=trace.v * _t2_damping(trace.tau_s, t2_s),
+                     metadata={**trace.metadata, "t2_s": t2_s})

@@ -75,24 +75,18 @@ def _write_table(path: str | Path, meta: dict, columns: list[str],
 def write_trace_csv(path: str | Path, trace: EchoTrace,
                     extra_meta: dict | None = None,
                     im_residual: bool = False) -> None:
-    meta = dict(trace.metadata)
-    if extra_meta:
-        meta.update(extra_meta)
-    cols = ["tau_s", "v"]
-    data = [trace.tau_s, trace.v]
+    cols, data = ["tau_s", "v"], [trace.tau_s, trace.v]
     if im_residual:
         cols.append("v_im_residual")
-        vim = trace.v_im if trace.v_im is not None else np.zeros_like(trace.v)
-        data.append(vim)
-    _write_table(path, meta, cols, data)
+        data.append(trace.v_im if trace.v_im is not None
+                    else np.zeros_like(trace.v))
+    _write_table(path, {**trace.metadata, **(extra_meta or {})}, cols, data)
 
 
 def write_spectrum_csv(path: str | Path, spec: Spectrum,
                        extra_meta: dict | None = None) -> None:
     meta = {"window": spec.window, "zero_pad_factor": spec.zero_pad_factor,
-            "n_time": spec.n_time, "dt_s": spec.dt_s}
-    if extra_meta:
-        meta.update(extra_meta)
+            "n_time": spec.n_time, "dt_s": spec.dt_s, **(extra_meta or {})}
     _write_table(path, meta, ["freq_hz", "magnitude"],
                  [spec.freq_hz, spec.magnitude])
 
@@ -130,10 +124,9 @@ def read_trace_csv(path: str | Path) -> EchoTrace:
         k_v = columns.index("v")
     except ValueError as err:
         raise ValueError(f"{path} is not a trace file (columns {columns})") from err
-    parsed_meta: dict = dict(meta)
-    if "t2_s" in meta and meta["t2_s"] not in ("None", ""):
-        parsed_meta["t2_s"] = float(meta["t2_s"])
-    return EchoTrace(tau_s=data[:, k_tau], v=data[:, k_v], metadata=parsed_meta)
+    t2 = meta.get("t2_s")  # typed: a float, or None without T2
+    typed = {**meta, "t2_s": None if t2 in (None, "None", "") else float(t2)}
+    return EchoTrace(tau_s=data[:, k_tau], v=data[:, k_v], metadata=typed)
 
 
 def read_spectrum_csv(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ Builds, in angular units (rad/s) on the electron-major product basis:
 * the first-order average correction
   (d/2)*[(I(I+1)-Iz^2)*Sz - (S(S+1)-Sz^2)*Iz],  d = a^2/we,
 
-plus fixed-m_i reduced blocks and the second-order stick spectrum.
+plus the second-order stick spectrum.
 
 The product-space operators these builders combine (Sz, Iz, Sz*Iz, the two
 transverse couplings and the two terms of the first-order correction) are

@@ -105,8 +105,7 @@ def is_unitary(mat: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     return bool(np.abs(mat @ mat.conj().T - eye).max() <= atol)
 
 
-def expm_hermitian(h: np.ndarray, t: float = 1.0, *,
-                   atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Unitary propagator exp(-i*h*t) of a Hermitian generator, or of each
     generator of a stack of shape (..., n, n).
 
@@ -114,15 +113,15 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0, *,
     is exact up to eigensolver accuracy for the small dense matrices used
     here and preserves unitarity by construction.
 
-    Raises ``ValueError`` if any matrix is not Hermitian to ``atol`` (scaled
-    by its largest entry when that exceeds unity).
+    Raises ``ValueError`` if any matrix is not Hermitian to
+    ``HERMITIAN_ATOL`` (scaled by its largest entry when that exceeds unity).
     """
     h = np.asarray(h, dtype=complex)
     skew = np.abs(h - h.conj().swapaxes(-1, -2))
-    # each matrix's scale is at least 1, so only a skew above atol can fail
-    if skew.max() > atol and np.any(
+    # each matrix's scale is at least 1: only a skew above HERMITIAN_ATOL fails
+    if skew.max() > HERMITIAN_ATOL and np.any(
             skew.max(axis=(-2, -1))
-            > atol * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
+            > HERMITIAN_ATOL * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
         raise ValueError("generator is not Hermitian")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)

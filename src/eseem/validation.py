@@ -17,14 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import v_general, v_outer
-from .engine import (ENGINES, EchoExperiment, _EchoPlan, free_evolution,
-                     run_two_pulse_echo, validate_aht)
+from .engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
+                     free_evolution, run_two_pulse_echo, validate_aht)
 from .ensemble import (AngleDistribution, average_analytic_outer,
                        average_trace, i1_i2_ratio)
 from .hamiltonians import (TWO_PI, delta_hz, epr_stick_spectrum, h0_lab,
                            h_avg0, h_avg1, h_rot_t)
 from .pulses import PulseSpec, composite_pi, rotation_operator
-from .spectral import EchoTrace, fft_magnitude, find_peaks, fit_decay
+from .spectral import fft_magnitude, find_peaks, fit_decay
 from .spinops import expm_hermitian, kron, projections, spin_matrices
 from .system import nc60_params
 

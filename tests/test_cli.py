@@ -477,6 +477,20 @@ def test_import_loads_no_scipy(tmp_path):
     assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0]", run.stdout
 
 
+def test_sweep_header_comes_from_the_table_writer(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--preset", "nc60", "--param", "sigma_rad",
+                 "--start", "0", "--stop", "0.31", "--num", "2",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[:3] == ["# generated = 1970-01-01T00:00:00+00:00",
+                         f"# delta_hz = {delta_hz(nc60_params())!r}",
+                         "# param = sigma_rad"]
+    assert lines[3] == \
+        "sigma_rad,w_const,w_fundamental,w_second_harmonic,ratio"
+
+
 def test_sweep_sigma(tmp_path):
     out = tmp_path / "sweep_sigma.csv"
     assert main(["sweep", "--preset", "nc60", "--param", "sigma_rad",

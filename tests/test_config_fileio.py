@@ -183,6 +183,18 @@ def test_trace_roundtrip_bit_exact(tmp_path):
     assert text.splitlines()[0].startswith("# generated")
 
 
+def test_trace_t2_reads_back_as_float_or_none(tmp_path):
+    path = tmp_path / "t.csv"
+
+    def round_trip(t2_s):
+        write_trace_csv(path, EchoTrace(tau_s=np.arange(4.0), v=np.ones(4),
+                                        metadata={"t2_s": t2_s}))
+        return read_trace_csv(path).metadata["t2_s"]
+
+    assert round_trip(None) is None
+    assert round_trip(210e-6) == 210e-6
+
+
 def test_spectrum_roundtrip(tmp_path):
     tau = np.linspace(0, 1e-4, 64)
     trace = EchoTrace(tau_s=tau, v=np.cos(2 * np.pi * 30e3 * tau))

@@ -372,6 +372,12 @@ def test_validate_aht_report(preset):
     assert freqs["exact-lab-frame"] == pytest.approx(2 * d, rel=0.01)
 
 
+def test_validate_aht_detects_a_line_of_any_nuclear_spin():
+    # the largest projection up to 1: 1/2 for I = 3/2, which has no m_i = 1
+    report = validate_aht(nc60_params(s=2.5, i=1.5), tau_max=4e-6, n_points=4)
+    assert report["m_i"] == 0.5
+
+
 def test_validate_aht_zero_coupling():
     report = validate_aht(nc60_params(a_hz=0.0), tau_max=10e-6, n_points=9)
     assert report["v_rel_dev_exact"] <= 1e-10
@@ -716,6 +722,34 @@ def test_average_builds_each_pulse_once(preset, monkeypatch):
         calls.clear()
         average_trace(exp, dist, shared_b1=shared_b1)
         assert calls == [(p1, 41 if shared_b1 else 1), (p2, 41)]
+
+
+def test_plans_share_the_initial_and_detection_operators(preset,
+                                                         monkeypatch):
+    # sigma0 and D depend only on (S, I, m_i): a second plan on the same
+    # spin pair builds neither, and the public builders return fresh copies
+    built = []
+
+    def counting_kron(a, b):
+        built.append(a.shape)
+        return kron(a, b)
+
+    monkeypatch.setattr(engine_module, "kron", counting_kron)
+    engine_module._thermal_deviation.cache_clear()
+    engine_module._detection_operator.cache_clear()
+    tau = np.linspace(1e-6, 20e-6, 4)
+    _EchoPlan(make_exp(preset, tau=tau))
+    assert len(built) == 2
+    _EchoPlan(make_exp(preset, tau=2 * tau, engine="exact-lab-frame"))
+    assert len(built) == 2
+    _EchoPlan(make_exp(preset, m_i=-1.0, tau=tau))
+    assert len(built) == 3  # only the new line's D
+    for op in (thermal_deviation(preset), detection_operator(preset, 1.0)):
+        assert op.flags.writeable
+        op[:] = 7.0
+    assert len(built) == 3
+    assert np.abs(thermal_deviation(preset)).max() == 1.5
+    assert np.abs(detection_operator(preset, 1.0)).max() < 7.0
 
 
 @pytest.mark.parametrize("shared_b1, leaky_pulse", [(False, 2), (True, 1),

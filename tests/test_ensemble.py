@@ -96,19 +96,41 @@ def test_average_trace_is_weighted_sum_of_node_traces(preset, shared_b1):
     thetas, weights = dist.points()
     ref = np.zeros(tau.size)
     ref_im = np.zeros(tau.size)
-    residual = 0.0
     for theta, weight in zip(thetas, weights):
         scale = theta / np.pi
         node = run_two_pulse_echo(exp, scale1=scale if shared_b1 else 1.0,
                                   scale2=scale)
         ref = ref + weight * node.v
         ref_im = ref_im + weight * node.v_im
-        residual = max(residual, node.metadata["max_imag_residual"])
     assert np.abs(averaged.v - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(ref_im).max() > 0.0  # the roundoff residual is there
     assert np.abs(averaged.v_im - ref_im).max() <= \
         1e-12 * np.abs(ref_im).max()
-    assert averaged.metadata["max_imag_residual"] == residual
+    assert averaged.metadata["max_imag_residual"] == np.abs(ref_im).max()
+
+
+def test_zero_width_average_has_the_run_labels(preset):
+    # the one-node average is labelled like the run, plus its ensemble keys
+    tau = np.linspace(1e-6, 60e-6, 16)
+    exp = make_exp(preset, pulse2=composite_pi(), tau=tau, m_i=-1.0)
+    exp.t2_s = 210e-6
+    plain = run_two_pulse_echo(exp)
+    averaged = average_trace(exp, AngleDistribution(mean=np.pi))
+    assert plain.metadata["max_imag_residual"] > 0.0
+    assert {k: averaged.metadata[k] for k in plain.metadata} == plain.metadata
+    assert set(averaged.metadata) - set(plain.metadata) == {
+        "sigma_rad", "mean_rad", "nodes", "shared_b1"}
+    assert averaged.v.tobytes() == plain.v.tobytes()
+    assert averaged.v_im.tobytes() == plain.v_im.tobytes()
+
+
+@pytest.mark.parametrize("shared_b1", [False, True])
+def test_average_residual_is_that_of_the_averaged_amplitude(preset,
+                                                            shared_b1):
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1, nodes=11)
+    trace = average_trace(make_exp(preset, m_i=-1.0), dist,
+                          shared_b1=shared_b1)
+    assert trace.metadata["max_imag_residual"] == np.abs(trace.v_im).max()
 
 
 def test_delta_distribution_off_nominal(preset):
