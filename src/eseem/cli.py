@@ -167,13 +167,16 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--{option}",
                               f"{args.param} must be in {allowed}")
     values = np.linspace(args.start, args.stop, args.num)
+    # shared_b1 scales nothing at a fixed angle, whose mean may be 0
+    shared_b1 = cfg.shared_b1 and args.param == "sigma_rad"
     rows = []
     for value in values:
         if args.param == "theta2_deg":
             dist = AngleDistribution(mean=np.deg2rad(value))
         else:
             dist = AngleDistribution(mean=cfg.pulse2.angle, sigma=float(value))
-        w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle)
+        w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle,
+                                                shared_b1=shared_b1)
         ratio = abs(w1) / abs(w2) if w2 != 0 else float("inf")
         rows.append((value, w0, w1, w2, ratio))
     _write_table(args.out, {"param": args.param, "delta_hz": d},

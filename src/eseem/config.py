@@ -10,8 +10,8 @@ Two sizes are capped before anything is allocated (fixed limits, not
 options): ``tau.points`` at ``MAX_TAU_POINTS`` = 65536, since a run keeps
 1.66 KB of propagator products and coherences per tau point and peaks at
 2.24 KB (147 MB at the cap, by tracemalloc on the exact engine), and
-``ensemble.nodes`` at ``MAX_ENSEMBLE_NODES`` = 1001, since the
-Gauss-Hermite rule builds a nodes x nodes matrix.  ``run.steps_per_period``
+``ensemble.nodes`` at ``ensemble.MAX_ENSEMBLE_NODES`` = 369, since numpy's
+Gauss-Hermite rule overflows above it.  ``run.steps_per_period``
 must be at least the engine's ``MIN_STEPS_PER_PERIOD``.
 """
 
@@ -26,16 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from .engine import ENGINES, MIN_STEPS_PER_PERIOD, EchoExperiment
-from .ensemble import AngleDistribution
+from .ensemble import MAX_ENSEMBLE_NODES, AngleDistribution
 from .pulses import PULSE_MODELS, PulseSpec, composite_pi
 from .spinops import projector_mi
 from .system import SpinSystemParams
 
 PRESET_NAMES = ("nc60", "nc60_mi_minus1", "nc60_mi_0", "nc60_composite")
 
-# size caps, see the module docstring
+# size cap, see the module docstring
 MAX_TAU_POINTS = 65536
-MAX_ENSEMBLE_NODES = 1001
 
 
 class ConfigError(ValueError):

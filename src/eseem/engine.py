@@ -42,8 +42,8 @@ average-hamiltonian
 exact-lab-frame
     Rotating-frame propagator assembled from the exact lab Hamiltonian,
     U(0, tau) = exp(+i*w_mw*Sz*tau) exp(-i*H0*tau);
-    machine-precision reference dynamics, vectorized over tau from one
-    eigendecomposition of H0: the phases exp(-i w_k tau) times the
+    machine-precision reference dynamics, vectorized over tau from the
+    eigendecomposition of H0's M blocks: the phases exp(-i w_k tau) times the
     requested columns of the flattened projectors v_k v_k^H, one
     (n_tau x d) (d x n_elements) product, times each row's frame phase.
 stepped-rotating-frame
@@ -52,9 +52,8 @@ stepped-rotating-frame
     the exact engine.  h_rot(t) = R(t) H' R(t)^H, so each substep is
     R(t_k) E R(t_k)^H with one E = exp(-i H' dt): one eigh of H' per
     factory.  Whole periods come from the eigenphases of the unitary period
-    product P, found for each block of equal M = m_s + m_i by one eigh of
-    the Hermitian (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3)
-    (``_unitary_eigen``).
+    product P, found by one eigh of the Hermitian
+    (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3) (``_unitary_eigen``).
 
 Echo kernel
 -----------
@@ -76,19 +75,13 @@ m_i.  ``_supports`` derives four index sets from the basis once per
   pairs where G can be nonzero (12 of the 27 of order -1);
 * D = Sy x P_mi: its nonzeros (6).
 
-The kernel checks these laws rather than assume them: an element of U1
-between M blocks, or of a pulse propagator between m_i blocks, above
-``CONSERVATION_TOL`` times the largest element of its own propagator
-raises ``LinAlgError`` rather than drop signal.  For the pulses this is
-checked on every propagator.  For M it is checked on what decides U1
-(``_Propagator.conserves_m``):
-
-* average-hamiltonian: the exponential of a diagonal has nothing between
-  M blocks;
-* exact-lab-frame: |U1[m, n]| <= sum_k |v_k[m]| |v_k[n]| at every tau, so
-  the eigenvectors of H0 are checked once; should that bound fail, every
-  tau is checked on all elements instead;
-* stepped-rotating-frame: every tau, on all elements.
+The kernel checks these laws rather than assume them, and raises
+``LinAlgError`` rather than drop signal when an element between blocks
+exceeds ``CONSERVATION_TOL`` times the largest element of its matrix.  M is
+checked once on what generates the free evolution (H0, H' and P; the
+average-Hamiltonian engine's is diagonal), whose blocks of equal M are then
+diagonalized one at a time (``_m_block_eigen``), so every U(0, tau) is
+exactly zero between them; m_i is checked on every pulse propagator.
 
 Per experiment (``_EchoPlan``), everything that does not depend on the
 pulse scales of an ensemble node is built once: the products
@@ -138,10 +131,9 @@ ENGINES = ("average-hamiltonian", "exact-lab-frame", "stepped-rotating-frame")
 MIN_STEPS_PER_PERIOD = 20
 
 # tau points per block when the plan builds W and G from U1 (see "Echo
-# kernel" above): it bounds the (block, 28) U1 elements and their products,
-# or the (block, d, d) stack where every tau is checked.  128 ran about 5 %
-# faster than 64 on 512-point traces; building the whole grid at once
-# raised the peak RSS by 0.7-1.6 MB
+# kernel" above): it bounds the (block, 28) U1 elements and their products.
+# 128 ran about 5 % faster than 64 on 512-point traces; building the whole
+# grid at once raised the peak RSS by 0.7-1.6 MB
 TAU_BLOCK = 128
 
 # the stepped engine's one-period product P: the weight c of its Hermitian
@@ -151,14 +143,11 @@ TAU_BLOCK = 128
 _UNITARY_MIX = 1.0 / np.sqrt(3.0)
 UNITARY_OFFDIAG_TOL = 1e-12
 
-# the largest element a free-evolution propagator may have between M blocks,
-# or a pulse propagator between m_i blocks, relative to its largest element:
-# the echo kernel contracts only the elements these conservation laws allow.
-# The pulses and the average-Hamiltonian engine leave exact zeros.  Roundoff
-# leaks 1.4e-14 at most from the stepped engine, whose whole periods are
-# exactly block diagonal, and from the dense eigh of H0 in the exact engine
-# 1e-15 on the presets, 4e-13 at S = 5/2, I = 3/2 and 1e-12 over 1 ms at a
-# level crossing between M blocks (a = 2 f_I)
+# the largest element a free-evolution generator (H0, H' or P) may have
+# between M blocks, or a pulse propagator between m_i blocks, relative to its
+# largest element: the echo kernel contracts only the elements these
+# conservation laws allow.  The generators and the pulses have exact zeros
+# there
 CONSERVATION_TOL = 1e-10
 
 
@@ -245,25 +234,16 @@ def _detection_operator(s: float, i: float, m_i: float) -> np.ndarray:
 
 def _check_conserved(u: np.ndarray, leak: np.ndarray, what: str,
                      label: str) -> None:
-    """Raise unless the elements on the ``leak`` mask of each matrix of the
-    stack ``u`` stay within ``CONSERVATION_TOL`` of that matrix's largest
-    element."""
+    """Raise unless the elements on the ``leak`` mask of the matrix ``u``, or
+    of each matrix of a stack, stay within ``CONSERVATION_TOL`` of that
+    matrix's largest element."""
     mag = np.abs(u)
     worst = mag[..., leak].max(axis=-1, initial=0.0)
     bad = worst > CONSERVATION_TOL * mag.max(axis=(-2, -1))
     if bad.any():
         raise np.linalg.LinAlgError(
-            f"{what} propagator does not conserve {label}: element "
+            f"{what} does not conserve {label}: element "
             f"{worst[bad].max():.3g} between {label} blocks")
-
-
-def _total_m_blocks(system: SpinSystemParams) -> list[np.ndarray]:
-    """Basis indices of each value of M = m_s + m_i, which H0 conserves, in
-    ascending M (every value from -(S + I) to S + I occurs)."""
-    basis = system.basis
-    total = basis.m_s_diagonal() + basis.m_i_diagonal()
-    return [np.flatnonzero(total == m)
-            for m in projections(system.s + system.i)[::-1]]
 
 
 def _unitary_eigen(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,17 +270,41 @@ def _unitary_eigen(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, np.angle(diag)
 
 
-def _unitary_eigen_blocks(u: np.ndarray, blocks: list[np.ndarray]
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """``_unitary_eigen`` of a unitary that is block diagonal on ``blocks``,
-    one stack of blocks per block size; Q is exactly zero between blocks."""
-    q = np.zeros(u.shape, dtype=complex)
-    angles = np.empty(u.shape[0])
-    for size in sorted({idx.size for idx in blocks}):
-        rows = np.array([idx for idx in blocks if idx.size == size])
+@lru_cache(maxsize=None)
+def _m_blocks(s: float, i: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The blocks of equal M = m_s + m_i, one (n_blocks, size) array of basis
+    indices per block size, and the (d, d) mask of the elements between
+    blocks; read-only, built once per (S, I)."""
+    basis = ProductBasis(s, i)
+    total = basis.m_s_diagonal() + basis.m_i_diagonal()
+    blocks = [np.flatnonzero(total == m) for m in projections(s + i)]
+    stacks = tuple(np.array([idx for idx in blocks if idx.size == size])
+                   for size in sorted({idx.size for idx in blocks}))
+    between = total[:, None] != total
+    for arr in (*stacks, between):
+        arr.flags.writeable = False
+    return stacks, between
+
+
+def _m_block_eigen(decompose, a: np.ndarray, system: SpinSystemParams
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (d,) and eigenvectors (d, d), exactly zero between M
+    blocks, of ``a``, which must conserve M (:func:`_check_conserved`).
+    ``decompose`` (``np.linalg.eigh`` or :func:`_unitary_eigen`) takes the
+    stack of blocks of each size; of its results, the stack is the vectors.
+    """
+    stacks, between = _m_blocks(system.s, system.i)
+    _check_conserved(a, between, "free evolution", "M")
+    values = np.empty(a.shape[0])
+    vectors = np.zeros(a.shape, dtype=complex)
+    for rows in stacks:
         sub = (rows[:, :, None], rows[:, None, :])
-        q[sub], angles[rows] = _unitary_eigen(u[sub])
-    return q, angles
+        for part in decompose(a[sub]):
+            if part.ndim == 3:
+                vectors[sub] = part
+            else:
+                values[rows] = part
+    return values, vectors
 
 
 class _Propagator:
@@ -308,8 +312,8 @@ class _Propagator:
     expensive diagonalizations cached across tau points.
 
     :meth:`elements` gives U(0, tau) at any set of elements for a tau grid;
-    :meth:`stack` is its every-element case.  :meth:`conserves_m` says
-    whether the engine bounds its elements between M blocks for every tau.
+    :meth:`stack` is its every-element case.  Every U(0, tau) is exactly
+    zero between M blocks (:func:`_m_block_eigen`).
     """
 
     def __init__(self, engine: str, system: SpinSystemParams,
@@ -330,7 +334,8 @@ class _Propagator:
             h = h_avg0(system, f_mw_hz) + h_avg1(system)
             self._phases = np.diag(h).real
         elif engine == "exact-lab-frame":
-            self._w0, self._v0 = np.linalg.eigh(h0_lab(system))
+            self._w0, self._v0 = _m_block_eigen(np.linalg.eigh,
+                                                h0_lab(system), system)
             # row k holds the projector v_k v_k^H, flattened
             self._projectors = (self._v0.T[:, :, None]
                                 * self._v0.conj().T[:, None, :]
@@ -340,14 +345,15 @@ class _Propagator:
                 raise ValueError(
                     f"stepped engine substep too coarse: need >= "
                     f"{MIN_STEPS_PER_PERIOD} steps per microwave period")
-            self._w, self._v = np.linalg.eigh(h_rot_t(system, 0.0, f_mw_hz))
+            self._w, self._v = _m_block_eigen(
+                np.linalg.eigh, h_rot_t(system, 0.0, f_mw_hz), system)
             period = self._midpoint_run(steps_per_period,
                                         1.0 / (f_mw_hz * steps_per_period))
-            # one eigenbasis per M block: a dense one may mix close
-            # eigenphases of two blocks, and raising it to millions of
-            # periods spreads that roundoff between the blocks
-            self._q, self._angles = _unitary_eigen_blocks(
-                period, _total_m_blocks(system))
+            # per M block: a dense eigenbasis may mix close eigenphases of
+            # two blocks, and raising it to millions of periods spreads that
+            # roundoff between the blocks
+            self._angles, self._q = _m_block_eigen(_unitary_eigen, period,
+                                                   system)
 
     def elements(self, tau, flat: np.ndarray,
                  frame: np.ndarray | None = None) -> np.ndarray:
@@ -381,27 +387,6 @@ class _Propagator:
         at every element."""
         dim = self._eye.shape[0]
         return self.elements(tau, np.arange(dim * dim)).reshape(-1, dim, dim)
-
-    def conserves_m(self, m_leak: np.ndarray) -> bool:
-        """Whether every U(0, tau) passes the check of ``_check_conserved``
-        on the (d, d) mask ``m_leak`` of the elements between M blocks,
-        whatever tau, so that no tau needs checking.
-
-        The average-Hamiltonian propagator is the exponential of a
-        diagonal: it has nothing between M blocks.  The exact one obeys
-        |U[m, n]| <= sum_k |v_k[m]| |v_k[n]| at every tau, and a unitary's
-        largest element is at least 1/sqrt(d); so a bound within half of
-        ``CONSERVATION_TOL``/sqrt(d) passes, the other half left for the
-        roundoff of forming the elements.  The stepped engine has no such
-        bound.
-        """
-        if self.engine == "average-hamiltonian":
-            return True
-        if self.engine == "exact-lab-frame":
-            bound = np.abs(self._projectors[:, m_leak.ravel()]).sum(axis=0)
-            limit = 0.5 * CONSERVATION_TOL / np.sqrt(self._eye.shape[0])
-            return bool(bound.max(initial=0.0) <= limit)
-        return False
 
     def translate(self, t_start, u) -> np.ndarray:
         """U(t_start, t_start + tau) = R(t_start) U(0, tau) R(t_start)^H for
@@ -486,8 +471,8 @@ class _Supports:
     det    the nonzeros of D = Sy x P_mi (6)
 
     ``links`` holds the (q, r) with M(a_q) = M(k_r): the rho1 elements r
-    that U1 carries onto each X element q (55).  ``m_leak`` and ``mi_leak``
-    mark the elements that change M and m_i.
+    that U1 carries onto each X element q (55).  ``mi_leak`` marks the
+    elements that change m_i.
 
     ``u1`` holds the flat indices row * d + column of U1's elements inside
     M blocks (28 of 144), all that the kernel reads of U1.  ``w`` gives, per
@@ -503,7 +488,6 @@ class _Supports:
     pairs: tuple[np.ndarray, np.ndarray]
     det: tuple[np.ndarray, np.ndarray]
     links: tuple[np.ndarray, np.ndarray]
-    m_leak: np.ndarray
     mi_leak: np.ndarray
     u1: np.ndarray
     w: tuple[np.ndarray, np.ndarray]
@@ -542,7 +526,7 @@ def _supports(s: float, i: float, m_i: float) -> _Supports:
     (a, b), (k, l), (q, r) = x, rho, links
     sup = _Supports(
         rho=rho, x=x, pairs=pairs, det=det, links=links,
-        m_leak=~inside, mi_leak=d_mi != 0,
+        mi_leak=d_mi != 0,
         u1=np.flatnonzero(inside), w=(pos[a[q], k[r]], pos[b[q], l[r]]),
         g_ji=g_terms(pairs[1], pairs[0]), g_ij=g_terms(*pairs))
     for value in vars(sup).values():  # one instance serves every plan
@@ -560,9 +544,8 @@ class _EchoPlan:
     propagator factory per pulse, the per-scale tables of :meth:`tabulate`,
     and a one-entry memo of the pulse-1 coherences X(tau) keyed on
     ``scale1``.  W and G come from U1 at its 28 elements inside M blocks
-    (``_Supports.u1``), one ``TAU_BLOCK`` of tau at a time; the M law is
-    checked once per propagator where the engine allows
-    (:meth:`_Propagator.conserves_m`), else on every element at every tau.
+    (``_Supports.u1``), one ``TAU_BLOCK`` of tau at a time; every engine
+    leaves U1 exactly zero outside them (see :class:`_Propagator`).
     """
 
     def __init__(self, exp: EchoExperiment):
@@ -572,9 +555,6 @@ class _EchoPlan:
                            exp.steps_per_period)
         self.supports = sup = _supports(system.s, system.i, exp.detect_m_i)
         self._sigma0 = _thermal_deviation(system.s, system.i)
-        dim = system.basis.dim
-        per_tau = not prop.conserves_m(sup.m_leak)
-        flat = np.arange(dim * dim) if per_tau else sup.u1
         w_a, w_b = sup.w
         (i, j), (d_k, d_l) = sup.pairs, sup.det
         d_vals = _detection_operator(system.s, system.i,
@@ -586,11 +566,7 @@ class _EchoPlan:
         for start in range(0, tau.size, TAU_BLOCK):
             blk = slice(start, start + TAU_BLOCK)
             rot = prop._frame(tau[blk, None])  # for U1 and for U2
-            u1 = prop.elements(tau[blk], flat, rot)
-            if per_tau:
-                _check_conserved(u1.reshape(-1, dim, dim), sup.m_leak,
-                                 "free evolution", "M")
-                u1 = u1[:, sup.u1]
+            u1 = prop.elements(tau[blk], sup.u1, rot)
             self._w[blk] = u1[:, w_a] * u1[:, w_b].conj()
             # U2 = R U1 R^H with the diagonal frame rotation R: its phases
             # factor out of G = U2^H D U2, which takes one element e of D at
@@ -617,7 +593,8 @@ class _EchoPlan:
         sup = self.supports
         (a, b), (k, l), (i, j) = sup.x, sup.rho, sup.pairs
         r1, r2 = self._pulse1(scales1), self._pulse2(scales2)
-        _check_conserved(np.concatenate([r1, r2]), sup.mi_leak, "pulse", "m_i")
+        _check_conserved(np.concatenate([r1, r2]), sup.mi_leak,
+                         "pulse propagator", "m_i")
         rho = (r1 @ self._sigma0 @ _dagger(r1))[:, k, l]
         # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q]
         k2 = r2[:, i, a[:, None]] * r2[:, j, b[:, None]].conj()

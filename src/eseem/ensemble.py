@@ -36,8 +36,9 @@ class AngleDistribution:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if self.nodes < 3 or self.nodes % 2 == 0:
-            raise ValueError("gaussian rule needs an odd node count >= 3")
+        if not (3 <= self.nodes <= MAX_ENSEMBLE_NODES and self.nodes % 2):
+            raise ValueError(f"gaussian rule needs an odd node count in "
+                             f"[3, {MAX_ENSEMBLE_NODES}]")
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """(angles, weights) of the quadrature rule; weights sum to 1."""
@@ -45,6 +46,11 @@ class AngleDistribution:
             return np.array([self.mean]), np.array([1.0])
         x, w = _gauss_hermite(self.nodes)
         return self.mean + np.sqrt(2.0) * self.sigma * x, w
+
+
+# the largest node count: numpy's hermgauss overflows above it (numpy 2.4:
+# every weight is 0 at 371 nodes, and NaN from 373 on)
+MAX_ENSEMBLE_NODES = 369
 
 
 @lru_cache(maxsize=None)
@@ -113,20 +119,24 @@ def average_analytic_outer(tau, theta1: float, dist: AngleDistribution,
 
 
 def averaged_component_weights(dist: AngleDistribution,
-                               theta1: float = np.pi / 2) -> tuple[float, float, float]:
+                               theta1: float = np.pi / 2, *,
+                               shared_b1: bool = False
+                               ) -> tuple[float, float, float]:
     """Ensemble-averaged spectral weights of the DC, fundamental and
     second-harmonic components of the outer-line echo.
 
     These are E[2 sin(t1) sin^2(t/2) A_k(t)] for k = 0, 1, 2: the cosine
-    amplitudes a spectrum of the averaged trace actually shows.
+    amplitudes a spectrum of the averaged trace actually shows.  With
+    ``shared_b1``, t1 scales as in :func:`average_analytic`.
     """
     thetas, weights = dist.points()
     # -0.0 is the exact identity of float addition, so a one-node rule
     # returns its terms unchanged, signed zeros included
     w0 = w1 = w2 = -0.0
     for theta, weight in zip(thetas, weights):
+        t1 = theta / dist.mean * theta1 if shared_b1 else theta1
         co = coefficients(theta)
-        pref = 2.0 * np.sin(theta1) * np.sin(theta / 2) ** 2
+        pref = 2.0 * np.sin(t1) * np.sin(theta / 2) ** 2
         w0 += weight * pref * co.a0
         w1 += weight * pref * co.a1
         w2 += weight * pref * co.a2

@@ -162,9 +162,11 @@ def test_non_positive_g_exit_code(tmp_path, capsys, g):
 @pytest.mark.parametrize("old, new, field", [
     ("points = 256", "points = 65537", "tau.points"),
     ("points = 256", "points = 100000000", "tau.points"),
+    # numpy's Gauss-Hermite rule overflows from 371 nodes on
+    ("nodes = 21", "nodes = 371", "ensemble.nodes"),
     ("nodes = 21", "nodes = 1003", "ensemble.nodes"),
     ("nodes = 21", "nodes = 10000001", "ensemble.nodes"),
-], ids=["points-cap", "points-1e8", "nodes-cap", "nodes-1e7"])
+], ids=["points-cap", "points-1e8", "nodes-cap", "nodes-1003", "nodes-1e7"])
 def test_oversized_config_exit_code(tmp_path, capsys, old, new, field):
     # rejected at the boundary, before any array of that size is allocated
     cfg = tmp_path / "big.cfg"
@@ -500,6 +502,31 @@ def test_sweep_sigma(tmp_path):
             if ln and not ln.startswith("#")][1:]
     assert float(rows[0][4]) <= 1e-12             # sigma = 0: no fundamental
     assert float(rows[1][4]) == pytest.approx(0.1766, abs=1e-3)
+
+
+def test_sweep_sigma_follows_shared_b1(tmp_path):
+    # with shared_b1 each node scales theta1 too, so a row's weights give
+    # the closed-form outer-line average of the same configuration
+    from eseem.ensemble import AngleDistribution, average_analytic
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(FAST_CFG.replace("sigma_rad = 0.31",
+                                    "sigma_rad = 0.31\nshared_b1 = true"))
+    out = tmp_path / "sweep_sigma.csv"
+    assert main(["sweep", "--config", str(cfg), "--param", "sigma_rad",
+                 "--start", "0", "--stop", "0.31", "--num", "2",
+                 "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines()
+             if ln and not ln.startswith("#")][1:]
+    rows = [[float(x) for x in ln.split(",")] for ln in lines]
+    d = delta_hz(nc60_params())
+    tau = np.linspace(1e-6, 200e-6, 64)
+    phase = 2 * np.pi * d * tau
+    for sigma, w0, w1, w2, _ in rows:
+        want = average_analytic(tau, 1.0, np.pi / 2,
+                                AngleDistribution(np.pi, sigma), d,
+                                shared_b1=True)
+        got = w0 + w1 * np.cos(phase) + w2 * np.cos(2 * phase)
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_fit_command(fast_cfg, tmp_path, capsys):

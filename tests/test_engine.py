@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import eseem.engine as engine_module
 from eseem.analytic import v_outer
 from eseem.engine import (ENGINES, EchoExperiment, EchoTrace, _dagger,
-                          _EchoPlan, _Propagator, _supports, _unitary_eigen,
+                          _EchoPlan, _Propagator, _unitary_eigen,
                           detection_operator, free_evolution,
                           microwave_freq_hz, run_two_pulse_echo,
                           thermal_deviation, validate_aht)
@@ -211,15 +212,30 @@ def test_stepped_period_powers_match_schur_reference(preset, change,
         assert np.abs(got[k] - ref).max() <= 2e-9
 
 
-def test_stepped_engine_keeps_m_blocks_apart():
-    # one eigenbasis of the period product per M block: a dense one mixed
-    # close eigenphases of two blocks, and over the 2e6 periods of 200 us
-    # that leaked 2.7e-10 between them (S = 5/2, I = 3/2)
-    p = nc60_params(s=2.5, i=1.5)
-    prop = _Propagator("stepped-rotating-frame", p, line_center_hz(p, -1.5))
+def _crossing_params():
+    # a = 2 f_I puts (m_s, m_i) = (1/2, +1), (1/2, 0) and (1/2, -1) on one
+    # level to first order: three M blocks cross, so a dense eigh of H0 may
+    # mix them
+    f_i = nc60_params().f_i_hz
+    return nc60_params(a_hz=2.0 * f_i, f_i_hz=f_i)
+
+
+@pytest.mark.parametrize("system", ["s2.5-i1.5", "crossing"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_keep_m_blocks_apart(engine, system):
+    # every generator is diagonalized one M block at a time, so nothing
+    # passes between blocks, not even roundoff.  A dense eigenbasis of the
+    # stepped period product mixed close eigenphases of two blocks, and over
+    # the 2e6 periods of 200 us that leaked 2.7e-10 between them
+    # (S = 5/2, I = 3/2)
+    if system == "crossing":
+        p, m_i = _crossing_params(), -1.0
+    else:
+        p, m_i = nc60_params(s=2.5, i=1.5), -1.5
+    prop = _Propagator(engine, p, line_center_hz(p, m_i))
     u = prop.stack(np.linspace(0.0, 200e-6, 5))
     total = p.basis.m_s_diagonal() + p.basis.m_i_diagonal()
-    assert np.abs(u[:, total[:, None] != total]).max() <= 1e-13
+    assert np.all(u[:, total[:, None] != total] == 0.0)
 
 
 def test_unitary_eigen_raises_on_a_mixed_pair():
@@ -581,35 +597,6 @@ def test_supports_are_the_dense_nonzero_patterns(preset):
     assert len(sup.pairs[0]) == 12
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_plan_raises_on_free_evolution_across_m_blocks(preset, engine,
-                                                       monkeypatch):
-    # the per-tau check, which the stepped engine always runs and the other
-    # two fall back to when their bound fails, reads the leak where the
-    # plan takes U1 from
-    elements = _Propagator.elements
-
-    def leaky(self, tau, flat, frame=None):
-        u = elements(self, tau, flat, frame)
-        u[:, flat == 1] += 1e-9  # U1[0, 1]: (3/2, +1) <- (3/2, 0), M up by 1
-        return u
-
-    exp = make_exp(preset, engine=engine, tau=np.linspace(1e-6, 20e-6, 4))
-    _EchoPlan(exp)
-    monkeypatch.setattr(_Propagator, "elements", leaky)
-    monkeypatch.setattr(_Propagator, "conserves_m", lambda self, m_leak: False)
-    with pytest.raises(np.linalg.LinAlgError, match="conserve M"):
-        _EchoPlan(exp)
-
-
-def _crossing_params():
-    # a = 2 f_I puts (m_s, m_i) = (1/2, +1), (1/2, 0) and (1/2, -1) on one
-    # level to first order: three M blocks cross, so a dense eigh of H0 may
-    # mix them
-    f_i = nc60_params().f_i_hz
-    return nc60_params(a_hz=2.0 * f_i, f_i_hz=f_i)
-
-
 def test_exact_engine_bound_holds_at_a_level_crossing():
     p = _crossing_params()
     tau = np.linspace(0.0, 200e-6, 41)
@@ -617,32 +604,47 @@ def test_exact_engine_bound_holds_at_a_level_crossing():
                          pulse2=PulseSpec(np.pi), tau_grid=tau,
                          detect_m_i=1.0, engine="exact-lab-frame",
                          resonance_offset_hz=0.0)
-    prop = _Propagator(exp.engine, p, microwave_freq_hz(exp))
-    sup = _supports(p.s, p.i, 1.0)
-    assert prop.conserves_m(sup.m_leak)
     ref = _reference_amplitudes(exp)
     trace = run_two_pulse_echo(exp)
     got = trace.v + 1j * trace.v_im
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_exact_engine_falls_back_to_per_tau_check(preset, monkeypatch):
-    # a coupling between M blocks puts a leak into the eigenvectors, and so
-    # into every projector, above the bound
-    h0 = engine_module.h0_lab
+@pytest.mark.parametrize("column, m_i", [(1, -1.0), (2, 0.0), (3, 1.0)])
+def test_exact_engine_matches_the_40_digit_reference(column, m_i):
+    # the fixture is written by tests/make_exact_reference.py from the same
+    # double H0, with the free evolution in 40-digit mpmath.  The engine's
+    # large phases exp(-i w_k tau) and exp(+i w_mw m_s tau) round apart by
+    # about 1e-9 of max|v| at 200 us
+    ref = np.loadtxt(Path(__file__).with_name("exact_reference_nc60.txt"))
+    exp = EchoExperiment(system=nc60_params(), pulse1=PulseSpec(np.pi / 2),
+                         pulse2=PulseSpec(np.pi), tau_grid=ref[:, 0],
+                         detect_m_i=m_i, engine="exact-lab-frame",
+                         resonance_offset_hz=0.0)
+    v, want = run_two_pulse_echo(exp).v, ref[:, column]
+    assert np.abs(v - want).max() <= 1e-8 * np.abs(want).max()
 
-    def coupled(system):
-        h = h0(system).copy()
+
+@pytest.mark.parametrize("engine", ["exact-lab-frame",
+                                    "stepped-rotating-frame"])
+def test_engines_raise_on_a_generator_across_m_blocks(preset, engine,
+                                                      monkeypatch):
+    # M is checked once, on the generator each engine diagonalizes: H0 for
+    # the exact engine, H' = h_rot(0) for the stepped one
+    name = "h0_lab" if engine == "exact-lab-frame" else "h_rot_t"
+    generator = getattr(engine_module, name)
+
+    def coupled(*args):
+        h = generator(*args).copy()
         h[0, 1] += 1e4  # rad/s, (3/2, +1) <-> (3/2, 0)
         h[1, 0] += 1e4
         return h
 
-    exp = make_exp(preset, engine="exact-lab-frame",
-                   tau=np.linspace(1e-6, 20e-6, 4))
+    exp = make_exp(preset, engine=engine, tau=np.linspace(1e-6, 20e-6, 4))
     _EchoPlan(exp)
-    monkeypatch.setattr(engine_module, "h0_lab", coupled)
-    prop = _Propagator(exp.engine, preset, microwave_freq_hz(exp))
-    assert not prop.conserves_m(_supports(preset.s, preset.i, 1.0).m_leak)
+    monkeypatch.setattr(engine_module, name, coupled)
+    with pytest.raises(np.linalg.LinAlgError, match="conserve M"):
+        _Propagator(exp.engine, preset, microwave_freq_hz(exp))
     with pytest.raises(np.linalg.LinAlgError, match="conserve M"):
         _EchoPlan(exp)
 

@@ -46,6 +46,17 @@ def test_distribution_validation():
     assert np.pi in thetas  # odd rule includes the mean
 
 
+def test_node_cap_is_the_largest_finite_rule():
+    # numpy's hermgauss overflows above the cap: all weights 0 at 371
+    from eseem.ensemble import MAX_ENSEMBLE_NODES
+    assert MAX_ENSEMBLE_NODES == 369
+    _, weights = AngleDistribution(sigma=0.2, nodes=369).points()
+    assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+    assert abs(weights.sum() - 1.0) <= 1e-15
+    with pytest.raises(ValueError, match="369"):
+        AngleDistribution(sigma=0.2, nodes=371)
+
+
 def test_gauss_hermite_rule_is_cached_read_only():
     from eseem.ensemble import _gauss_hermite
     dist = AngleDistribution(mean=1.0, sigma=0.2, nodes=13)
