@@ -29,7 +29,8 @@ from .spinops import projections, validate_spin
 @dataclass(frozen=True)
 class ModulationCoefficients:
     """Weights of the DC, fundamental and second-harmonic terms for the
-    outer-line echo at refocusing angle ``theta2``."""
+    outer-line echo at refocusing angle ``theta2`` (floats, or arrays of
+    the shape of an array ``theta2``)."""
 
     a0: float
     a1: float
@@ -48,21 +49,25 @@ def coefficients(theta2: float) -> ModulationCoefficients:
 
     A perfect pi pulse gives (1, 0, 3/2): second harmonic only.  The
     fundamental A1 appears as soon as the refocusing rotation branches the
-    single-quantum coherences (theta2 != pi).
+    single-quantum coherences (theta2 != pi).  An array ``theta2`` gives
+    arrays of its shape.
     """
     c2 = np.cos(theta2 / 2) ** 2
     s2 = np.sin(theta2 / 2) ** 2
     a0 = 1.0 - 6.0 * c2 + 13.5 * c2 * c2
     a1 = 6.0 * c2 * (2.0 - 3.0 * c2)
     a2 = 1.5 * s2 * (1.0 - 3.0 * c2)
+    if isinstance(theta2, np.ndarray) and theta2.ndim:
+        return ModulationCoefficients(a0, a1, a2, theta2)
     return ModulationCoefficients(float(a0), float(a1), float(a2), float(theta2))
 
 
 def v_outer(tau, theta1: float, theta2: float, delta_hz: float):
     """Outer-line (m_i = +/-1) echo amplitude for S=3/2, I=1.
 
-    ``tau`` may be a scalar or array of interpulse delays in seconds;
-    ``delta_hz`` is the second-order shift in Hz.
+    ``tau`` may be a scalar or array of interpulse delays in seconds, and
+    ``theta2`` an array that broadcasts against it; ``delta_hz`` is the
+    second-order shift in Hz.
     """
     if delta_hz < 0:
         raise ValueError("delta_hz must be non-negative")

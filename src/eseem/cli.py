@@ -174,7 +174,8 @@ def cmd_sweep(args) -> int:
         if args.param == "theta2_deg":
             dist = AngleDistribution(mean=np.deg2rad(value))
         else:
-            dist = AngleDistribution(mean=cfg.pulse2.angle, sigma=float(value))
+            dist = AngleDistribution(mean=cfg.pulse2.angle, sigma=float(value),
+                                     nodes=cfg.distribution.nodes)
         w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle,
                                                 shared_b1=shared_b1)
         ratio = abs(w1) / abs(w2) if w2 != 0 else float("inf")

@@ -88,28 +88,41 @@ pulse scales of an ensemble node is built once: the products
 W[tau, e] = U1[a_q, k_r] conj U1[b_q, l_r] over the 55 links e = (q, r)
 between an X element q = (a, b) and a rho1 element r = (k, l) in the same
 M block, so that X = W @ (rho1 spread over the links); G[j, i] and G[i, j]
-at the refocused pairs, the second for the Hermitian completion, from the
-gathered U1 elements and their frame phases; the T2 damping (1 without
-T2); one factory per pulse that maps an array of scales to a stack of
-propagators; and X(tau), memoized on the pulse-1 scale, which stays fixed
-over the nodes unless both pulses share the B1 factor.  W and G read U1
-only inside M blocks, its 28 elements.  Of the 6 x 12 terms
-D[k, l] conj U2[k, j] U2[l, i] of G at the pairs, only those with k in the
-M block of j and l in that of i survive, at most one per pair: 8 on an
-outer line and 10 on the central one, and G is exactly zero at the other
-pairs.  W and G are built ``TAU_BLOCK`` points at a time, which bounds the
-temporaries whatever the grid size, with R(tau) formed once per block for
-both U1 and U2.
+at the pairs each reaches, the second for the Hermitian completion, from
+the gathered U1 elements and their frame phases; the T2 damping (1 without
+T2); and one factory per pulse that maps an array of scales to a stack of
+propagators.  W and G read U1 only inside M blocks, its 28 elements.  Of
+the 6 x 12 terms D[k, l] conj U2[k, j] U2[l, i] of G at the refocused
+pairs, only those with k in the M block of j and l in that of i survive,
+at most one per pair: 8 on an outer line and 10 on the central one, and G
+is exactly zero at the other pairs, so the plan keeps only those.  W and G
+are built ``TAU_BLOCK`` points at a time, which bounds the temporaries
+whatever the grid size, with R(tau) formed once per block for both U1 and
+U2.
+
+Pulse 2 enters through K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q], with the
+refocused elements (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p].  As
+R2 conserves m_i, K can be nonzero only where m_i(a_q) = m_i(i_p) and
+m_i(b_q) = m_i(j_p): each pair that G reaches meets 2S elements of X, its
+K links, 24 of the 300 entries of K per G term on an outer line and 30 on
+the central one.  The amplitude
+sum_p (R2 X R2^H)[i_p, j_p] G[j_p, i_p] + conj(...) G[i_p, j_p] is then
+one product of the link products X[:, q] G[j, i][:, p] and
+conj X[:, q] G[i, j][:, p], an (n_tau, 48) array on an outer line and
+(n_tau, 60) on the central one, with K (conj K for G[i, j]) at the links.
+G[i, j] is taken as computed, not as conj G[j, i], so the imaginary part
+is a real roundoff residual, and ``max_imag_residual`` is its largest
+magnitude; for an ensemble average, that of the averaged amplitude.
 
 Per ensemble average, ``_EchoPlan.tabulate`` takes the node scales and
-calls each pulse factory once, for all nodes together.  It keeps per scale
-the +1 coherences rho1 after pulse 1 and the (25, 12) matrix
-K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] after pulse 2, gathered for all
-nodes at once.  Per node, the refocused elements S = (R2 X R2^H)[i, j] are
-then one product X @ K of the (n_tau, 25) coherences with that node's K,
-and the amplitude is sum S G[j, i] + conj(S) G[i, j].  The imaginary part
-is kept as the roundoff residual, and ``max_imag_residual`` is its largest
-magnitude; for an ensemble average, that of the averaged amplitude.
+calls each pulse factory once, for all nodes together, and keeps per
+scale the +1 coherences rho1 after pulse 1 and K at its links after
+pulse 2.  The link products are built one ``TAU_BLOCK`` at a time and
+memoized on the pulse-1 scale, which stays fixed over the nodes unless
+both pulses share the B1 factor, so each node costs one (n_tau, 48|60)
+product with its K; ``_EchoPlan.amplitudes`` takes any number of pulse-2
+scales in that one product.  With a shared B1 factor each node has its
+own pulse-1 scale and builds its own link products.
 """
 
 from __future__ import annotations
@@ -130,8 +143,9 @@ ENGINES = ("average-hamiltonian", "exact-lab-frame", "stepped-rotating-frame")
 
 MIN_STEPS_PER_PERIOD = 20
 
-# tau points per block when the plan builds W and G from U1 (see "Echo
-# kernel" above): it bounds the (block, 28) U1 elements and their products.
+# tau points per block when the plan builds W and G from U1, and the link
+# products from W and G (see "Echo kernel" above): it bounds the (block, 28)
+# U1 elements, the (block, 25) coherences X and their products.
 # 128 ran about 5 % faster than 64 on 512-point traces; building the whole
 # grid at once raised the peak RSS by 0.7-1.6 MB
 TAU_BLOCK = 128
@@ -481,6 +495,13 @@ class _Supports:
     reaches inside M blocks, the one element e of D that reaches each, and
     the positions of the two U1 elements it takes (8 pairs on an outer
     line, 10 on the central line).
+
+    ``k_ji`` and ``k_ij`` hold, for each G term, its K links (q, c): the X
+    element q and the position c in that term's pairs p where
+    K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] can be nonzero, that is where
+    m_i(a_q) = m_i(i_p) and m_i(b_q) = m_i(j_p): 2S per pair, in pair-major
+    order (24 on an outer line, 30 on the central line, of the 300 entries
+    of K).
     """
 
     rho: tuple[np.ndarray, np.ndarray]
@@ -493,6 +514,8 @@ class _Supports:
     w: tuple[np.ndarray, np.ndarray]
     g_ji: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     g_ij: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    k_ji: tuple[np.ndarray, np.ndarray]
+    k_ij: tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -524,11 +547,23 @@ def _supports(s: float, i: float, m_i: float) -> _Supports:
         return p, e, pos[dk[e], rows[p]], pos[dl[e], cols[p]]
 
     (a, b), (k, l), (q, r) = x, rho, links
+
+    def k_links(p):
+        # the pulses conserve m_i, so R2[i_p, a_q] needs m_i(a_q) = m_i(i_p);
+        # each pair then meets the 2S elements of X of one m_s step, in
+        # pair-major order
+        c, q = np.nonzero((nuclear[pairs[0][p], None] == nuclear[a])
+                          & (nuclear[pairs[1][p], None] == nuclear[b]))
+        if not np.array_equal(c, np.repeat(np.arange(p.size), int(2 * s))):
+            raise AssertionError("K links are not 2S per pair")
+        return q, c
+
+    g_ji, g_ij = g_terms(pairs[1], pairs[0]), g_terms(*pairs)
     sup = _Supports(
         rho=rho, x=x, pairs=pairs, det=det, links=links,
         mi_leak=d_mi != 0,
         u1=np.flatnonzero(inside), w=(pos[a[q], k[r]], pos[b[q], l[r]]),
-        g_ji=g_terms(pairs[1], pairs[0]), g_ij=g_terms(*pairs))
+        g_ji=g_ji, g_ij=g_ij, k_ji=k_links(g_ji[0]), k_ij=k_links(g_ij[0]))
     for value in vars(sup).values():  # one instance serves every plan
         for arr in value if isinstance(value, tuple) else (value,):
             arr.flags.writeable = False
@@ -540,12 +575,14 @@ class _EchoPlan:
     scales of an ensemble node, built once; see "Echo kernel" above.
 
     Holds the supports, the products W(tau) of U1 elements along the links,
-    G(tau) = U2^H D U2 at the refocused pairs, the T2 damping, one batched
-    propagator factory per pulse, the per-scale tables of :meth:`tabulate`,
-    and a one-entry memo of the pulse-1 coherences X(tau) keyed on
-    ``scale1``.  W and G come from U1 at its 28 elements inside M blocks
-    (``_Supports.u1``), one ``TAU_BLOCK`` of tau at a time; every engine
-    leaves U1 exactly zero outside them (see :class:`_Propagator`).
+    G(tau) = U2^H D U2 at the pairs each of its two terms reaches, the T2
+    damping, one batched propagator factory per pulse, the per-scale tables
+    of :meth:`tabulate`, and a one-entry memo of the link products of the
+    pulse-1 coherences X(tau) with G, keyed on ``scale1``.  W and G come
+    from U1 at its 28 elements inside M blocks (``_Supports.u1``); every
+    engine leaves U1 exactly zero outside them (see :class:`_Propagator`).
+    W, G and the link products are built one ``TAU_BLOCK`` of tau at a
+    time.
     """
 
     def __init__(self, exp: EchoExperiment):
@@ -561,8 +598,10 @@ class _EchoPlan:
                                      exp.detect_m_i)[sup.det]
         tau = exp.tau_grid
         self._w = np.empty((tau.size, w_a.size), dtype=complex)
-        self._g_ji = np.zeros((tau.size, i.size), dtype=complex)
-        self._g_ij = np.zeros_like(self._g_ji)
+        # G[j, i] and G[i, j] at the pairs each reaches, side by side
+        n_ji = sup.g_ji[0].size
+        self._g = np.empty((tau.size, n_ji + sup.g_ij[0].size), dtype=complex)
+        self._g_ji, self._g_ij = self._g[:, :n_ji], self._g[:, n_ji:]
         for start in range(0, tau.size, TAU_BLOCK):
             blk = slice(start, start + TAU_BLOCK)
             rot = prop._frame(tau[blk, None])  # for U1 and for U2
@@ -576,55 +615,92 @@ class _EchoPlan:
             for g, pair, (p, e, c_k, c_l) in (
                     (self._g_ji, pair_rot, sup.g_ji),
                     (self._g_ij, pair_rot.conj(), sup.g_ij)):
-                g[blk, p] = pair[:, p] * (
+                g[blk] = pair[:, p] * (
                     d_rot[:, e] * u1[:, c_k].conj() * u1[:, c_l])
         self.damping = _t2_damping(tau, exp.t2_s)
         self._pulse1 = _scaled_propagator(exp.pulse1, system, self.f_mw_hz)
         self._pulse2 = _scaled_propagator(exp.pulse2, system, self.f_mw_hz)
+        # the X elements of the K links of both terms
+        self._k_x = np.concatenate([sup.k_ji[0], sup.k_ij[0]])
         self._rho1, self._k = {}, {}
-        self._x_scale = None
-        self._x = None
+        self._products_scale = None
+        self._products = None
 
     def tabulate(self, scales1: np.ndarray, scales2: np.ndarray) -> None:
         """Propagate each pulse at all of its node scales (1-d arrays) in one
         batched call, and keep per scale what the amplitudes read of it: the
-        +1 coherences rho1 after pulse 1 and K after pulse 2.  Replaces the
-        tables of the previous call."""
+        +1 coherences rho1 after pulse 1, and K after pulse 2 at its links
+        (those of G[j, i], then the conjugate at those of G[i, j]).
+        Replaces the tables of the previous call."""
         sup = self.supports
         (a, b), (k, l), (i, j) = sup.x, sup.rho, sup.pairs
         r1, r2 = self._pulse1(scales1), self._pulse2(scales2)
         _check_conserved(np.concatenate([r1, r2]), sup.mi_leak,
                          "pulse propagator", "m_i")
         rho = (r1 @ self._sigma0 @ _dagger(r1))[:, k, l]
-        # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q]
-        k2 = r2[:, i, a[:, None]] * r2[:, j, b[:, None]].conj()
+
+        def k_at(g_pairs, links):
+            # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q]
+            q, c = links
+            p = g_pairs[c]
+            return r2[:, i[p], a[q]] * r2[:, j[p], b[q]].conj()
+
+        k2 = np.concatenate([k_at(sup.g_ji[0], sup.k_ji),
+                             k_at(sup.g_ij[0], sup.k_ij).conj()], axis=1)
         self._rho1 = dict(zip(scales1.tolist(), rho))
         self._k = dict(zip(scales2.tolist(), k2))
 
-    def _coherences(self, scale1: float) -> np.ndarray:
-        """X(tau) = U1 rho1 U1^H at its support, shape (n_tau, n_x), from the
-        tabulated rho1 of ``scale1``."""
-        if scale1 != self._x_scale:
-            sup = self.supports
-            # X[a_q, b_q] = sum of W[:, e] rho1[k_r, l_r] over its links
-            q, r = sup.links
-            spread = np.zeros((q.size, sup.x[0].size), dtype=complex)
-            spread[np.arange(q.size), q] = self._rho1[scale1][r]
-            self._x = self._w @ spread
-            self._x_scale = scale1
-        return self._x
+    def _spread(self, scale1: float) -> np.ndarray:
+        """The tabulated rho1 of ``scale1`` spread over the links, so that
+        X = W @ spread: X[a_q, b_q] = sum of W[:, e] rho1[k_r, l_r] over
+        its links."""
+        sup = self.supports
+        q, r = sup.links
+        spread = np.zeros((q.size, sup.x[0].size), dtype=complex)
+        spread[np.arange(q.size), q] = self._rho1[scale1][r]
+        return spread
 
-    def amplitudes(self, scale1: float, scale2: float) -> np.ndarray:
-        """Complex echo amplitude at every tau for the given pulse scales,
-        read from the tables of :meth:`tabulate`; a scale missing from them
-        is tabulated on its own."""
-        if scale1 not in self._rho1 or scale2 not in self._k:
-            self.tabulate(np.array([scale1]), np.array([scale2]))
-        x = self._coherences(scale1)
-        # S[:, p] = (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p]
-        s = x @ self._k[scale2]
-        # Tr[(Z + Z^H) G] over the refocused elements Z[i, j] = S
-        return (s * self._g_ji + s.conj() * self._g_ij).sum(axis=1)
+    def _coherences(self, scale1: float) -> np.ndarray:
+        """X(tau) = U1 rho1 U1^H at its support, shape (n_tau, n_x)."""
+        return self._w @ self._spread(scale1)
+
+    def _link_products(self, scale1: float) -> np.ndarray:
+        """X[:, q] G[j, i][:, c] at the K links (q, c) of G[j, i], then
+        conj X[:, q] G[i, j][:, c] at those of G[i, j], shape (n_tau, n_k),
+        memoized on ``scale1``.  The links of each column c of G are
+        adjacent, so G multiplies them by broadcasting."""
+        if scale1 != self._products_scale:
+            spread, n_g = self._spread(scale1), self._g.shape[1]
+            conj = slice(self.supports.k_ji[0].size, None)
+            # a new pulse-1 scale overwrites the memo of the last one
+            out = self._products
+            if out is None:
+                out = np.empty((self._w.shape[0], self._k_x.size),
+                               dtype=complex)
+            for start in range(0, out.shape[0], TAU_BLOCK):
+                blk = slice(start, start + TAU_BLOCK)
+                x = self._w[blk] @ spread
+                # "clip" (the indices are in range) writes straight to out
+                np.take(x, self._k_x, axis=1, out=out[blk], mode="clip")
+                np.conjugate(out[blk, conj], out=out[blk, conj])
+                per_pair = out[blk].reshape(x.shape[0], n_g, -1)
+                per_pair *= self._g[blk, :, None]
+            self._products, self._products_scale = out, scale1
+        return self._products
+
+    def amplitudes(self, scale1: float, scales2: np.ndarray) -> np.ndarray:
+        """Complex echo amplitudes at every tau for the pulse-1 scale
+        ``scale1`` and each pulse-2 scale of the 1-d array ``scales2``, shape
+        (n_tau, n), read from the tables of :meth:`tabulate`; scales missing
+        from them are tabulated on their own."""
+        keys = np.asarray(scales2, dtype=float).tolist()
+        if scale1 not in self._rho1 or any(s not in self._k for s in keys):
+            self.tabulate(np.array([scale1]), np.array(keys))
+        # Tr[(Z + Z^H) G] over the refocused elements Z[i_p, j_p] =
+        # (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p]: one product of
+        # the link products with K at its links
+        k = np.stack([self._k[s] for s in keys], axis=1)
+        return self._link_products(scale1) @ k
 
 
 def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
@@ -641,7 +717,7 @@ def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
     """
     if plan is None:
         plan = _EchoPlan(exp)
-    amp = plan.amplitudes(scale1, scale2)
+    amp = plan.amplitudes(scale1, np.array([scale2]))[:, 0]
     return _echo_trace(exp, plan.f_mw_hz, amp.real * plan.damping,
                        amp.imag.copy())
 

@@ -72,8 +72,9 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
     modeling both pulses sampling one B1 value; default off, so only the
     refocusing angle varies.  Everything that does not depend on a node's
     scales (free evolution and pulse generators, and without ``shared_b1``
-    the pulse-1 coherences) is built once and shared by every node, and one
-    batched call per pulse propagates all node scales before the node loop.
+    the link products of the pulse-1 coherences) is built once and shared
+    by every node, and one batched call per pulse propagates all node
+    scales before the node loop.
     The trace adds ``sigma_rad``, ``mean_rad``, ``nodes`` and ``shared_b1``
     to the run's labels; its ``max_imag_residual`` is the largest |Im| of
     the averaged amplitude.

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import h_avg0, h_avg1
-from .spinops import expm_hermitian, multiplicity, spin_matrices
+from .spinops import (eigh_hermitian, expm_hermitian, multiplicity,
+                      spin_matrices)
 from .system import SpinSystemParams
 
 PULSE_MODELS = ("ideal", "finite")
@@ -114,35 +115,46 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
     """scales -> the (n, d, d) stack of :func:`rotation_operator` of
     ``pulse`` at each of n scales (a 1-d array), with everything that does
     not depend on the scale (internal Hamiltonian, segment drive operators,
-    the scatter index) built once for repeated calls."""
+    the scatter index, and for an ideal pulse the drives' eigenvectors)
+    built once for repeated calls."""
     # H_int + drive conserves m_i, so each segment exponentiates the 2I+1
     # electron blocks h[:, k, :, k] of the (m_s, m_i, m_s', m_i') view of
     # every scale in one batched call, and the propagator is exactly zero
     # between m_i blocks.  A finite pulse shares the drive amplitude set by
-    # its nominal angle/duration; an ideal pulse has no internal evolution
-    # (one zero block for every m_i) and unit drive amplitude, so each
-    # segment lasts its angle
+    # its nominal angle/duration.  An ideal pulse has no internal evolution
+    # (one block for every m_i) and unit drive amplitude, so each segment
+    # lasts its angle, and its generator is the drive times the scale: one
+    # eigh of each drive serves every scale, which then costs its phases
     d_s, d_i = multiplicity(system.s), multiplicity(system.i)
     dim, nuclear = d_s * d_i, np.arange(d_i)
+    sx, sy, _ = spin_matrices(system.s)
+    angles = [angle for angle, _ in pulse.segments()]
+    drives = [sx * np.cos(phase) + sy * np.sin(phase)
+              for _, phase in pulse.segments()]
     if pulse.model == "finite":
         w1_nominal = pulse.angle / pulse.duration_s
         h_int = (h_avg0(system, f_mw_hz) + h_avg1(system)).reshape(
             d_s, d_i, d_s, d_i)[:, nuclear, :, nuclear]
+
+        def segment(k, scales):
+            return expm_hermitian(h_int - scales * w1_nominal * drives[k],
+                                  angles[k] / w1_nominal)
     else:
-        w1_nominal, h_int = 1.0, np.zeros((1, d_s, d_s))
-    sx, sy, _ = spin_matrices(system.s)
-    drives = [(angle / w1_nominal, sx * np.cos(phase) + sy * np.sin(phase))
-              for angle, phase in pulse.segments()]
+        w, v = eigh_hermitian(np.stack(drives))
+
+        def segment(k, scales):
+            # exp(+i scale angle drive), on the drive's eigenvectors
+            phases = np.exp(1j * (scales * angles[k]) * w[k])
+            return (v[k] * phases) @ v[k].conj().T
     # where each element of the blocks lands in a flattened propagator
     flat = np.arange(dim * dim).reshape(
         d_s, d_i, d_s, d_i)[:, nuclear, :, nuclear]
 
     def propagator(scales: np.ndarray) -> np.ndarray:
         scales = np.asarray(scales, dtype=float).reshape(-1, 1, 1, 1)
-        minus_w1 = -scales * w1_nominal
         blocks = np.eye(d_s, dtype=complex)
-        for t_seg, drive in drives:
-            blocks = expm_hermitian(h_int + minus_w1 * drive, t_seg) @ blocks
+        for k in range(len(drives)):
+            blocks = segment(k, scales) @ blocks
         u = np.zeros((scales.shape[0], dim * dim), dtype=complex)
         u[:, flat] = blocks
         return u.reshape(-1, dim, dim)

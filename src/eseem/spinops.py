@@ -109,9 +109,17 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Unitary propagator exp(-i*h*t) of a Hermitian generator, or of each
     generator of a stack of shape (..., n, n).
 
-    Uses the eigendecomposition exp(-i*h*t) = V exp(-i*diag(w)*t) V+, which
-    is exact up to eigensolver accuracy for the small dense matrices used
-    here and preserves unitarity by construction.
+    Uses the eigendecomposition exp(-i*h*t) = V exp(-i*diag(w)*t) V+ of
+    :func:`eigh_hermitian`, which is exact up to eigensolver accuracy for the
+    small dense matrices used here and preserves unitarity by construction.
+    """
+    w, v = eigh_hermitian(h)
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors (``np.linalg.eigh``) of a Hermitian
+    matrix, or of each matrix of a stack of shape (..., n, n).
 
     Raises ``ValueError`` if any matrix is not Hermitian to
     ``HERMITIAN_ATOL`` (scaled by its largest entry when that exceeds unity).
@@ -123,8 +131,7 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
             skew.max(axis=(-2, -1))
             > HERMITIAN_ATOL * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
         raise ValueError("generator is not Hermitian")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return np.linalg.eigh(h)
 
 
 @dataclass(frozen=True)

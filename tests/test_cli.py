@@ -529,6 +529,27 @@ def test_sweep_sigma_follows_shared_b1(tmp_path):
         assert np.abs(got - want).max() <= 1e-12
 
 
+def test_sweep_sigma_averages_on_the_configured_nodes(tmp_path):
+    # a sigma row averages on the config's ensemble.nodes, as simulate and
+    # analytic do, not on the default 41 nodes
+    from eseem.ensemble import AngleDistribution, averaged_component_weights
+    rows = {}
+    for nodes in (3, 41):
+        cfg = tmp_path / f"n{nodes}.cfg"
+        cfg.write_text(FAST_CFG.replace("nodes = 21", f"nodes = {nodes}"))
+        out = tmp_path / f"n{nodes}.csv"
+        assert main(["sweep", "--config", str(cfg), "--param", "sigma_rad",
+                     "--start", "0.31", "--stop", "0.31", "--num", "1",
+                     "--out", str(out)]) == 0
+        line = [ln for ln in out.read_text().splitlines()
+                if ln and not ln.startswith("#")][1]
+        rows[nodes] = [float(x) for x in line.split(",")]
+    want = averaged_component_weights(
+        AngleDistribution(mean=np.pi, sigma=0.31, nodes=3), np.pi / 2)
+    assert rows[3][1:4] == list(want)
+    assert rows[3][1:4] != rows[41][1:4]
+
+
 def test_fit_command(fast_cfg, tmp_path, capsys):
     trace = tmp_path / "tr.csv"
     main(["simulate", "--config", str(fast_cfg), "--out", str(trace)])

@@ -597,6 +597,69 @@ def test_supports_are_the_dense_nonzero_patterns(preset):
     assert len(sup.pairs[0]) == 12
 
 
+@pytest.mark.parametrize("s, i, m_i", [(1.5, 1.0, 1.0), (1.5, 1.0, 0.0),
+                                       (1.5, 1.0, -1.0), (2.5, 1.5, 1.5),
+                                       (2.5, 1.5, 0.5)])
+def test_k_links_hold_every_entry_that_feeds_g(s, i, m_i):
+    # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] is dense within the m_i
+    # blocks of finite pulses; every entry at a pair where the dense G is
+    # nonzero lies in the cached link set of that G term, and the plan's
+    # table holds K there (conj K for G[i, j])
+    system = nc60_params(s=s, i=i)
+    p1, p2 = _pulses("finite")
+    tau = np.array([17.3e-6])
+    exp = EchoExperiment(system=system, pulse1=p1, pulse2=p2, tau_grid=tau,
+                         detect_m_i=m_i, engine="exact-lab-frame",
+                         resonance_offset_hz=3e5)
+    plan = _EchoPlan(exp)
+    sup = plan.supports
+    f_mw = microwave_freq_hz(exp)
+    prop = _Propagator(exp.engine, system, f_mw)
+    u2 = prop.translate(tau, prop.stack(tau))[0]
+    g = u2.conj().T @ detection_operator(system, m_i) @ u2
+    r2 = rotation_operator(p2, system, 1.07, f_mw)
+    (a, b), (pi, pj) = sup.x, sup.pairs
+    k = r2[pi[None, :], a[:, None]] * r2[pj[None, :], b[:, None]].conj()
+    plan.tabulate(np.ones(1), np.array([1.07]))
+    table, start = plan._k[1.07], 0
+    for g_pairs, (q, c), dense_g in ((sup.g_ji[0], sup.k_ji, g[pj, pi]),
+                                     (sup.g_ij[0], sup.k_ij, g[pi, pj])):
+        links = set(zip(q, g_pairs[c]))
+        fed = np.abs(dense_g) > 1e-13 * np.abs(g).max()
+        entries = np.abs(k) > 1e-13 * np.abs(k).max()
+        assert set(zip(*np.nonzero(entries & fed))) <= links
+        want = k[q, g_pairs[c]]
+        got = table[start:start + q.size]
+        if start:
+            got = got.conj()
+        assert np.abs(got - want).max() <= 1e-15
+        start += q.size
+    if (s, i) == (1.5, 1.0):
+        assert start == (60 if m_i == 0 else 48)
+
+
+@pytest.mark.parametrize("pulses", ["ideal", "finite", "cp3"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_amplitudes_of_many_scales_equal_one_column_calls(engine, pulses):
+    stepped = engine == "stepped-rotating-frame"
+    p1, p2 = _pulses(pulses)
+    tau = np.linspace(0.0, 60e-6, 5 if stepped else 300)  # three blocks
+    exp = EchoExperiment(system=nc60_params(), pulse1=p1, pulse2=p2,
+                         tau_grid=tau, detect_m_i=-1.0, engine=engine,
+                         resonance_offset_hz=3e5)
+    scales = np.array([0.8, 0.93, 1.0, 1.07, 1.3])
+    for scale1 in (1.0, 0.93):
+        many = _EchoPlan(exp).amplitudes(scale1, scales)
+        assert many.shape == (exp.tau_grid.size, scales.size)
+        for col, scale2 in enumerate(scales):
+            one = _EchoPlan(exp).amplitudes(scale1, scales[col:col + 1])
+            assert one.shape == (exp.tau_grid.size, 1)
+            assert np.abs(many[:, col] - one[:, 0]).max() \
+                <= 1e-15 * np.abs(one).max()
+            trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2)
+            assert np.array_equal(trace.v_im, one[:, 0].imag)
+
+
 def test_exact_engine_bound_holds_at_a_level_crossing():
     p = _crossing_params()
     tau = np.linspace(0.0, 200e-6, 41)
@@ -668,10 +731,15 @@ def test_plan_w_and_g_equal_the_dense_stack(engine, s, i, m_i):
     g = _dagger(u2) @ detection_operator(p, m_i) @ u2
     (a, b), (k, l), (q, r) = sup.x, sup.rho, sup.links
     w = u1[:, a[q], k[r]] * u1[:, b[q], l[r]].conj()
+    assert np.abs(plan._w - w).max() <= 1e-14 * np.abs(w).max()
+    # the plan keeps each G term only at the pairs it reaches, and G is
+    # exactly zero at the others
     (pi, pj) = sup.pairs
-    for got, want in ((plan._w, w), (plan._g_ji, g[:, pj, pi]),
-                      (plan._g_ij, g[:, pi, pj])):
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for got, want, reached in ((plan._g_ji, g[:, pj, pi], sup.g_ji[0]),
+                               (plan._g_ij, g[:, pi, pj], sup.g_ij[0])):
+        assert np.abs(got - want[:, reached]).max() \
+            <= 1e-14 * np.abs(want).max()
+        assert not np.delete(want, reached, axis=1).any()
 
 
 @pytest.mark.parametrize("leaky_pulse", [1, 2])

@@ -85,6 +85,40 @@ def test_stack_rows_are_the_single_calls(s, i, segments, model):
         assert is_unitary(row)
 
 
+@pytest.mark.parametrize("pulse", [PulseSpec(np.pi / 2),
+                                   PulseSpec(2.5, phase=0.7), composite_pi()])
+def test_ideal_factory_decomposes_each_drive_once(pulse, monkeypatch):
+    # an ideal pulse's generator is its drive times the scale: one checked
+    # eigh of the segment drives when the factory is built, and each scale
+    # then costs only its phases
+    import eseem.pulses as pulses_module
+    p = nc60_params()
+    checks, eighs = [], []
+    eigh_hermitian, eigh = pulses_module.eigh_hermitian, np.linalg.eigh
+
+    def counted_check(h):
+        checks.append(np.shape(h))
+        return eigh_hermitian(h)
+
+    def counted_eigh(h, *args, **kwargs):
+        eighs.append(np.shape(h))
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(pulses_module, "eigh_hermitian", counted_check)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    factory = _scaled_propagator(pulse, p)
+    n_seg = len(pulse.segments())
+    assert checks == eighs == [(n_seg, 4, 4)]
+    scales = np.array([0.3, 1.0, 1.7])
+    stack = factory(scales)
+    assert len(checks) == len(eighs) == 1
+    for u, scale in zip(stack, scales):
+        electron = np.eye(4)
+        for angle, phase in pulse.segments():
+            electron = electron_rotation(scale * angle, phase, 1.5) @ electron
+        assert np.abs(u - kron(electron, np.eye(3))).max() <= 1e-14
+
+
 def test_composite_pi_nets_a_pi_rotation():
     # (pi/2)x (pi)y (pi/2)x composes to a pi rotation about y, up to a
     # global phase; a refocusing pulse of full flip angle either way
