@@ -84,8 +84,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     multi = len(cfg.detect_m_i) > 1
     for m_i in cfg.detect_m_i:
-        trace = average_trace(cfg.experiment(m_i), cfg.distribution,
-                              shared_b1=cfg.shared_b1)
+        trace = average_trace(cfg.experiment(m_i), cfg.distribution)
         path = _out_path(args.out, m_i, multi)
         write_trace_csv(path, trace, extra_meta=cfg.echo,
                         im_residual=args.im_residual)
@@ -112,8 +111,7 @@ def cmd_analytic(args) -> int:
         else:
             co = coefficients(theta2)
             meta.update({"a0": co.a0, "a1": co.a1, "a2": co.a2})
-            v = average_analytic(tau, m_i, theta1, cfg.distribution, d,
-                                 shared_b1=cfg.shared_b1)
+            v = average_analytic(tau, m_i, theta1, cfg.distribution, d)
         trace = EchoTrace(tau_s=tau, v=v, metadata=meta)
         if cfg.t2_s is not None:
             trace = apply_t2(trace, cfg.t2_s)
@@ -167,17 +165,15 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--{option}",
                               f"{args.param} must be in {allowed}")
     values = np.linspace(args.start, args.stop, args.num)
-    # shared_b1 scales nothing at a fixed angle, whose mean may be 0
-    shared_b1 = cfg.shared_b1 and args.param == "sigma_rad"
     rows = []
     for value in values:
+        # a theta2 row is a fixed angle (its mean may be 0); a sigma row is
+        # the configured ensemble at that width
         if args.param == "theta2_deg":
             dist = AngleDistribution(mean=np.deg2rad(value))
         else:
-            dist = AngleDistribution(mean=cfg.pulse2.angle, sigma=float(value),
-                                     nodes=cfg.distribution.nodes)
-        w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle,
-                                                shared_b1=shared_b1)
+            dist = replace(cfg.distribution, sigma=float(value))
+        w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle)
         ratio = abs(w1) / abs(w2) if w2 != 0 else float("inf")
         rows.append((value, w0, w1, w2, ratio))
     _write_table(args.out, {"param": args.param, "delta_hz": d},

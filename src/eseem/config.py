@@ -106,8 +106,9 @@ REQUIRED = object()  # the default of a key that must be given
 
 # block -> key -> (kind, default or REQUIRED[, allowed: choices or Range]).
 # A block with a required key is required.  The [system] keys are the fields
-# of SpinSystemParams, which checks f_e_hz, g and the spins; the [run] keys
-# are fields of RunConfig.
+# of SpinSystemParams, which checks f_e_hz, g and the spins; the [ensemble]
+# block is one AngleDistribution, around theta2; the [run] keys are fields of
+# RunConfig.
 SCHEMA = {
     "system": {"s": (_parse_spin, REQUIRED, Range(0.5)),
                "i": (_parse_spin, REQUIRED),
@@ -172,7 +173,6 @@ class RunConfig:
     resonance_offset_hz: float | None
     t2_s: float | None
     distribution: AngleDistribution
-    shared_b1: bool
     steps_per_period: int
     echo: dict = field(default_factory=dict)   # flattened raw items
 
@@ -252,13 +252,12 @@ def parse_config(path: str | Path) -> RunConfig:
     if ens["nodes"] % 2 == 0:
         raise ConfigError("ensemble.nodes", f"must be odd, got {ens['nodes']}")
     dist = AngleDistribution(mean=pulse2.angle, sigma=ens["sigma_rad"],
-                             nodes=ens["nodes"])
+                             nodes=ens["nodes"], shared_b1=ens["shared_b1"])
 
     echo = {f"{block}.{key}": value
             for block, items in raw.items() for key, value in items.items()}
     return RunConfig(system=system, pulse1=pulse1, pulse2=pulse2,
-                     tau_grid=tau_grid, distribution=dist,
-                     shared_b1=ens["shared_b1"], echo=echo, **run)
+                     tau_grid=tau_grid, distribution=dist, echo=echo, **run)
 
 
 def preset_path(name: str) -> Path:

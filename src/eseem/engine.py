@@ -660,10 +660,6 @@ class _EchoPlan:
         spread[np.arange(q.size), q] = self._rho1[scale1][r]
         return spread
 
-    def _coherences(self, scale1: float) -> np.ndarray:
-        """X(tau) = U1 rho1 U1^H at its support, shape (n_tau, n_x)."""
-        return self._w @ self._spread(scale1)
-
     def _link_products(self, scale1: float) -> np.ndarray:
         """X[:, q] G[j, i][:, c] at the K links (q, c) of G[j, i], then
         conj X[:, q] G[i, j][:, c] at those of G[i, j], shape (n_tau, n_k),

@@ -7,6 +7,10 @@ Gauss-Hermite quadrature (deterministic, spectrally convergent); a fixed
 angle is the distribution of zero width, one node of weight 1.  Node
 contributions are added one at a time in node order, so an average is
 reproducible bit for bit, and a one-node average equals the single run.
+
+One :class:`AngleDistribution` is the whole ``[ensemble]`` block, taken
+whole by every average; the closed-form averages all read the three weights
+of :func:`averaged_component_weights`.
 """
 
 from __future__ import annotations
@@ -16,29 +20,34 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import coefficients, v_center, v_outer
+from .analytic import coefficients
 from .engine import (EchoExperiment, EchoTrace, _echo_trace, _EchoPlan,
                      _t2_damping, run_two_pulse_echo)
+from .hamiltonians import TWO_PI
 
 
 @dataclass(frozen=True)
 class AngleDistribution:
-    """Distribution of the refocusing angle theta2 across the ensemble.
-
-    A Gaussian N(mean, sigma^2), integrated on ``nodes`` Gauss-Hermite points
-    (odd, so the mean itself is a node); sigma = 0 is the one node ``mean``.
+    """The ``[ensemble]`` block: the refocusing angle theta2 across the
+    sample, a Gaussian N(mean, sigma^2) integrated on ``nodes`` Gauss-Hermite
+    points (odd, so the mean itself is a node); sigma = 0 is the one node
+    ``mean``.  With ``shared_b1`` pulse 1 samples the same B1 value, so each
+    node scales it by theta over the nominal theta2; by default it is fixed.
     """
 
     mean: float = np.pi
     sigma: float = 0.0
     nodes: int = 41
+    shared_b1: bool = False
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not (np.isfinite(self.mean + self.sigma) and self.sigma >= 0):
+            raise ValueError("mean and sigma must be finite, sigma >= 0")
         if not (3 <= self.nodes <= MAX_ENSEMBLE_NODES and self.nodes % 2):
             raise ValueError(f"gaussian rule needs an odd node count in "
                              f"[3, {MAX_ENSEMBLE_NODES}]")
+        if self.shared_b1 and self.mean == 0:
+            raise ValueError("shared_b1 scales pulse 1 by theta/mean: mean 0")
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """(angles, weights) of the quadrature rule; weights sum to 1."""
@@ -62,55 +71,52 @@ def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def average_trace(exp: EchoExperiment, dist: AngleDistribution, *,
-                  shared_b1: bool = False) -> EchoTrace:
+def average_trace(exp: EchoExperiment, dist: AngleDistribution) -> EchoTrace:
     """Expectation of the engine trace under the theta2 distribution.
 
-    Each node scales pulse 2 by ``theta/pulse2.angle`` (composite segments
-    scale together, matching a common drive-amplitude error).  With
-    ``shared_b1`` the first pulse sees the same relative amplitude factor,
-    modeling both pulses sampling one B1 value; default off, so only the
-    refocusing angle varies.  Everything that does not depend on a node's
-    scales (free evolution and pulse generators, and without ``shared_b1``
-    the link products of the pulse-1 coherences) is built once and shared
-    by every node, and one batched call per pulse propagates all node
-    scales before the node loop.
+    Each node scales pulse 2, and with ``dist.shared_b1`` pulse 1, by
+    ``theta/pulse2.angle`` (composite segments scale together, matching a
+    common drive-amplitude error).  What does not depend on a node's scales
+    (free evolution and pulse generators, and without ``shared_b1`` the link
+    products of the pulse-1 coherences) is built once for all nodes, and one
+    batched call per pulse propagates every node scale before the loop.
     The trace adds ``sigma_rad``, ``mean_rad``, ``nodes`` and ``shared_b1``
     to the run's labels; its ``max_imag_residual`` is the largest |Im| of
     the averaged amplitude.
     """
     thetas, weights = dist.points()
     scales2 = thetas / exp.pulse2.angle
+    shared = dist.shared_b1
     plan = _EchoPlan(exp)
-    plan.tabulate(scales2 if shared_b1 else np.ones(1), scales2)
+    plan.tabulate(scales2 if shared else np.ones(1), scales2)
     acc = acc_im = -0.0  # the exact identity of float addition
     for scale2, weight in zip(scales2, weights):
-        trace = run_two_pulse_echo(exp, scale1=scale2 if shared_b1 else 1.0,
+        trace = run_two_pulse_echo(exp, scale1=scale2 if shared else 1.0,
                                    scale2=scale2, plan=plan)
         acc = acc + weight * trace.v
         acc_im = acc_im + weight * trace.v_im
     return _echo_trace(exp, plan.f_mw_hz, acc, acc_im, sigma_rad=dist.sigma,
                        mean_rad=dist.mean, nodes=len(thetas),
-                       shared_b1=shared_b1)
+                       shared_b1=shared)
 
 
 def average_analytic(tau, m_i: float, theta1: float, dist: AngleDistribution,
-                     delta_hz: float, *, shared_b1: bool = False) -> np.ndarray:
+                     delta_hz: float) -> np.ndarray:
     """Closed-form amplitude of the ``m_i`` line averaged over theta2.
 
-    ``v_outer`` for the outer lines, ``v_center`` for m_i = 0.  With
-    ``shared_b1`` each node also scales theta1 by its theta2 over the
-    nominal theta2 ``dist.mean``, as :func:`average_trace` scales pulse 1.
+    The averaged weights (w0, w1, w2) of :func:`averaged_component_weights`
+    at ``theta1``: w0 + w1 cos(2 pi d tau) + w2 cos(4 pi d tau) on the outer
+    lines, and the tau = 0 value w0 + w1 + w2 on the flat central line
+    (m_i = 0), since A0 + A1 + A2 = 5/2 at every theta2.
     """
-    thetas, weights = dist.points()
+    if delta_hz < 0:
+        raise ValueError("delta_hz must be non-negative")
+    w0, w1, w2 = averaged_component_weights(dist, theta1)
     tau = np.asarray(tau, dtype=float)
-    acc = np.zeros(tau.shape)
-    for theta, weight in zip(thetas, weights):
-        t1 = theta / dist.mean * theta1 if shared_b1 else theta1
-        v = v_outer(tau, t1, theta, delta_hz) if abs(m_i) > 1e-9 \
-            else v_center(tau, t1, theta)
-        acc = acc + weight * v
-    return acc
+    if abs(m_i) <= 1e-9:
+        return np.full(tau.shape, w0 + w1 + w2)
+    phase = TWO_PI * delta_hz * tau
+    return w0 + w1 * np.cos(phase) + w2 * np.cos(2 * phase)
 
 
 def average_analytic_outer(tau, theta1: float, dist: AngleDistribution,
@@ -120,22 +126,22 @@ def average_analytic_outer(tau, theta1: float, dist: AngleDistribution,
 
 
 def averaged_component_weights(dist: AngleDistribution,
-                               theta1: float = np.pi / 2, *,
-                               shared_b1: bool = False
+                               theta1: float = np.pi / 2
                                ) -> tuple[float, float, float]:
     """Ensemble-averaged spectral weights of the DC, fundamental and
     second-harmonic components of the outer-line echo.
 
     These are E[2 sin(t1) sin^2(t/2) A_k(t)] for k = 0, 1, 2: the cosine
     amplitudes a spectrum of the averaged trace actually shows.  With
-    ``shared_b1``, t1 scales as in :func:`average_analytic`.
+    ``dist.shared_b1`` each node scales t1 = ``theta1`` by t/``dist.mean``,
+    as :func:`average_trace` does (the config sets mean = ``pulse2.angle``).
     """
     thetas, weights = dist.points()
     # -0.0 is the exact identity of float addition, so a one-node rule
     # returns its terms unchanged, signed zeros included
     w0 = w1 = w2 = -0.0
     for theta, weight in zip(thetas, weights):
-        t1 = theta / dist.mean * theta1 if shared_b1 else theta1
+        t1 = theta / dist.mean * theta1 if dist.shared_b1 else theta1
         co = coefficients(theta)
         pref = 2.0 * np.sin(t1) * np.sin(theta / 2) ** 2
         w0 += weight * pref * co.a0
@@ -151,7 +157,8 @@ def i1_i2_ratio(dist: AngleDistribution) -> float:
     Zero for a perfect pi pulse (A1(pi) = 0); grows with the angular spread
     sigma.  A Gaussian spread of 0.31 rad around pi gives about 0.17, the
     signature of ~10% B1 inhomogeneity.  The first pulse's sin(theta1)
-    scales both weights, so it cancels.
+    scales both weights, so it cancels, unless ``shared_b1`` scales theta1
+    per node: the ratio is then read at a nominal theta1 = pi/2.
     """
     _, w1, w2 = averaged_component_weights(dist)
     if w2 == 0.0:

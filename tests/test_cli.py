@@ -388,22 +388,26 @@ def test_analytic_general_s_weights(tmp_path):
     assert meta["general_s_weights"] == "5,8,9,8,5,0"
 
 
-@pytest.mark.parametrize("sigma,shared_b1,m_i", [
-    pytest.param("0", "false", "0", id="0"),
-    pytest.param("0.31", "false", "0", id="0.31"),
-    pytest.param("0.31", "true", "0", id="0.31-shared_b1"),
-    pytest.param("0", "false", "-1", id="0-outer"),
-    pytest.param("0.31", "false", "-1", id="0.31-outer"),
-    pytest.param("0.31", "true", "-1", id="0.31-shared_b1-outer"),
+@pytest.mark.parametrize("sigma,shared_b1,m_i,nodes", [
+    pytest.param("0", "false", "0", "21", id="0"),
+    pytest.param("0.31", "false", "0", "21", id="0.31"),
+    pytest.param("0.31", "true", "0", "21", id="0.31-shared_b1"),
+    pytest.param("0", "false", "-1", "21", id="0-outer"),
+    pytest.param("0.31", "false", "-1", "21", id="0.31-outer"),
+    pytest.param("0.31", "true", "-1", "21", id="0.31-shared_b1-outer"),
+    pytest.param("0.31", "false", "-1", "3", id="0.31-outer-3-nodes"),
+    pytest.param("0.31", "true", "-1", "3", id="0.31-shared_b1-outer-3-nodes"),
 ])
-def test_analytic_center_matches_simulate(tmp_path, sigma, shared_b1, m_i):
+def test_analytic_center_matches_simulate(tmp_path, sigma, shared_b1, m_i,
+                                          nodes):
     # closed form and engine share one central-line normalization, and both
     # lines agree with and without the B1 ensemble average, also when the
-    # first pulse shares the B1 factor
+    # first pulse shares the B1 factor, on the same node rule
     cfg = tmp_path / "m0.cfg"
     cfg.write_text(FAST_CFG.replace("detect_m_i = -1", f"detect_m_i = {m_i}")
                    .replace("sigma_rad = 0.31", f"sigma_rad = {sigma}\n"
-                            f"shared_b1 = {shared_b1}"))
+                            f"shared_b1 = {shared_b1}")
+                   .replace("nodes = 21", f"nodes = {nodes}"))
     sim, ana = tmp_path / "sim.csv", tmp_path / "ana.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
     assert main(["analytic", "--config", str(cfg), "--out", str(ana)]) == 0
@@ -522,9 +526,9 @@ def test_sweep_sigma_follows_shared_b1(tmp_path):
     tau = np.linspace(1e-6, 200e-6, 64)
     phase = 2 * np.pi * d * tau
     for sigma, w0, w1, w2, _ in rows:
-        want = average_analytic(tau, 1.0, np.pi / 2,
-                                AngleDistribution(np.pi, sigma), d,
-                                shared_b1=True)
+        want = average_analytic(
+            tau, 1.0, np.pi / 2,
+            AngleDistribution(np.pi, sigma, shared_b1=True), d)
         got = w0 + w1 * np.cos(phase) + w2 * np.cos(2 * phase)
         assert np.abs(got - want).max() <= 1e-12
 

@@ -587,7 +587,7 @@ def test_supports_are_the_dense_nonzero_patterns(preset):
             assert len(support[0]) == count
         # X from the links: every second-order element included
         plan.tabulate(np.array([0.93]), np.array([1.0]))
-        x_plan = plan._coherences(0.93)[0]
+        x_plan = (plan._w @ plan._spread(0.93))[0]
         assert np.abs(x_plan - x[sup.x]).max() <= 1e-12 * np.abs(x).max()
         g = u2.conj().T @ det_op @ u2
         g_pattern = _pattern(np.where(order == -1, g.T, 0.0))  # G[j, i]
@@ -787,10 +787,10 @@ def test_average_builds_each_pulse_once(preset, monkeypatch):
     exp = EchoExperiment(system=preset, pulse1=p1, pulse2=p2,
                          tau_grid=np.linspace(1e-6, 20e-6, 4), detect_m_i=1.0,
                          resonance_offset_hz=0.0)
-    dist = AngleDistribution(sigma=0.31, nodes=41)
     for shared_b1 in (False, True):
         calls.clear()
-        average_trace(exp, dist, shared_b1=shared_b1)
+        average_trace(exp, AngleDistribution(sigma=0.31, nodes=41,
+                                             shared_b1=shared_b1))
         assert calls == [(p1, 41 if shared_b1 else 1), (p2, 41)]
 
 
@@ -830,7 +830,7 @@ def test_average_raises_on_a_stacked_pulse_across_m_i_blocks(
     exp = EchoExperiment(system=preset, pulse1=p1, pulse2=p2,
                          tau_grid=np.linspace(1e-6, 20e-6, 4), detect_m_i=1.0,
                          resonance_offset_hz=0.0)
-    dist = AngleDistribution(sigma=0.31, nodes=5)
+    dist = AngleDistribution(sigma=0.31, nodes=5, shared_b1=shared_b1)
     factory = engine_module._scaled_propagator
 
     def leaky_factory(pulse, system, f_mw_hz=None):
@@ -844,7 +844,7 @@ def test_average_raises_on_a_stacked_pulse_across_m_i_blocks(
             return u
         return leaky
 
-    average_trace(exp, dist, shared_b1=shared_b1)
+    average_trace(exp, dist)
     monkeypatch.setattr(engine_module, "_scaled_propagator", leaky_factory)
     with pytest.raises(np.linalg.LinAlgError, match="conserve m_i"):
-        average_trace(exp, dist, shared_b1=shared_b1)
+        average_trace(exp, dist)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ def test_distribution_validation():
         AngleDistribution(sigma=0.1, nodes=1)
     with pytest.raises(ValueError):  # the node rule holds at zero width too
         AngleDistribution(mean=1.0, nodes=40)
+    # non-finite input stops here, not as NaN weights or deep in the engine
+    for bad in ({"sigma": np.nan}, {"sigma": np.inf}, {"mean": np.nan},
+                {"mean": np.inf}, {"mean": np.nan, "sigma": 0.1}):
+        with pytest.raises(ValueError, match="finite"):
+            AngleDistribution(**bad)
+    # shared_b1 scales pulse 1 by theta/mean
+    with pytest.raises(ValueError, match="mean"):
+        AngleDistribution(mean=0.0, sigma=0.1, shared_b1=True)
+    assert AngleDistribution(mean=0.0).points()[0].tolist() == [0.0]
     thetas, weights = AngleDistribution(sigma=0.2, nodes=11).points()
     assert thetas.size == 11 and weights.sum() == pytest.approx(1.0)
     assert np.pi in thetas  # odd rule includes the mean
@@ -102,8 +113,8 @@ def test_average_trace_is_weighted_sum_of_node_traces(preset, shared_b1):
                          engine="exact-lab-frame", resonance_offset_hz=0.0,
                          t2_s=210e-6)
     dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
-                             nodes=11)
-    averaged = average_trace(exp, dist, shared_b1=shared_b1)
+                             nodes=11, shared_b1=shared_b1)
+    averaged = average_trace(exp, dist)
     thetas, weights = dist.points()
     ref = np.zeros(tau.size)
     ref_im = np.zeros(tau.size)
@@ -138,9 +149,9 @@ def test_zero_width_average_has_the_run_labels(preset):
 @pytest.mark.parametrize("shared_b1", [False, True])
 def test_average_residual_is_that_of_the_averaged_amplitude(preset,
                                                             shared_b1):
-    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1, nodes=11)
-    trace = average_trace(make_exp(preset, m_i=-1.0), dist,
-                          shared_b1=shared_b1)
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1, nodes=11,
+                             shared_b1=shared_b1)
+    trace = average_trace(make_exp(preset, m_i=-1.0), dist)
     assert trace.metadata["max_imag_residual"] == np.abs(trace.v_im).max()
 
 
@@ -192,6 +203,16 @@ def test_i1_i2_ratio_monotone_in_sigma():
         prev = cur
 
 
+def test_i1_i2_ratio_follows_shared_b1():
+    # a shared-B1 ratio is that of the averaged weights at theta1 = pi/2,
+    # where each node also scales pulse 1, so it differs from the unshared
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1, shared_b1=True)
+    _, w1, w2 = averaged_component_weights(dist)
+    assert i1_i2_ratio(dist) == abs(w1) / abs(w2)
+    unshared = i1_i2_ratio(replace(dist, shared_b1=False))
+    assert abs(i1_i2_ratio(dist) - unshared) > 1e-3 * unshared
+
+
 def test_quadrature_node_convergence(preset):
     d = delta_hz(preset)
     tau = np.linspace(1e-6, 150e-6, 96)
@@ -221,7 +242,8 @@ def test_shared_b1_scales_first_pulse(preset):
     dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1,
                              nodes=11)
     fixed = average_trace(make_exp(preset, tau=tau), dist).v
-    shared = average_trace(make_exp(preset, tau=tau), dist, shared_b1=True).v
+    shared = average_trace(make_exp(preset, tau=tau),
+                           replace(dist, shared_b1=True)).v
     assert np.abs(fixed - shared).max() > 1e-4  # the flag has an effect
     # shared scaling only weakens the first-pulse sine factor
     assert np.abs(shared).max() <= np.abs(fixed).max() + 1e-9
