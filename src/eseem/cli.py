@@ -25,12 +25,12 @@ import numpy as np
 
 from .analytic import coefficients, general_s_weights, v_general
 from .config import SCHEMA, ConfigError, RunConfig, load_preset, parse_config
-from .engine import EchoTrace
+from .engine import EchoExperiment, EchoTrace
 from .ensemble import (AngleDistribution, apply_t2, average_analytic,
                        average_trace, averaged_component_weights)
 from .fileio import (_write_table, read_trace_csv, write_spectrum_csv,
                      write_trace_csv)
-from .hamiltonians import delta_hz
+from .hamiltonians import TWO_PI, delta_hz
 from .spectral import (BASELINES, FIT_MODELS, WINDOWS, fft_magnitude,
                        find_peaks, fit_decay)
 from .svgplot import write_line_svg
@@ -80,47 +80,63 @@ def _maybe_svg(args, path: Path, x, y, xlabel, ylabel, title) -> None:
         write_line_svg(path.with_suffix(".svg"), x, y, xlabel, ylabel, title)
 
 
-def cmd_simulate(args) -> int:
+def _write_line_traces(args, average, title: str) -> int:
+    """Write ``average(exp, distribution)`` for each detected line of the
+    config: a CSV echoing it (its name tagged with the line when there are
+    several), with ``--svg`` a plot, and a "wrote" line."""
     cfg = _load_config(args)
-    multi = len(cfg.detect_m_i) > 1
-    for m_i in cfg.detect_m_i:
-        trace = average_trace(cfg.experiment(m_i), cfg.distribution)
-        path = _out_path(args.out, m_i, multi)
+    multi = len(cfg.experiments) > 1
+    for exp in cfg.experiments:
+        trace = average(exp, cfg.distribution)
+        path = _out_path(args.out, exp.detect_m_i, multi)
         write_trace_csv(path, trace, extra_meta=cfg.echo,
-                        im_residual=args.im_residual)
-        _maybe_svg(args, path, trace.tau_s * 1e6, trace.v,
-                   "tau (us)", "echo amplitude", f"two-pulse echo, m_i={m_i:+g}")
+                        im_residual=getattr(args, "im_residual", False))
+        _maybe_svg(args, path, trace.tau_s * 1e6, trace.v, "tau (us)",
+                   "echo amplitude", f"{title}, m_i={exp.detect_m_i:+g}")
         print(f"wrote {path}")
     return EXIT_OK
+
+
+def _check_closed_form(exp: EchoExperiment) -> None:
+    """Raise ``ConfigError`` unless the closed form describes ``exp``; the
+    engines' echo carries a factor cos(2 phase2 - phase1)."""
+    turns = (2 * exp.pulse2.phase - exp.pulse1.phase) / TWO_PI
+    phase = "phase2_deg" if exp.pulse2.phase else "phase1_deg"
+    for key, bad, need in (
+            ("system.s", exp.system.s != 1.5, "s = 3/2"),
+            ("system.i", exp.system.i != 1.0, "i = 1"),
+            ("sequence.composite", exp.pulse2.composite is not None,
+             "one rotation per pulse"),
+            (f"sequence.{phase}", abs(turns - round(turns)) > 1e-9,
+             "2 phase2_deg - phase1_deg a multiple of 360")):
+        if bad:
+            raise ConfigError(key, f"the closed form needs {need}; "
+                                   "simulate takes this run")
+
+
+def cmd_simulate(args) -> int:
+    return _write_line_traces(args, average_trace, "two-pulse echo")
 
 
 def cmd_analytic(args) -> int:
-    cfg = _load_config(args)
-    d = delta_hz(cfg.system)
-    theta1 = cfg.pulse1.angle
-    theta2 = cfg.pulse2.angle
-    tau = cfg.tau_grid
-    multi = len(cfg.detect_m_i) > 1
-    for m_i in cfg.detect_m_i:
-        meta = {**cfg.echo, "model": "closed-form", "delta_hz": d,
-                "m_i": m_i, "theta1_rad": theta1, "theta2_rad": theta2}
+    def closed_form(exp: EchoExperiment, dist) -> EchoTrace:
+        s, m_i, d = exp.system.s, exp.detect_m_i, delta_hz(exp.system)
+        meta = {"model": "closed-form", "delta_hz": d, "m_i": m_i,
+                "theta1_rad": exp.pulse1.angle,
+                "theta2_rad": exp.pulse2.angle}
         if args.general_s:
-            weights = general_s_weights(cfg.system.s)
+            weights = general_s_weights(s)
             meta["general_s_weights"] = ",".join("%g" % w for w in weights)
-            v = v_general(cfg.system.s, m_i, tau, d).real
+            v = v_general(s, m_i, exp.tau_grid, d).real
         else:
-            co = coefficients(theta2)
+            _check_closed_form(exp)
+            co = coefficients(exp.pulse2.angle)
             meta.update({"a0": co.a0, "a1": co.a1, "a2": co.a2})
-            v = average_analytic(tau, m_i, theta1, cfg.distribution, d)
-        trace = EchoTrace(tau_s=tau, v=v, metadata=meta)
-        if cfg.t2_s is not None:
-            trace = apply_t2(trace, cfg.t2_s)
-        path = _out_path(args.out, m_i, multi)
-        write_trace_csv(path, trace)
-        _maybe_svg(args, path, tau * 1e6, trace.v, "tau (us)",
-                   "echo amplitude", f"closed-form echo, m_i={m_i:+g}")
-        print(f"wrote {path}")
-    return EXIT_OK
+            v = average_analytic(exp, dist)
+        trace = EchoTrace(tau_s=exp.tau_grid, v=v, metadata=meta)
+        return trace if exp.t2_s is None else apply_t2(trace, exp.t2_s)
+
+    return _write_line_traces(args, closed_form, "closed-form echo")
 
 
 def cmd_spectrum(args) -> int:
@@ -153,7 +169,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    d = delta_hz(cfg.system)
+    exp = cfg.experiments[0]  # the lines share what a sweep reads
+    _check_closed_form(exp)
     if args.param == "sigma_rad":
         allowed = SCHEMA["ensemble"]["sigma_rad"][2]
     else:
@@ -173,10 +190,11 @@ def cmd_sweep(args) -> int:
             dist = AngleDistribution(mean=np.deg2rad(value))
         else:
             dist = replace(cfg.distribution, sigma=float(value))
-        w0, w1, w2 = averaged_component_weights(dist, cfg.pulse1.angle)
+        w0, w1, w2 = averaged_component_weights(dist, exp.pulse1.angle)
         ratio = abs(w1) / abs(w2) if w2 != 0 else float("inf")
         rows.append((value, w0, w1, w2, ratio))
-    _write_table(args.out, {"param": args.param, "delta_hz": d},
+    _write_table(args.out, {"param": args.param,
+                            "delta_hz": delta_hz(exp.system)},
                  [args.param, "w_const", "w_fundamental", "w_second_harmonic",
                   "ratio"], list(np.array(rows).T))
     print(f"wrote {args.out}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +29,7 @@ import numpy as np
 from .engine import ENGINES, MIN_STEPS_PER_PERIOD, EchoExperiment
 from .ensemble import MAX_ENSEMBLE_NODES, AngleDistribution
 from .pulses import PULSE_MODELS, PulseSpec, composite_pi
-from .spinops import projector_mi
+from .spinops import projection
 from .system import SpinSystemParams
 
 PRESET_NAMES = ("nc60", "nc60_mi_minus1", "nc60_mi_0", "nc60_composite")
@@ -107,8 +107,8 @@ REQUIRED = object()  # the default of a key that must be given
 # block -> key -> (kind, default or REQUIRED[, allowed: choices or Range]).
 # A block with a required key is required.  The [system] keys are the fields
 # of SpinSystemParams, which checks f_e_hz, g and the spins; the [ensemble]
-# block is one AngleDistribution, around theta2; the [run] keys are fields of
-# RunConfig.
+# block is one AngleDistribution, around theta2; each run.detect_m_i line is
+# one EchoExperiment, and the other [run] keys are its fields.
 SCHEMA = {
     "system": {"s": (_parse_spin, REQUIRED, Range(0.5)),
                "i": (_parse_spin, REQUIRED),
@@ -162,26 +162,19 @@ def _value(field_path: str, raw: str, kind, default, allowed=None):
 
 @dataclass
 class RunConfig:
-    """Parsed, validated configuration for one run."""
+    """Parsed, validated configuration: one experiment per detected line,
+    in config order, and the ``[ensemble]`` block they are averaged over."""
 
-    system: SpinSystemParams
-    pulse1: PulseSpec
-    pulse2: PulseSpec
-    tau_grid: np.ndarray
-    detect_m_i: list[float]
-    engine: str
-    resonance_offset_hz: float | None
-    t2_s: float | None
+    experiments: list[EchoExperiment]
     distribution: AngleDistribution
-    steps_per_period: int
     echo: dict = field(default_factory=dict)   # flattened raw items
 
+    @property
+    def detect_m_i(self) -> list[float]:
+        return [exp.detect_m_i for exp in self.experiments]
+
     def experiment(self, m_i: float) -> EchoExperiment:
-        return EchoExperiment(
-            system=self.system, pulse1=self.pulse1, pulse2=self.pulse2,
-            tau_grid=self.tau_grid, detect_m_i=m_i, engine=self.engine,
-            resonance_offset_hz=self.resonance_offset_hz, t2_s=self.t2_s,
-            steps_per_period=self.steps_per_period)
+        return replace(self.experiments[0], detect_m_i=m_i)
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -239,11 +232,15 @@ def parse_config(path: str | Path) -> RunConfig:
     tau_grid = np.linspace(tau["start_s"], tau["stop_s"], tau["points"])
 
     run = values["run"]
-    for m_i in run["detect_m_i"]:
+    lines = []
+    for m_i in run.pop("detect_m_i"):
         try:
-            projector_mi(system.i, m_i)
+            line = projection(system.i, m_i)
         except ValueError as err:
             raise ConfigError("run.detect_m_i", str(err))
+        if line in lines:
+            raise ConfigError("run.detect_m_i", f"line {line:g} listed twice")
+        lines.append(line)
     if run["resonance_offset_hz"] is not None and system.f_mw_hz is not None:
         raise ConfigError("run.resonance_offset_hz",
                           "give either this or system.f_mw_hz, not both")
@@ -256,8 +253,10 @@ def parse_config(path: str | Path) -> RunConfig:
 
     echo = {f"{block}.{key}": value
             for block, items in raw.items() for key, value in items.items()}
-    return RunConfig(system=system, pulse1=pulse1, pulse2=pulse2,
-                     tau_grid=tau_grid, distribution=dist, echo=echo, **run)
+    experiments = [EchoExperiment(system=system, pulse1=pulse1, pulse2=pulse2,
+                                  tau_grid=tau_grid, detect_m_i=m_i, **run)
+                   for m_i in lines]
+    return RunConfig(experiments=experiments, distribution=dist, echo=echo)
 
 
 def preset_path(name: str) -> Path:

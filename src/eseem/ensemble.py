@@ -23,7 +23,7 @@ import numpy as np
 from .analytic import coefficients
 from .engine import (EchoExperiment, EchoTrace, _echo_trace, _EchoPlan,
                      _t2_damping, run_two_pulse_echo)
-from .hamiltonians import TWO_PI
+from .hamiltonians import TWO_PI, delta_hz
 
 
 @dataclass(frozen=True)
@@ -100,29 +100,30 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution) -> EchoTrace:
                        shared_b1=shared)
 
 
-def average_analytic(tau, m_i: float, theta1: float, dist: AngleDistribution,
-                     delta_hz: float) -> np.ndarray:
-    """Closed-form amplitude of the ``m_i`` line averaged over theta2.
-
-    The averaged weights (w0, w1, w2) of :func:`averaged_component_weights`
-    at ``theta1``: w0 + w1 cos(2 pi d tau) + w2 cos(4 pi d tau) on the outer
-    lines, and the tau = 0 value w0 + w1 + w2 on the flat central line
-    (m_i = 0), since A0 + A1 + A2 = 5/2 at every theta2.
-    """
-    if delta_hz < 0:
-        raise ValueError("delta_hz must be non-negative")
+def average_analytic(exp: EchoExperiment,
+                     dist: AngleDistribution) -> np.ndarray:
+    """The closed-form route to :func:`average_trace` (S = 3/2, I = 1): it
+    reads tau, the line, theta1 and delta from ``exp``.  The flat central
+    line (m_i = 0) is w0 + w1 + w2, the outer-line law at tau = 0, since
+    A0 + A1 + A2 = 5/2 at every theta2."""
+    theta1 = exp.pulse1.angle
+    if abs(exp.detect_m_i) > 1e-9:
+        return average_analytic_outer(exp.tau_grid, theta1, dist,
+                                      delta_hz(exp.system))
     w0, w1, w2 = averaged_component_weights(dist, theta1)
-    tau = np.asarray(tau, dtype=float)
-    if abs(m_i) <= 1e-9:
-        return np.full(tau.shape, w0 + w1 + w2)
-    phase = TWO_PI * delta_hz * tau
-    return w0 + w1 * np.cos(phase) + w2 * np.cos(2 * phase)
+    return np.full(exp.tau_grid.shape, w0 + w1 + w2)
 
 
 def average_analytic_outer(tau, theta1: float, dist: AngleDistribution,
                            delta_hz: float) -> np.ndarray:
-    """Closed-form outer-line amplitude averaged over theta2."""
-    return average_analytic(tau, 1.0, theta1, dist, delta_hz)
+    """Closed-form outer-line amplitude averaged over theta2: with the
+    averaged weights (w0, w1, w2) of :func:`averaged_component_weights` at
+    ``theta1``, w0 + w1 cos(2 pi d tau) + w2 cos(4 pi d tau)."""
+    if delta_hz < 0:
+        raise ValueError("delta_hz must be non-negative")
+    w0, w1, w2 = averaged_component_weights(dist, theta1)
+    phase = TWO_PI * delta_hz * np.asarray(tau, dtype=float)
+    return w0 + w1 * np.cos(phase) + w2 * np.cos(2 * phase)
 
 
 def averaged_component_weights(dist: AngleDistribution,

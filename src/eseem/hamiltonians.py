@@ -140,6 +140,19 @@ def h_rot_t(p: SpinSystemParams, t: float | np.ndarray,
                      + p.a_hz * (ops.sz_iz + osc))
 
 
+def labeled_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hermitian ``h``, column k the
+    eigenstate whose dominant basis state is k; ``ValueError`` when two
+    share one, as far from the perturbative regime."""
+    w, v = np.linalg.eigh(h)
+    labels = np.argmax(np.abs(v), axis=0)
+    if len(set(labels.tolist())) != len(w):
+        raise ValueError("could not uniquely label eigenstates; "
+                         "system too far from the perturbative regime")
+    order = np.argsort(labels)
+    return w[order], v[:, order]
+
+
 @dataclass(frozen=True)
 class StickLine:
     """One allowed electron transition of the field-swept spectrum."""
@@ -155,22 +168,17 @@ def epr_stick_spectrum(p: SpinSystemParams) -> list[StickLine]:
     """Allowed-transition stick spectrum from exact diagonalization.
 
     Eigenstates of :func:`h0_lab` are labeled by their dominant basis state
-    (the isotropic mixing is tiny in the perturbative regime).  For each
-    m_i, adjacent-m_s transition frequencies are eigenvalue differences and
-    intensities are squared S+ matrix elements, giving the 3:4:3 pattern
-    with splittings of order a^2/f_e for the outer manifolds of an S=3/2
-    system.
+    by :func:`labeled_eigh` (the isotropic mixing is tiny in the
+    perturbative regime).  For each m_i, adjacent-m_s transition
+    frequencies are eigenvalue differences and intensities are squared S+
+    matrix elements, giving the 3:4:3 pattern with splittings of order
+    a^2/f_e for the outer manifolds of an S=3/2 system.
 
     Frequency offsets are relative to the g-factor center ``f_e_hz``; field
     offsets use B = h*f/(g*beta).
     """
     basis = p.basis
-    w, v = np.linalg.eigh(h0_lab(p))
-    labels = [int(np.argmax(np.abs(v[:, k]))) for k in range(basis.dim)]
-    if len(set(labels)) != basis.dim:
-        raise ValueError("could not uniquely label eigenstates; "
-                         "system too far from the perturbative regime")
-    by_label = {labels[k]: k for k in range(basis.dim)}
+    w, v = labeled_eigh(h0_lab(p))
     splus = kron(raising_operator(p.s), np.eye(multiplicity(p.i)))
 
     hz_per_rad = 1.0 / TWO_PI
@@ -178,8 +186,8 @@ def epr_stick_spectrum(p: SpinSystemParams) -> list[StickLine]:
     lines = []
     for m_i in projections(p.i):
         for m_s in projections(p.s)[:-1]:
-            k_up = by_label[basis.index_of(m_s, m_i)]
-            k_lo = by_label[basis.index_of(m_s - 1, m_i)]
+            k_up = basis.index_of(m_s, m_i)
+            k_lo = basis.index_of(m_s - 1, m_i)
             f_t = (w[k_up] - w[k_lo]) * hz_per_rad
             inten = abs(v[:, k_up].conj() @ splus @ v[:, k_lo]) ** 2
             off = f_t - p.f_e_hz

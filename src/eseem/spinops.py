@@ -84,15 +84,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+def projection(i: float, m_i: float) -> float:
+    """The projection of spin ``i`` within 1e-9 of ``m_i``, exactly."""
+    m = projections(i)
+    near = m[np.abs(m - m_i) < 1e-9]
+    if not near.size:
+        raise ValueError(f"projection {m_i} invalid for spin {i}")
+    return float(near[0])
+
+
 def projector_mi(i: float, m_i: float) -> np.ndarray:
     """Diagonal projector onto the nuclear projection ``m_i``.
 
     Idempotent, rank one in the nuclear space.
     """
-    m = projections(i)
-    sel = np.abs(m - m_i) < 1e-9
-    if not sel.any():
-        raise ValueError(f"projection {m_i} invalid for spin {i}")
+    sel = projections(i) == projection(i, m_i)
     return np.diag(sel.astype(float)).astype(complex)
 
 

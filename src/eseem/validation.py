@@ -18,11 +18,13 @@ import numpy as np
 
 from .analytic import v_general, v_outer
 from .engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
-                     free_evolution, run_two_pulse_echo, validate_aht)
-from .ensemble import (AngleDistribution, average_analytic_outer,
-                       average_trace, i1_i2_ratio)
+                     free_evolution, run_two_pulse_echo, thermal_deviation,
+                     validate_aht)
+from .ensemble import (AngleDistribution, average_analytic,
+                       average_analytic_outer, average_trace, i1_i2_ratio)
 from .hamiltonians import (TWO_PI, delta_hz, epr_stick_spectrum, h0_lab,
-                           h_avg0, h_avg1, h_rot_t)
+                           h_avg0, h_avg1, h_rot_t, labeled_eigh,
+                           line_center_hz)
 from .pulses import PulseSpec, composite_pi, rotation_operator
 from .spectral import fft_magnitude, find_peaks, fit_decay
 from .spinops import expm_hermitian, kron, projections, spin_matrices
@@ -107,16 +109,8 @@ def _block_transition_errors(p) -> float:
     basis = p.basis
     h_exact = h0_lab(p)
     h_pert = h_avg0(p, f_mw_hz=0.0) + h_avg1(p)
-
-    def labeled_levels(h):
-        w, v = np.linalg.eigh(h)
-        out = {}
-        for k in range(basis.dim):
-            out[int(np.argmax(np.abs(v[:, k])))] = w[k]
-        return out
-
-    le = labeled_levels(h_exact)
-    lp = labeled_levels(h_pert)
+    le = labeled_eigh(h_exact)[0]
+    lp = labeled_eigh(h_pert)[0]
     worst = 0.0
     for m_i in projections(p.i):
         for m_s in projections(p.s)[:-1]:
@@ -200,8 +194,7 @@ def _propagator_unitarity() -> tuple[float, float]:
 
 def _sigma_propagation_health() -> tuple[float, float]:
     p = nc60_params()
-    sz = kron(spin_matrices(p.s)[2], np.eye(3))
-    sigma = -sz
+    sigma = thermal_deviation(p)
     r1 = rotation_operator(PulseSpec(np.pi / 2), p)
     u = free_evolution("exact-lab-frame", p, 5e-6, 0.0, f_mw_hz=p.f_e_hz)
     sigma = u @ (r1 @ sigma @ r1.conj().T) @ u.conj().T
@@ -242,7 +235,7 @@ def _echo_operator_structure() -> tuple[float, float]:
     phase."""
     p = nc60_params()
     d_ang = TWO_PI * delta_hz(p)
-    f_mw = p.f_e_hz + p.a_hz + 0.5 * delta_hz(p)  # on the outer line
+    f_mw = line_center_hz(p, 1.0)  # on the outer line
     r_pi = rotation_operator(PulseSpec(np.pi), p)
     basis = p.basis
     idx = basis.mi_indices(1.0)
@@ -350,11 +343,10 @@ def _quadrature_convergence() -> tuple[float, float]:
 
 def _ensemble_linearity() -> tuple[float, float]:
     p = nc60_params()
-    d = delta_hz(p)
-    tau = np.linspace(1e-6, 120e-6, 64)
+    exp = _ideal_echo(p, np.linspace(1e-6, 120e-6, 64))
     dist = AngleDistribution(mean=np.pi, sigma=0.31, nodes=21)
-    numeric = average_trace(_ideal_echo(p, tau), dist).v
-    analytic = average_analytic_outer(tau, np.pi / 2, dist, d)
+    numeric = average_trace(exp, dist).v
+    analytic = average_analytic(exp, dist)
     return float(np.abs(numeric - analytic).max()), 1e-8
 
 

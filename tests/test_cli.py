@@ -148,6 +148,28 @@ def test_invalid_projection_exit_code(tmp_path, capsys, m_i):
     assert "run.detect_m_i: projection" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m_i", ["-1, -1", "-1, -1.0000000001", "0, 1, -0"])
+def test_repeated_line_exit_code(tmp_path, capsys, m_i):
+    # a line within the projection tolerance of another is the same line
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(FAST_CFG.replace("detect_m_i = -1", f"detect_m_i = {m_i}"))
+    code = main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "run.detect_m_i: line" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_line_is_stored_as_its_exact_projection(tmp_path):
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text(FAST_CFG.replace("detect_m_i = -1",
+                                    "detect_m_i = -1.0000000001"))
+    assert parse_config(cfg).detect_m_i == [-1.0]
+    out = tmp_path / "near.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_trace_csv(out).metadata["m_i"] == "-1.0"
+
+
 @pytest.mark.parametrize("g", ["-2", "0"])
 def test_non_positive_g_exit_code(tmp_path, capsys, g):
     cfg = tmp_path / "bad.cfg"
@@ -388,6 +410,75 @@ def test_analytic_general_s_weights(tmp_path):
     assert meta["general_s_weights"] == "5,8,9,8,5,0"
 
 
+CLOSED_FORM_COMMANDS = {
+    "analytic": ["analytic"],
+    "sweep-sigma": ["sweep", "--param", "sigma_rad", "--start", "0",
+                    "--stop", "0.5", "--num", "3"],
+    "sweep-theta2": ["sweep", "--param", "theta2_deg", "--start", "0",
+                     "--stop", "360", "--num", "3"],
+}
+
+
+@pytest.mark.parametrize("command", CLOSED_FORM_COMMANDS)
+@pytest.mark.parametrize("edits, field", [
+    ([("s = 3/2", "s = 5/2")], "system.s"),
+    ([("i = 1\n", "i = 1/2\n"), ("detect_m_i = -1", "detect_m_i = 1/2")],
+     "system.i"),
+    ([("theta2_deg = 180", "theta2_deg = 180\ncomposite = cp3")],
+     "sequence.composite"),
+    ([("theta2_deg = 180", "theta2_deg = 180\nphase2_deg = 45")],
+     "sequence.phase2_deg"),
+    ([("theta1_deg = 90", "theta1_deg = 90\nphase1_deg = 30")],
+     "sequence.phase1_deg"),
+], ids=["s", "i", "composite", "phase2", "phase1"])
+def test_closed_form_refuses_runs_it_does_not_describe(tmp_path, capsys,
+                                                       command, edits, field):
+    text = FAST_CFG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg, out = tmp_path / "out_of_scope.cfg", tmp_path / "x.csv"
+    cfg.write_text(text)
+    argv = CLOSED_FORM_COMMANDS[command] + ["--config", str(cfg),
+                                            "--out", str(out)]
+    assert main(argv) == 2
+    assert f"configuration error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+    # the engines take every one of these runs
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("phase1,phase2", [(0, 180), (90, 45)])
+@pytest.mark.parametrize("m_i", ["-1", "0"])
+def test_closed_form_accepts_phases_that_keep_the_echo(tmp_path, phase1,
+                                                      phase2, m_i):
+    # the engine's echo carries cos(2 phase2 - phase1), which is 1 here
+    cfg = tmp_path / "phases.cfg"
+    cfg.write_text(FAST_CFG.replace(
+        "theta2_deg = 180", f"theta2_deg = 180\nphase1_deg = {phase1}\n"
+                            f"phase2_deg = {phase2}")
+        .replace("detect_m_i = -1", f"detect_m_i = {m_i}"))
+    sim, ana = tmp_path / "sim.csv", tmp_path / "ana.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    assert main(["analytic", "--config", str(cfg), "--out", str(ana)]) == 0
+    v_sim, v_ana = read_trace_csv(sim).v, read_trace_csv(ana).v
+    assert np.abs(v_sim - v_ana).max() <= 1e-9
+    for sweep in ("sweep-sigma", "sweep-theta2"):
+        assert main(CLOSED_FORM_COMMANDS[sweep] + [
+            "--config", str(cfg), "--out", str(tmp_path / "sw.csv")]) == 0
+
+
+def test_non_finite_trace_row_exit_code(tmp_path, capsys):
+    trace = tmp_path / "nan.csv"
+    trace.write_text("# m_i = -1\ntau_s,v\n1e-06,1.0\n2e-06,nan\n"
+                     "3e-06,0.5\n")
+    for argv in (["fit", str(trace)],
+                 ["spectrum", str(trace), "--out", str(tmp_path / "s.csv")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: echo amplitudes must be finite\n"
+
+
 @pytest.mark.parametrize("sigma,shared_b1,m_i,nodes", [
     pytest.param("0", "false", "0", "21", id="0"),
     pytest.param("0.31", "false", "0", "21", id="0.31"),
@@ -511,7 +602,7 @@ def test_sweep_sigma(tmp_path):
 def test_sweep_sigma_follows_shared_b1(tmp_path):
     # with shared_b1 each node scales theta1 too, so a row's weights give
     # the closed-form outer-line average of the same configuration
-    from eseem.ensemble import AngleDistribution, average_analytic
+    from eseem.ensemble import AngleDistribution, average_analytic_outer
     cfg = tmp_path / "shared.cfg"
     cfg.write_text(FAST_CFG.replace("sigma_rad = 0.31",
                                     "sigma_rad = 0.31\nshared_b1 = true"))
@@ -526,8 +617,8 @@ def test_sweep_sigma_follows_shared_b1(tmp_path):
     tau = np.linspace(1e-6, 200e-6, 64)
     phase = 2 * np.pi * d * tau
     for sigma, w0, w1, w2, _ in rows:
-        want = average_analytic(
-            tau, 1.0, np.pi / 2,
+        want = average_analytic_outer(
+            tau, np.pi / 2,
             AngleDistribution(np.pi, sigma, shared_b1=True), d)
         got = w0 + w1 * np.cos(phase) + w2 * np.cos(2 * phase)
         assert np.abs(got - want).max() <= 1e-12

@@ -50,13 +50,14 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 def test_parse_full_config(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, GOOD_CFG))
-    assert cfg.system.s == 1.5 and cfg.system.i == 1.0
-    assert cfg.pulse1.angle == pytest.approx(np.pi / 2)
-    assert cfg.pulse2.angle == pytest.approx(2 * np.pi / 3)
-    assert cfg.pulse2.phase == pytest.approx(np.pi / 4)
-    assert cfg.tau_grid.size == 64
+    assert (cfg.experiments[0].system.s == 1.5
+            and cfg.experiments[0].system.i == 1.0)
+    assert cfg.experiments[0].pulse1.angle == pytest.approx(np.pi / 2)
+    assert cfg.experiments[0].pulse2.angle == pytest.approx(2 * np.pi / 3)
+    assert cfg.experiments[0].pulse2.phase == pytest.approx(np.pi / 4)
+    assert cfg.experiments[0].tau_grid.size == 64
     assert cfg.detect_m_i == [-1.0, 0.0, 1.0]
-    assert cfg.t2_s == pytest.approx(210e-6)
+    assert cfg.experiments[0].t2_s == pytest.approx(210e-6)
     assert cfg.distribution.nodes == 21
     assert cfg.echo["sequence.theta2_deg"] == "120"
     exp = cfg.experiment(-1.0)
@@ -136,15 +137,15 @@ def test_frame_frequency_exclusivity(tmp_path):
     # with the offset removed, an explicit frame frequency is accepted
     ok = text.replace("resonance_offset_hz = 0\n", "")
     cfg = parse_config(write_cfg(tmp_path, ok, name="ok.cfg"))
-    assert cfg.resonance_offset_hz is None
-    assert cfg.system.f_mw_hz == pytest.approx(9.6e9)
+    assert cfg.experiments[0].resonance_offset_hz is None
+    assert cfg.experiments[0].system.f_mw_hz == pytest.approx(9.6e9)
 
 
 def test_composite_parsing(tmp_path):
     text = GOOD_CFG.replace("phase2_deg = 45",
                             "phase2_deg = 0\ncomposite = 90@0,180@90,90@0")
     cfg = parse_config(write_cfg(tmp_path, text))
-    segs = cfg.pulse2.composite
+    segs = cfg.experiments[0].pulse2.composite
     assert len(segs) == 3
     assert segs[1] == (pytest.approx(np.pi), pytest.approx(np.pi / 2))
     with pytest.raises(ConfigError):
@@ -155,12 +156,13 @@ def test_composite_parsing(tmp_path):
 def test_presets_load():
     for name in ("nc60", "nc60_mi_minus1", "nc60_mi_0", "nc60_composite"):
         cfg = load_preset(name)
-        assert cfg.system.a_hz == pytest.approx(15.8e6)
-        assert cfg.t2_s == pytest.approx(210e-6)
-        assert cfg.pulse1.duration_s == pytest.approx(56e-9)
-        assert cfg.pulse2.duration_s == pytest.approx(112e-9)
+        assert cfg.experiments[0].system.a_hz == pytest.approx(15.8e6)
+        assert cfg.experiments[0].t2_s == pytest.approx(210e-6)
+        assert cfg.experiments[0].pulse1.duration_s == pytest.approx(56e-9)
+        assert cfg.experiments[0].pulse2.duration_s == pytest.approx(112e-9)
         assert cfg.distribution.sigma == pytest.approx(0.31)
-    assert load_preset("nc60_composite").pulse2.composite is not None
+    composite = load_preset("nc60_composite").experiments[0]
+    assert composite.pulse2.composite is not None
     with pytest.raises(ConfigError):
         preset_path("nc61")
 

@@ -327,6 +327,19 @@ def test_detection_operator_structure(preset):
     assert np.allclose(d_op, kron(sy, np.diag([0.0, 0.0, 1.0])))
 
 
+@pytest.mark.parametrize("m_i", [1.0, 0.0, -1.0])
+def test_microwave_frequency_defaults_to_the_detected_line(preset, m_i):
+    # no offset and no system.f_mw_hz: the frame sits on the line itself,
+    # as a zero offset puts it
+    exp = EchoExperiment(system=preset, pulse1=PulseSpec(np.pi / 2),
+                         pulse2=PulseSpec(np.pi),
+                         tau_grid=np.linspace(1e-6, 20e-6, 4), detect_m_i=m_i)
+    assert microwave_freq_hz(exp) == line_center_hz(preset, m_i)
+    on_line = make_exp(preset, m_i=m_i, tau=exp.tau_grid)
+    assert run_two_pulse_echo(exp).v.tobytes() == \
+        run_two_pulse_echo(on_line).v.tobytes()
+
+
 def test_t2_damping(preset):
     tau = np.linspace(1e-6, 100e-6, 32)
     undamped = run_two_pulse_echo(make_exp(preset, tau=tau))

@@ -6,7 +6,7 @@ import pytest
 from eseem.analytic import v_outer
 from eseem.cli import main
 from eseem.engine import EchoExperiment, EchoTrace, run_two_pulse_echo
-from eseem.ensemble import (AngleDistribution, apply_t2,
+from eseem.ensemble import (AngleDistribution, apply_t2, average_analytic,
                             average_analytic_outer, average_trace,
                             averaged_component_weights, i1_i2_ratio)
 from eseem.fileio import read_trace_csv
@@ -235,6 +235,22 @@ def test_numeric_analytic_linearity(preset):
     numeric = average_trace(make_exp(preset, tau=tau), dist).v
     analytic = average_analytic_outer(tau, np.pi / 2, dist, d)
     assert np.abs(numeric - analytic).max() <= 1e-8
+
+
+@pytest.mark.parametrize("m_i", [1.0, 0.0, -1.0])
+@pytest.mark.parametrize("shared_b1", [False, True])
+def test_analytic_average_takes_the_trace_arguments(preset, m_i, shared_b1):
+    exp = make_exp(preset, tau=np.linspace(1e-6, 120e-6, 64), m_i=m_i)
+    dist = AngleDistribution(mean=np.pi, sigma=SIGMA_B1, nodes=21,
+                             shared_b1=shared_b1)
+    numeric = average_trace(exp, dist).v
+    assert np.abs(numeric - average_analytic(exp, dist)).max() <= 1e-8
+
+
+def test_analytic_average_refuses_negative_delta():
+    with pytest.raises(ValueError, match="non-negative"):
+        average_analytic_outer(np.linspace(0, 1e-4, 8), np.pi / 2,
+                               AngleDistribution(), -1.0)
 
 
 def test_shared_b1_scales_first_pulse(preset):

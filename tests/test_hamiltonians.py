@@ -3,7 +3,7 @@ import pytest
 
 from eseem.hamiltonians import (TWO_PI, _product_operators, delta_hz,
                                 epr_stick_spectrum, h0_lab, h_avg0, h_avg1,
-                                h_rot_t, line_center_hz)
+                                h_rot_t, labeled_eigh, line_center_hz)
 from eseem.spinops import kron, multiplicity, spin_matrices
 from eseem.system import (BOHR_MAGNETON, NUCLEAR_MAGNETON, PLANCK_H,
                           SpinSystemParams, nc60_params)
@@ -284,6 +284,26 @@ def test_stick_intensity_sum_independent_of_a():
         for m_i in (1.0, 0.0, -1.0):
             got = sum(l.intensity for l in lines if l.m_i == m_i)
             assert got == pytest.approx(10.0, rel=1e-5)
+
+
+def test_system_frame_frequency_is_the_default_frame(preset):
+    # system.f_mw_hz sets the frame when no f_mw_hz is passed; a passed one
+    # wins over it
+    framed = nc60_params(f_mw_hz=9.6e9)
+    assert np.array_equal(h_avg0(framed), h_avg0(preset, f_mw_hz=9.6e9))
+    assert np.array_equal(h_rot_t(framed, 3e-11),
+                          h_rot_t(preset, 3e-11, f_mw_hz=9.6e9))
+    assert np.array_equal(h_avg0(framed, f_mw_hz=9.5e9),
+                          h_avg0(preset, f_mw_hz=9.5e9))
+
+
+def test_labeled_eigh_orders_by_dominant_basis_state(preset):
+    w, v = labeled_eigh(h0_lab(preset))
+    assert np.array_equal(np.argmax(np.abs(v), axis=0), np.arange(w.size))
+    assert np.allclose(h0_lab(preset) @ v, v * w, rtol=0, atol=1e-3)
+    # an equal mix of two basis states labels both eigenstates alike
+    with pytest.raises(ValueError, match="uniquely label"):
+        labeled_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_params_validation():
