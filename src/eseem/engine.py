@@ -30,6 +30,8 @@ Each engine only supplies free-evolution propagators that start at t = 0.
 any set of its elements (exactly the identity's at tau = 0); the echo
 kernel asks for the 28 of 144 that lie inside M blocks, and
 ``_Propagator.stack`` is the every-element case, an (n_tau, d, d) stack.
+``_Propagator`` and :class:`EchoExperiment` check the engine with one
+``_check_engine``.
 The rotating-frame Hamiltonian obeys h_rot(t + t0) = R(t0) h_rot(t) R(t0)^H
 with the diagonal R(t) = exp(+i*w_mw*Sz*t), so for every engine
 U(t0, t0 + tau) = R(t0) U(0, tau) R(t0)^H; ``_Propagator.translate`` applies
@@ -53,7 +55,8 @@ stepped-rotating-frame
     R(t_k) E R(t_k)^H with one E = exp(-i H' dt): one eigh of H' per
     factory.  Whole periods come from the eigenphases of the unitary period
     product P, found by one eigh of the Hermitian
-    (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3) (``_unitary_eigen``).
+    (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3) (``_unitary_eigen``;
+    like ``np.linalg.eigh``, it returns (values, vectors)).
 
 Echo kernel
 -----------
@@ -135,8 +138,8 @@ import numpy as np
 from .hamiltonians import (TWO_PI, _f_mw_effective, delta_hz, h0_lab, h_avg0,
                            h_avg1, h_rot_t, line_center_hz)
 from .pulses import PulseSpec, _scaled_propagator
-from .spinops import (ProductBasis, kron, multiplicity, projections,
-                      projector_mi, spin_matrices)
+from .spinops import (ProductBasis, kron, multiplicity, projection,
+                      projections, projector_mi, spin_matrices)
 from .system import SpinSystemParams
 
 ENGINES = ("average-hamiltonian", "exact-lab-frame", "stepped-rotating-frame")
@@ -179,13 +182,16 @@ class EchoTrace:
         self.v = np.asarray(self.v, dtype=float)
         if self.tau_s.shape != self.v.shape:
             raise ValueError("tau_s and v must have equal lengths")
+        if not np.all(np.isfinite(self.tau_s)):
+            raise ValueError("tau values must be finite")
         if not np.all(np.isfinite(self.v)):
             raise ValueError("echo amplitudes must be finite")
 
 
 @dataclass
 class EchoExperiment:
-    """Specification of one two-pulse echo run."""
+    """Specification of one two-pulse echo run; ``detect_m_i`` is stored
+    as the exact projection :func:`~eseem.spinops.projection` gives."""
 
     system: SpinSystemParams
     pulse1: PulseSpec
@@ -199,20 +205,37 @@ class EchoExperiment:
 
     def __post_init__(self):
         self.tau_grid = np.asarray(self.tau_grid, dtype=float)
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
+        _check_engine(self.engine, self.steps_per_period)
         if self.tau_grid.ndim != 1 or self.tau_grid.size == 0:
             raise ValueError("tau_grid must be a non-empty 1-d array")
         if np.any(self.tau_grid < 0) or np.any(np.diff(self.tau_grid) <= 0):
             raise ValueError("tau_grid must be non-negative and strictly increasing")
-        # validates the projection against the nuclear spin
-        projector_mi(self.system.i, self.detect_m_i)
+        self.detect_m_i = projection(self.system.i, self.detect_m_i)
         if self.t2_s is not None and self.t2_s <= 0:
             raise ValueError("t2_s must be positive")
-        if self.steps_per_period < MIN_STEPS_PER_PERIOD:
-            raise ValueError(
-                f"stepped engine substep too coarse: need >= "
-                f"{MIN_STEPS_PER_PERIOD} steps per microwave period")
+
+
+def _check_engine(engine: str, steps_per_period: int) -> None:
+    """Raise ``ValueError`` unless ``engine`` is one of ``ENGINES`` and
+    ``steps_per_period`` (the stepped engine's substeps per microwave
+    period) is at least ``MIN_STEPS_PER_PERIOD``."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    if steps_per_period < MIN_STEPS_PER_PERIOD:
+        raise ValueError(
+            f"stepped engine substep too coarse: need >= "
+            f"{MIN_STEPS_PER_PERIOD} steps per microwave period")
+
+
+def _ideal_echo(p: SpinSystemParams, tau, *, m_i: float = 1.0,
+                theta2: float = np.pi, engine: str = "average-hamiltonian",
+                offset: float = 0.0, **kw) -> EchoExperiment:
+    """The pi/2 - theta2 echo with ideal pulses, the frame ``offset`` Hz
+    off the detected line; ``kw`` goes to :class:`EchoExperiment`."""
+    return EchoExperiment(system=p, pulse1=PulseSpec(np.pi / 2),
+                          pulse2=PulseSpec(theta2), tau_grid=tau,
+                          detect_m_i=m_i, engine=engine,
+                          resonance_offset_hz=offset, **kw)
 
 
 def microwave_freq_hz(exp: EchoExperiment) -> float:
@@ -261,8 +284,8 @@ def _check_conserved(u: np.ndarray, leak: np.ndarray, what: str,
 
 
 def _unitary_eigen(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors Q and eigenphases phi of a unitary u, u = Q e^(i phi) Q^H,
-    or of each unitary of a stack.
+    """Eigenphases phi and eigenvectors Q of a unitary u, u = Q e^(i phi) Q^H,
+    or of each unitary of a stack; (values, vectors), as ``np.linalg.eigh``.
 
     The Hermitian (u + u^H)/2 + c (u - u^H)/(2i) has the eigenvalues
     cos(phi) + c sin(phi) on the same eigenvectors, so its ``eigh`` gives Q.
@@ -281,7 +304,7 @@ def _unitary_eigen(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if offdiag > UNITARY_OFFDIAG_TOL:
         raise np.linalg.LinAlgError(
             f"period propagator not diagonalized: off-diagonal {offdiag:.3g}")
-    return q, np.angle(diag)
+    return np.angle(diag), q
 
 
 @lru_cache(maxsize=None)
@@ -305,7 +328,7 @@ def _m_block_eigen(decompose, a: np.ndarray, system: SpinSystemParams
     """Eigenvalues (d,) and eigenvectors (d, d), exactly zero between M
     blocks, of ``a``, which must conserve M (:func:`_check_conserved`).
     ``decompose`` (``np.linalg.eigh`` or :func:`_unitary_eigen`) takes the
-    stack of blocks of each size; of its results, the stack is the vectors.
+    stack of blocks of each size and returns (values, vectors).
     """
     stacks, between = _m_blocks(system.s, system.i)
     _check_conserved(a, between, "free evolution", "M")
@@ -313,11 +336,7 @@ def _m_block_eigen(decompose, a: np.ndarray, system: SpinSystemParams
     vectors = np.zeros(a.shape, dtype=complex)
     for rows in stacks:
         sub = (rows[:, :, None], rows[:, None, :])
-        for part in decompose(a[sub]):
-            if part.ndim == 3:
-                vectors[sub] = part
-            else:
-                values[rows] = part
+        values[rows], vectors[sub] = decompose(a[sub])
     return values, vectors
 
 
@@ -332,8 +351,7 @@ class _Propagator:
 
     def __init__(self, engine: str, system: SpinSystemParams,
                  f_mw_hz: float, steps_per_period: int = 40):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
+        _check_engine(engine, steps_per_period)
         self.engine = engine
         self.system = system
         self.f_mw_hz = f_mw_hz
@@ -355,10 +373,6 @@ class _Propagator:
                                 * self._v0.conj().T[:, None, :]
                                 ).reshape(dim, dim * dim)
         else:
-            if steps_per_period < MIN_STEPS_PER_PERIOD:
-                raise ValueError(
-                    f"stepped engine substep too coarse: need >= "
-                    f"{MIN_STEPS_PER_PERIOD} steps per microwave period")
             self._w, self._v = _m_block_eigen(
                 np.linalg.eigh, h_rot_t(system, 0.0, f_mw_hz), system)
             period = self._midpoint_run(steps_per_period,
@@ -526,7 +540,7 @@ def _supports(s: float, i: float, m_i: float) -> _Supports:
     total = basis.m_s_diagonal() + nuclear
     d_mi = nuclear[:, None] - nuclear[None, :]
     d_m = order + d_mi  # change of M, exact in floats
-    line = np.abs(nuclear - m_i) < 1e-9
+    line = nuclear == m_i
     rho = np.nonzero((order == 1) & (d_mi == 0))
     x = np.nonzero(d_m == 1)
     pairs = np.nonzero((order == -1) & (np.abs(d_m) == 1))
@@ -735,18 +749,16 @@ def _echo_trace(exp: EchoExperiment, f_mw_hz: float, v: np.ndarray,
     return EchoTrace(tau_s=exp.tau_grid.copy(), v=v, metadata=meta, v_im=v_im)
 
 
-def _fit_single_cosine(tau: np.ndarray, v: np.ndarray,
-                       f0: float) -> tuple[float, float]:
+def _fit_single_cosine(tau: np.ndarray, v: np.ndarray, f0: float) -> float:
     """Least-squares fit of v ~ c0 + c1*cos(2*pi*f*tau) + s1*sin(2*pi*f*tau),
-    that is of a cosine with a free phase; returns (f, rms residual)."""
+    that is of a cosine with a free phase; returns f."""
     from .spectral import _separable_fit
 
     def columns(x):
         ph = TWO_PI * x[0] * tau
         return np.stack([np.ones_like(tau), np.cos(ph), np.sin(ph)], axis=1)
 
-    fit = _separable_fit(v, columns, [f0])
-    return float(fit.x[0]), float(np.sqrt(np.mean(fit.residual ** 2)))
+    return float(_separable_fit(v, columns, [f0]).x[0])
 
 
 def validate_aht(system: SpinSystemParams, tau_max: float = 30e-6,
@@ -766,15 +778,9 @@ def validate_aht(system: SpinSystemParams, tau_max: float = 30e-6,
     tau = np.linspace(tau_max / n_points, tau_max, n_points)
     d_hz = delta_hz(system)
 
-    traces = {}
-    for engine in ENGINES:
-        exp = EchoExperiment(
-            system=system,
-            pulse1=PulseSpec(angle=np.pi / 2),
-            pulse2=PulseSpec(angle=np.pi),
-            tau_grid=tau, detect_m_i=m_i, engine=engine,
-            resonance_offset_hz=0.0)
-        traces[engine] = run_two_pulse_echo(exp)
+    traces = {engine: run_two_pulse_echo(_ideal_echo(system, tau, m_i=m_i,
+                                                     engine=engine))
+              for engine in ENGINES}
 
     v_ah = traces["average-hamiltonian"].v
     scale = max(np.abs(v_ah).max(), 1e-30)
@@ -787,10 +793,8 @@ def validate_aht(system: SpinSystemParams, tau_max: float = 30e-6,
         "delta_hz": d_hz,
     }
     if d_hz > 0:
-        freqs = {}
-        for engine in ENGINES:
-            freqs[engine], _ = _fit_single_cosine(tau, traces[engine].v,
-                                                  2.0 * d_hz)
+        freqs = {engine: _fit_single_cosine(tau, trace.v, 2.0 * d_hz)
+                 for engine, trace in traces.items()}
         f_ah = freqs["average-hamiltonian"]
         report["modulation_freq_hz"] = freqs
         report["freq_rel_dev_exact"] = abs(freqs["exact-lab-frame"] - f_ah) / f_ah

@@ -107,7 +107,7 @@ def average_analytic(exp: EchoExperiment,
     line (m_i = 0) is w0 + w1 + w2, the outer-line law at tau = 0, since
     A0 + A1 + A2 = 5/2 at every theta2."""
     theta1 = exp.pulse1.angle
-    if abs(exp.detect_m_i) > 1e-9:
+    if exp.detect_m_i != 0.0:
         return average_analytic_outer(exp.tau_grid, theta1, dist,
                                       delta_hz(exp.system))
     w0, w1, w2 = averaged_component_weights(dist, theta1)

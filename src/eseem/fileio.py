@@ -15,6 +15,8 @@ Both writers share one table writer that formats ``ROW_BLOCK`` rows per
 ``# key = value`` lines as metadata wherever they stand, skips blank lines,
 names the columns from the first other line and parses the rest with one
 ``np.loadtxt`` call; a ragged row or a non-numeric cell is a ``ValueError``.
+A trace whose tau or v column holds a non-finite cell (nan, inf) is one too,
+naming the file, the line and the column of the first.
 """
 
 from __future__ import annotations
@@ -91,15 +93,18 @@ def write_spectrum_csv(path: str | Path, spec: Spectrum,
                  [spec.freq_hz, spec.magnitude])
 
 
-def _read_csv(path: str | Path) -> tuple[dict, list[str], np.ndarray]:
+def _read_csv(path: str | Path
+              ) -> tuple[dict, list[str], np.ndarray, list[int]]:
     """Metadata from every ``# key = value`` line, the column names from the
-    first other non-blank line, and the rows after it as one float array."""
+    first other non-blank line, the rows after it as one float array, and
+    the file's line number (from 1) of each row."""
     meta: dict[str, str] = {}
     columns: list[str] = []
     rows: list[str] = []
+    numbers: list[int] = []
     with open(path) as fh:
         lines = fh.read().splitlines()
-    for raw in lines:
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("#"):
             key, eq, value = line[1:].partition("=")
@@ -109,28 +114,35 @@ def _read_csv(path: str | Path) -> tuple[dict, list[str], np.ndarray]:
             continue
         elif columns:
             rows.append(line)
+            numbers.append(number)
         else:
             columns = [c.strip() for c in line.split(",")]
     if not rows:
         raise ValueError(f"no tabular data in {path}")
     return meta, columns, np.loadtxt(rows, delimiter=",", comments=None,
-                                     ndmin=2)
+                                     ndmin=2), numbers
 
 
 def read_trace_csv(path: str | Path) -> EchoTrace:
-    meta, columns, data = _read_csv(path)
+    meta, columns, data, numbers = _read_csv(path)
     try:
         k_tau = columns.index("tau_s")
         k_v = columns.index("v")
     except ValueError as err:
         raise ValueError(f"{path} is not a trace file (columns {columns})") from err
+    cols = sorted((k_tau, k_v))  # in file order
+    bad = np.argwhere(~np.isfinite(data[:, cols]))
+    if bad.size:
+        row, k = bad[0]
+        raise ValueError(f"{path}, line {numbers[row]}: {columns[cols[k]]} "
+                         f"is not finite ({data[row, cols[k]]})")
     t2 = meta.get("t2_s")  # typed: a float, or None without T2
     typed = {**meta, "t2_s": None if t2 in (None, "None", "") else float(t2)}
     return EchoTrace(tau_s=data[:, k_tau], v=data[:, k_v], metadata=typed)
 
 
 def read_spectrum_csv(path: str | Path) -> tuple[dict, np.ndarray, np.ndarray]:
-    meta, columns, data = _read_csv(path)
+    meta, columns, data, _ = _read_csv(path)
     try:
         k_f = columns.index("freq_hz")
         k_m = columns.index("magnitude")

@@ -8,7 +8,7 @@ Builds, in angular units (rad/s) on the electron-major product basis:
 * the first-order average correction
   (d/2)*[(I(I+1)-Iz^2)*Sz - (S(S+1)-Sz^2)*Iz],  d = a^2/we,
 
-plus the second-order stick spectrum.
+plus each line's allowed transitions and the second-order stick spectrum.
 
 The product-space operators these builders combine (Sz, Iz, Sz*Iz, the two
 transverse couplings and the two terms of the first-order correction) are
@@ -153,6 +153,16 @@ def labeled_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
+def transitions(p: SpinSystemParams) -> list[tuple[float, float, int, int]]:
+    """Every allowed electron transition m_s - 1 -> m_s at fixed m_i, as
+    (m_i, upper m_s, upper index, lower index) in ``p.basis``; m_i
+    descending, then m_s.  A line's transitions are the rows of its m_i."""
+    basis = p.basis
+    return [(float(m_i), float(m_s), basis.index_of(m_s, m_i),
+             basis.index_of(m_s - 1, m_i))
+            for m_i in projections(p.i) for m_s in projections(p.s)[:-1]]
+
+
 @dataclass(frozen=True)
 class StickLine:
     """One allowed electron transition of the field-swept spectrum."""
@@ -169,33 +179,27 @@ def epr_stick_spectrum(p: SpinSystemParams) -> list[StickLine]:
 
     Eigenstates of :func:`h0_lab` are labeled by their dominant basis state
     by :func:`labeled_eigh` (the isotropic mixing is tiny in the
-    perturbative regime).  For each m_i, adjacent-m_s transition
-    frequencies are eigenvalue differences and intensities are squared S+
-    matrix elements, giving the 3:4:3 pattern with splittings of order
+    perturbative regime).  For each of :func:`transitions`, the
+    frequency is an eigenvalue difference and the intensity a squared S+
+    matrix element, giving the 3:4:3 pattern with splittings of order
     a^2/f_e for the outer manifolds of an S=3/2 system.
 
     Frequency offsets are relative to the g-factor center ``f_e_hz``; field
     offsets use B = h*f/(g*beta).
     """
-    basis = p.basis
     w, v = labeled_eigh(h0_lab(p))
     splus = kron(raising_operator(p.s), np.eye(multiplicity(p.i)))
 
     hz_per_rad = 1.0 / TWO_PI
     tesla_per_hz = PLANCK_H / (p.g * BOHR_MAGNETON)
     lines = []
-    for m_i in projections(p.i):
-        for m_s in projections(p.s)[:-1]:
-            k_up = basis.index_of(m_s, m_i)
-            k_lo = basis.index_of(m_s - 1, m_i)
-            f_t = (w[k_up] - w[k_lo]) * hz_per_rad
-            inten = abs(v[:, k_up].conj() @ splus @ v[:, k_lo]) ** 2
-            off = f_t - p.f_e_hz
-            lines.append(StickLine(
-                m_i=float(m_i), m_s_upper=float(m_s),
-                f_offset_hz=float(off),
-                b_offset_ut=float(off * tesla_per_hz * 1e6),
-                intensity=float(inten)))
+    for m_i, m_s, k_up, k_lo in transitions(p):
+        off = (w[k_up] - w[k_lo]) * hz_per_rad - p.f_e_hz
+        inten = abs(v[:, k_up].conj() @ splus @ v[:, k_lo]) ** 2
+        lines.append(StickLine(
+            m_i=m_i, m_s_upper=m_s, f_offset_hz=float(off),
+            b_offset_ut=float(off * tesla_per_hz * 1e6),
+            intensity=float(inten)))
     return lines
 
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Absolute entrywise tolerances for matrices with entries of order unity.
-# These two knobs control every hermiticity/unitarity gate in the package.
+# HERMITIAN_ATOL gates is_hermitian and the generators that eigh_hermitian,
+# and so expm_hermitian, accept; UNITARY_ATOL gates only is_unitary, which the
+# package itself does not call.
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 
@@ -184,11 +186,9 @@ class ProductBasis:
         return np.tile(projections(self.i), self.dim_s)
 
     def mi_indices(self, m_i: float) -> np.ndarray:
-        """Basis indices of the fixed-``m_i`` manifold, descending in m_s."""
-        sel = np.abs(self.m_i_diagonal() - m_i) < 1e-9
-        if not sel.any():
-            raise ValueError(f"projection {m_i} invalid for spin {self.i}")
-        return np.nonzero(sel)[0]
+        """Basis indices of the fixed-``m_i`` manifold, descending in m_s;
+        ``m_i`` is read through :func:`projection`."""
+        return np.flatnonzero(self.m_i_diagonal() == projection(self.i, m_i))
 
     def electron_order(self) -> np.ndarray:
         """Integer matrix of electron coherence orders m_s(row) - m_s(col)."""

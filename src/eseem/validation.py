@@ -17,14 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import v_general, v_outer
-from .engine import (ENGINES, EchoExperiment, EchoTrace, _EchoPlan,
+from .engine import (ENGINES, EchoTrace, _EchoPlan, _ideal_echo,
                      free_evolution, run_two_pulse_echo, thermal_deviation,
                      validate_aht)
 from .ensemble import (AngleDistribution, average_analytic,
                        average_analytic_outer, average_trace, i1_i2_ratio)
 from .hamiltonians import (TWO_PI, delta_hz, epr_stick_spectrum, h0_lab,
                            h_avg0, h_avg1, h_rot_t, labeled_eigh,
-                           line_center_hz)
+                           line_center_hz, transitions)
 from .pulses import PulseSpec, composite_pi, rotation_operator
 from .spectral import fft_magnitude, find_peaks, fit_decay
 from .spinops import expm_hermitian, kron, projections, spin_matrices
@@ -49,16 +49,6 @@ class CheckResult:
 # midpoints per h_rot_t call in the period average; larger blocks raise the
 # validate suite's peak memory
 ROT_AVERAGE_BLOCK = 32
-
-
-def _ideal_echo(p, tau, *, m_i=1.0, theta2=np.pi, engine="average-hamiltonian",
-                offset=0.0, **kw) -> EchoExperiment:
-    """The pi/2 - theta2 echo with ideal pulses, the frame ``offset`` Hz
-    off the detected line; ``kw`` goes to :class:`EchoExperiment`."""
-    return EchoExperiment(system=p, pulse1=PulseSpec(np.pi / 2),
-                          pulse2=PulseSpec(theta2), tau_grid=tau,
-                          detect_m_i=m_i, engine=engine,
-                          resonance_offset_hz=offset, **kw)
 
 
 def _spin_commutator_casimir() -> tuple[float, float]:
@@ -106,20 +96,10 @@ def _kron_mixed_product() -> tuple[float, float]:
 def _block_transition_errors(p) -> float:
     """Largest within-block transition-frequency disagreement (Hz) between
     exact and second-order average-Hamiltonian eigenvalues."""
-    basis = p.basis
-    h_exact = h0_lab(p)
-    h_pert = h_avg0(p, f_mw_hz=0.0) + h_avg1(p)
-    le = labeled_eigh(h_exact)[0]
-    lp = labeled_eigh(h_pert)[0]
-    worst = 0.0
-    for m_i in projections(p.i):
-        for m_s in projections(p.s)[:-1]:
-            up = basis.index_of(m_s, m_i)
-            lo = basis.index_of(m_s - 1, m_i)
-            f_e = (le[up] - le[lo]) / TWO_PI
-            f_p = (lp[up] - lp[lo]) / TWO_PI
-            worst = max(worst, abs(f_e - f_p))
-    return worst
+    le = labeled_eigh(h0_lab(p))[0]
+    lp = labeled_eigh(h_avg0(p, f_mw_hz=0.0) + h_avg1(p))[0]
+    return max((abs((le[up] - le[lo]) / TWO_PI - (lp[up] - lp[lo]) / TWO_PI)
+                for _, _, up, lo in transitions(p)), default=0.0)
 
 
 def _exact_vs_perturbative() -> tuple[float, float]:
@@ -208,14 +188,10 @@ def _offset_refocusing() -> tuple[float, float]:
     tau = np.linspace(1e-6, 60e-6, 32)
     worst = 0.0
     for engine in ("average-hamiltonian", "exact-lab-frame"):
-        ref = None
-        for offset in (-2e6, 0.0, 2e6):
-            v = run_two_pulse_echo(_ideal_echo(p, tau, engine=engine,
-                                               offset=offset)).v
-            if ref is None:
-                ref = v
-            else:
-                worst = max(worst, float(np.abs(v - ref).max()))
+        ref, *others = [run_two_pulse_echo(_ideal_echo(
+            p, tau, engine=engine, offset=offset)).v
+            for offset in (-2e6, 0.0, 2e6)]
+        worst = max(worst, *(float(np.abs(v - ref).max()) for v in others))
     return worst, 1e-9
 
 
@@ -251,27 +227,23 @@ def _echo_operator_structure() -> tuple[float, float]:
     return worst, 1e-9
 
 
-def _spin_half_null() -> tuple[float, float]:
-    p = nc60_params(s=0.5)
+def _spin_half_swing(p, lines, **kw) -> float:
+    """Largest peak-to-peak swing of the S = 1/2 echo (theta2 = 2 rad) of
+    ``p`` on ``lines``; ``kw`` goes to :func:`_ideal_echo`."""
     tau = np.linspace(1e-6, 100e-6, 48)
-    worst = 0.0
-    for m_i in (1.0, 0.0, -1.0):
-        v = run_two_pulse_echo(_ideal_echo(p, tau, m_i=m_i, theta2=2.0)).v
-        worst = max(worst, float(np.ptp(v)))
-    return worst, 1e-9
+    return max(float(np.ptp(run_two_pulse_echo(_ideal_echo(
+        p, tau, m_i=m_i, theta2=2.0, **kw)).v)) for m_i in lines)
+
+
+def _spin_half_null() -> tuple[float, float]:
+    return _spin_half_swing(nc60_params(s=0.5), (1.0, 0.0, -1.0)), 1e-9
 
 
 def _spin_half_null_exact() -> tuple[float, float]:
     # exact propagation leaves only basis-mixing leakage of order (a/we)^2
     p = nc60_params(s=0.5)
-    floor = 20.0 * (p.a_hz / p.f_e_hz) ** 2
-    tau = np.linspace(1e-6, 100e-6, 48)
-    worst = 0.0
-    for m_i in (1.0, 0.0):
-        v = run_two_pulse_echo(_ideal_echo(p, tau, m_i=m_i, theta2=2.0,
-                                           engine="exact-lab-frame")).v
-        worst = max(worst, float(np.ptp(v)))
-    return worst, floor
+    return (_spin_half_swing(p, (1.0, 0.0), engine="exact-lab-frame"),
+            20.0 * (p.a_hz / p.f_e_hz) ** 2)
 
 
 def _ideal_modulation_laws() -> tuple[float, float]:
@@ -430,9 +402,9 @@ def _fit_recovery_engine() -> tuple[float, float]:
 def _aht_agreement() -> tuple[float, float]:
     p = nc60_params()
     rep = validate_aht(p, tau_max=30e-6, n_points=25)
-    measured = rep["freq_rel_dev_exact"] / rep["freq_rel_bound"] \
-        if rep["freq_rel_bound"] else 0.0
-    measured = max(measured, rep["freq_rel_dev_stepped"] / 0.01)
+    # validate_aht floors freq_rel_bound at 1e-10
+    measured = max(rep["freq_rel_dev_exact"] / rep["freq_rel_bound"],
+                   rep["freq_rel_dev_stepped"] / 0.01)
     return float(measured), 1.0
 
 

@@ -476,7 +476,27 @@ def test_non_finite_trace_row_exit_code(tmp_path, capsys):
                  ["spectrum", str(trace), "--out", str(tmp_path / "s.csv")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == "error: echo amplitudes must be finite\n"
+        assert err == f"error: {trace}, line 4: v is not finite (nan)\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "spectrum"])
+def test_non_finite_trace_tau_exit_code(tmp_path, capfd, command):
+    # a nan tau once gave a spectrum of nan frequencies (exit 0) and a fit
+    # that failed inside LAPACK; now the reader names the cell, and the
+    # file-descriptor capture shows that nothing else is printed
+    tau = np.linspace(1e-6, 64e-6, 64)
+    rows = [f"{t!r},{v!r}" for t, v in zip(tau.tolist(),
+                                           np.cos(4e5 * tau).tolist())]
+    rows[10] = "nan," + rows[10].split(",")[1]
+    trace = tmp_path / "nan_tau.csv"
+    trace.write_text("# m_i = -1\ntau_s,v\n" + "\n".join(rows) + "\n")
+    spec = tmp_path / "s.csv"
+    extra = ["--out", str(spec)] if command == "spectrum" else []
+    assert main([command, str(trace), "--json", *extra]) == 1
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", f"error: {trace}, line 13: tau_s is not "
+                              "finite (nan)\n")
+    assert not spec.exists()
 
 
 @pytest.mark.parametrize("sigma,shared_b1,m_i,nodes", [

@@ -249,7 +249,7 @@ def test_unitary_eigen_raises_on_a_mixed_pair():
         _unitary_eigen((q * np.exp(1j * phases)) @ q.conj().T)
     phases[1] += 0.2
     u = (q * np.exp(1j * phases)) @ q.conj().T
-    vecs, angles = _unitary_eigen(u)
+    angles, vecs = _unitary_eigen(u)
     assert np.allclose(np.sort(angles), np.sort(phases), atol=1e-14)
     assert np.abs((vecs * np.exp(1j * angles)) @ vecs.conj().T - u).max() \
         <= 1e-14
@@ -375,6 +375,30 @@ def test_experiment_validation(preset):
         make_exp(preset, t2_s=0.0)  # at construction, before any run
     with pytest.raises(ValueError):
         EchoTrace(tau_s=np.array([1e-6]), v=np.array([1.0, 2.0]))
+
+
+def test_trace_refuses_non_finite_tau():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau values must be finite"):
+            EchoTrace(tau_s=np.array([1e-6, bad]), v=np.ones(2))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_detect_m_i_stored_as_exact_projection(preset, engine):
+    # the line is read once, through spinops.projection; every later test
+    # of it, and the frame on its center, sees the exact projection
+    tau = np.linspace(1e-6, 40e-6, 12)
+    near = make_exp(preset, m_i=-1 + 1e-10, engine=engine, tau=tau)
+    assert type(near.detect_m_i) is float and near.detect_m_i == -1.0
+    got = run_two_pulse_echo(near)
+    want = run_two_pulse_echo(make_exp(preset, m_i=-1.0, engine=engine,
+                                       tau=tau))
+    assert got.v.tobytes() == want.v.tobytes()
+    assert got.v_im.tobytes() == want.v_im.tobytes()
+    assert got.metadata == want.metadata
+    assert got.metadata["m_i"] == -1.0
+    with pytest.raises(ValueError, match="projection -1.5 invalid for spin 1"):
+        make_exp(preset, m_i=-1.5, engine=engine, tau=tau)
 
 
 def test_composite_pulse_echo_sign(preset):

@@ -3,8 +3,9 @@ import pytest
 
 from eseem.hamiltonians import (TWO_PI, _product_operators, delta_hz,
                                 epr_stick_spectrum, h0_lab, h_avg0, h_avg1,
-                                h_rot_t, labeled_eigh, line_center_hz)
-from eseem.spinops import kron, multiplicity, spin_matrices
+                                h_rot_t, labeled_eigh, line_center_hz,
+                                transitions)
+from eseem.spinops import kron, multiplicity, projections, spin_matrices
 from eseem.system import (BOHR_MAGNETON, NUCLEAR_MAGNETON, PLANCK_H,
                           SpinSystemParams, nc60_params)
 
@@ -271,6 +272,26 @@ def test_stick_spectrum_pattern(preset):
     third_order_hz = abs(preset.a_hz) ** 3 / preset.f_e_hz ** 2
     assert np.ptp(center) <= 10 * third_order_hz
     assert np.ptp(center) <= 0.02 * d
+
+
+@pytest.mark.parametrize("s,i", [(1.5, 1.0), (2.5, 1.5), (0.5, 0.5)])
+def test_transitions_table(s, i):
+    p = nc60_params(s=s, i=i)
+    rows = transitions(p)
+    assert len(rows) == multiplicity(i) * round(2 * s)
+    m_s, m_i = p.basis.m_s_diagonal(), p.basis.m_i_diagonal()
+    for line, upper, up, lo in rows:
+        # one m_s step up within one m_i manifold
+        assert m_i[up] == m_i[lo] == line
+        assert m_s[up] == upper and m_s[lo] == upper - 1
+    # m_i descending, then m_s descending
+    assert [row[:2] for row in rows] == [
+        (float(a), float(b)) for a in projections(i)
+        for b in projections(s)[:-1]]
+    assert [(l.m_i, l.m_s_upper) for l in epr_stick_spectrum(p)] == [
+        row[:2] for row in rows]
+    if s == 0.5:
+        assert rows == [(0.5, 0.5, 0, 2), (-0.5, 0.5, 1, 3)]
 
 
 def test_stick_spectrum_decoupled():
