@@ -90,32 +90,32 @@ Per experiment (``_EchoPlan``), everything that does not depend on the
 pulse scales of an ensemble node is built once: the products
 W[tau, e] = U1[a_q, k_r] conj U1[b_q, l_r] over the 55 links e = (q, r)
 between an X element q = (a, b) and a rho1 element r = (k, l) in the same
-M block, so that X = W @ (rho1 spread over the links); G[j, i] and G[i, j]
-at the pairs each reaches, the second for the Hermitian completion, from
-the gathered U1 elements and their frame phases; the T2 damping (1 without
-T2); and one factory per pulse that maps an array of scales to a stack of
-propagators.  W and G read U1 only inside M blocks, its 28 elements.  Of
-the 6 x 12 terms D[k, l] conj U2[k, j] U2[l, i] of G at the refocused
-pairs, only those with k in the M block of j and l in that of i survive,
-at most one per pair: 8 on an outer line and 10 on the central one, and G
-is exactly zero at the other pairs, so the plan keeps only those.  W and G
-are built ``TAU_BLOCK`` points at a time, which bounds the temporaries
-whatever the grid size, with R(tau) formed once per block for both U1 and
-U2.
+M block, so that X = W @ (rho1 spread over the links); one table G of
+G[j, i] and then G[i, j] (the Hermitian completion) at the pairs each
+reaches, from the gathered U1 elements and their frame phases; the T2
+damping (1 without T2); and one factory per pulse that maps an array of
+scales to a stack of propagators.  W and G read U1 only inside M blocks,
+its 28 elements.  Of the 6 x 12 terms D[k, l] conj U2[k, j] U2[l, i] of G
+at the refocused pairs, only those with k in the M block of j and l in
+that of i survive, at most one per pair: 8 on an outer line and 10 on the
+central one, and G is exactly zero at the other pairs, so each term keeps
+only those.  W and G are built ``TAU_BLOCK`` points at a time, which
+bounds the temporaries whatever the grid size, with R(tau) formed once per
+block for both U1 and U2.
 
 Pulse 2 enters through K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q], with the
 refocused elements (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p].  As
 R2 conserves m_i, K can be nonzero only where m_i(a_q) = m_i(i_p) and
-m_i(b_q) = m_i(j_p): each pair that G reaches meets 2S elements of X, its
-K links, 24 of the 300 entries of K per G term on an outer line and 30 on
+m_i(b_q) = m_i(j_p): each column c of G meets 2S elements q of X, its K
+links, 24 of the 300 entries of K per G term on an outer line and 30 on
 the central one.  The amplitude
 sum_p (R2 X R2^H)[i_p, j_p] G[j_p, i_p] + conj(...) G[i_p, j_p] is then
-one product of the link products X[:, q] G[j, i][:, p] and
-conj X[:, q] G[i, j][:, p], an (n_tau, 48) array on an outer line and
-(n_tau, 60) on the central one, with K (conj K for G[i, j]) at the links.
-G[i, j] is taken as computed, not as conj G[j, i], so the imaginary part
-is a real roundoff residual, and ``max_imag_residual`` is its largest
-magnitude; for an ensemble average, that of the averaged amplitude.
+one product of the link products X[:, q] G[:, c], an (n_tau, 48) array on
+an outer line and (n_tau, 60) on the central one, with K at the links; K
+and X are conjugated at those of G[i, j], from ``k_split`` on.  G[i, j]
+is taken as computed, not as conj G[j, i], so the imaginary part is a real
+roundoff residual, and ``max_imag_residual`` is its largest magnitude; for
+an ensemble average, that of the averaged amplitude.
 
 Per ensemble average, ``_EchoPlan.tabulate`` takes the node scales and
 calls each pulse factory once, for all nodes together, and keeps per
@@ -505,17 +505,18 @@ class _Supports:
     ``u1`` holds the flat indices row * d + column of U1's elements inside
     M blocks (28 of 144), all that the kernel reads of U1.  ``w`` gives, per
     link, the positions in ``u1`` of U1[a_q, k_r] and U1[b_q, l_r].
-    ``g_ji`` and ``g_ij`` give, for G[j, i] and G[i, j], the pairs p that G
-    reaches inside M blocks, the one element e of D that reaches each, and
-    the positions of the two U1 elements it takes (8 pairs on an outer
-    line, 10 on the central line).
+    ``g`` gives the columns of G, those of G[j, i] then those of G[i, j]:
+    the pair p that G reaches inside M blocks (shifted by the pair count
+    for G[i, j]), the one element e of D that reaches it, and the positions
+    of the two U1 elements it takes (16 columns on an outer line, 20 on the
+    central line).
 
-    ``k_ji`` and ``k_ij`` hold, for each G term, its K links (q, c): the X
-    element q and the position c in that term's pairs p where
-    K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] can be nonzero, that is where
-    m_i(a_q) = m_i(i_p) and m_i(b_q) = m_i(j_p): 2S per pair, in pair-major
-    order (24 on an outer line, 30 on the central line, of the 300 entries
-    of K).
+    ``k`` holds the K links (q, c) of every column c, column by column: the
+    X elements q where K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] can be
+    nonzero, that is where m_i(a_q) = m_i(i_p) and m_i(b_q) = m_i(j_p), 2S
+    per column (48 on an outer line, 60 on the central line).  The first
+    ``k_split`` (24 or 30) are those of G[j, i]; K and X are conjugated at
+    the rest.
     """
 
     rho: tuple[np.ndarray, np.ndarray]
@@ -526,10 +527,9 @@ class _Supports:
     mi_leak: np.ndarray
     u1: np.ndarray
     w: tuple[np.ndarray, np.ndarray]
-    g_ji: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    g_ij: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    k_ji: tuple[np.ndarray, np.ndarray]
-    k_ij: tuple[np.ndarray, np.ndarray]
+    g: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    k: tuple[np.ndarray, np.ndarray]
+    k_split: int
 
 
 @lru_cache(maxsize=None)
@@ -549,38 +549,31 @@ def _supports(s: float, i: float, m_i: float) -> _Supports:
     inside = d_m == 0
     pos = np.full(d_m.shape, -1)
     pos[inside] = np.arange(np.count_nonzero(inside))
-
-    def g_terms(rows, cols):
-        # G[rows_p, cols_p] = sum over e of D[dk_e, dl_e]
-        # conj U1[dk_e, rows_p] U1[dl_e, cols_p] (times frame phases).
-        # Inside M blocks, dk_e has the M of rows_p and the detected m_i,
-        # so at most one e reaches p
-        dk, dl = det
-        e, p = np.nonzero(inside[dk[:, None], rows]
-                          & inside[dl[:, None], cols])
-        return p, e, pos[dk[e], rows[p]], pos[dl[e], cols[p]]
-
     (a, b), (k, l), (q, r) = x, rho, links
-
-    def k_links(p):
-        # the pulses conserve m_i, so R2[i_p, a_q] needs m_i(a_q) = m_i(i_p);
-        # each pair then meets the 2S elements of X of one m_s step, in
-        # pair-major order
-        c, q = np.nonzero((nuclear[pairs[0][p], None] == nuclear[a])
-                          & (nuclear[pairs[1][p], None] == nuclear[b]))
-        if not np.array_equal(c, np.repeat(np.arange(p.size), int(2 * s))):
-            raise AssertionError("K links are not 2S per pair")
-        return q, c
-
-    g_ji, g_ij = g_terms(pairs[1], pairs[0]), g_terms(*pairs)
+    # G[j, i] (t = 0), then G[i, j] (t = 1): G[rows_p, cols_p] sums
+    # D[dk_e, dl_e] conj U1[dk_e, rows_p] U1[dl_e, cols_p] over e (times
+    # frame phases); inside M blocks dk_e has the M of rows_p and the
+    # detected m_i, so at most one e reaches p
+    (dk, dl), rows, cols = det, np.array(pairs[::-1]), np.array(pairs)
+    t, e, p = np.nonzero(inside[dk[:, None], rows[:, None]]
+                         & inside[dl[:, None], cols[:, None]])
+    g = (p + t * pairs[0].size, e, pos[dk[e], rows[t, p]],
+         pos[dl[e], cols[t, p]])
+    # K links: the pulses conserve m_i, so R2[i_p, a_q] needs
+    # m_i(a_q) = m_i(i_p); each column meets 2S elements of X, one m_s step
+    c, q_k = np.nonzero((nuclear[pairs[0][p], None] == nuclear[a])
+                        & (nuclear[pairs[1][p], None] == nuclear[b]))
+    if not np.array_equal(c, np.repeat(np.arange(p.size), int(2 * s))):
+        raise AssertionError("K links are not 2S per pair")
     sup = _Supports(
         rho=rho, x=x, pairs=pairs, det=det, links=links,
         mi_leak=d_mi != 0,
         u1=np.flatnonzero(inside), w=(pos[a[q], k[r]], pos[b[q], l[r]]),
-        g_ji=g_ji, g_ij=g_ij, k_ji=k_links(g_ji[0]), k_ij=k_links(g_ij[0]))
+        g=g, k=(q_k, c), k_split=int(np.count_nonzero(t[c] == 0)))
     for value in vars(sup).values():  # one instance serves every plan
         for arr in value if isinstance(value, tuple) else (value,):
-            arr.flags.writeable = False
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
     return sup
 
 
@@ -589,10 +582,11 @@ class _EchoPlan:
     scales of an ensemble node, built once; see "Echo kernel" above.
 
     Holds the supports, the products W(tau) of U1 elements along the links,
-    G(tau) = U2^H D U2 at the pairs each of its two terms reaches, the T2
-    damping, one batched propagator factory per pulse, the per-scale tables
-    of :meth:`tabulate`, and a one-entry memo of the link products of the
-    pulse-1 coherences X(tau) with G, keyed on ``scale1``.  W and G come
+    G(tau) = U2^H D U2 at the pairs each of its two terms reaches (one
+    table, G[j, i] then G[i, j]), the T2 damping, one batched propagator
+    factory per pulse, the per-scale tables of :meth:`tabulate`, and a
+    one-entry memo of the link products of the pulse-1 coherences X(tau)
+    with G, keyed on ``scale1``.  W and G come
     from U1 at its 28 elements inside M blocks (``_Supports.u1``); every
     engine leaves U1 exactly zero outside them (see :class:`_Propagator`).
     W, G and the link products are built one ``TAU_BLOCK`` of tau at a
@@ -611,11 +605,9 @@ class _EchoPlan:
         d_vals = _detection_operator(system.s, system.i,
                                      exp.detect_m_i)[sup.det]
         tau = exp.tau_grid
+        p, e, c_k, c_l = sup.g
         self._w = np.empty((tau.size, w_a.size), dtype=complex)
-        # G[j, i] and G[i, j] at the pairs each reaches, side by side
-        n_ji = sup.g_ji[0].size
-        self._g = np.empty((tau.size, n_ji + sup.g_ij[0].size), dtype=complex)
-        self._g_ji, self._g_ij = self._g[:, :n_ji], self._g[:, n_ji:]
+        self._g = np.empty((tau.size, p.size), dtype=complex)
         for start in range(0, tau.size, TAU_BLOCK):
             blk = slice(start, start + TAU_BLOCK)
             rot = prop._frame(tau[blk, None])  # for U1 and for U2
@@ -623,22 +615,17 @@ class _EchoPlan:
             self._w[blk] = u1[:, w_a] * u1[:, w_b].conj()
             # U2 = R U1 R^H with the diagonal frame rotation R: its phases
             # factor out of G = U2^H D U2, which takes one element e of D at
-            # each pair p it reaches
+            # each pair it reaches; G[i, j] has the conjugate pair phases
             d_rot = rot[:, d_k].conj() * rot[:, d_l] * d_vals
             pair_rot = rot[:, j] * rot[:, i].conj()
-            for g, pair, (p, e, c_k, c_l) in (
-                    (self._g_ji, pair_rot, sup.g_ji),
-                    (self._g_ij, pair_rot.conj(), sup.g_ij)):
-                g[blk] = pair[:, p] * (
-                    d_rot[:, e] * u1[:, c_k].conj() * u1[:, c_l])
+            pair_rot = np.concatenate([pair_rot, pair_rot.conj()], axis=1)
+            self._g[blk] = pair_rot[:, p] * (
+                d_rot[:, e] * u1[:, c_k].conj() * u1[:, c_l])
         self.damping = _t2_damping(tau, exp.t2_s)
         self._pulse1 = _scaled_propagator(exp.pulse1, system, self.f_mw_hz)
         self._pulse2 = _scaled_propagator(exp.pulse2, system, self.f_mw_hz)
-        # the X elements of the K links of both terms
-        self._k_x = np.concatenate([sup.k_ji[0], sup.k_ij[0]])
         self._rho1, self._k = {}, {}
-        self._products_scale = None
-        self._products = None
+        self._products_scale = self._products = None
 
     def tabulate(self, scales1: np.ndarray, scales2: np.ndarray) -> None:
         """Propagate each pulse at all of its node scales (1-d arrays) in one
@@ -652,15 +639,11 @@ class _EchoPlan:
         _check_conserved(np.concatenate([r1, r2]), sup.mi_leak,
                          "pulse propagator", "m_i")
         rho = (r1 @ self._sigma0 @ _dagger(r1))[:, k, l]
-
-        def k_at(g_pairs, links):
-            # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q]
-            q, c = links
-            p = g_pairs[c]
-            return r2[:, i[p], a[q]] * r2[:, j[p], b[q]].conj()
-
-        k2 = np.concatenate([k_at(sup.g_ji[0], sup.k_ji),
-                             k_at(sup.g_ij[0], sup.k_ij).conj()], axis=1)
+        # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q], p the pair of column c
+        q, c = sup.k
+        p = sup.g[0][c] % i.size
+        k2 = r2[:, i[p], a[q]] * r2[:, j[p], b[q]].conj()
+        np.conjugate(k2[:, sup.k_split:], out=k2[:, sup.k_split:])
         self._rho1 = dict(zip(scales1.tolist(), rho))
         self._k = dict(zip(scales2.tolist(), k2))
 
@@ -675,23 +658,20 @@ class _EchoPlan:
         return spread
 
     def _link_products(self, scale1: float) -> np.ndarray:
-        """X[:, q] G[j, i][:, c] at the K links (q, c) of G[j, i], then
-        conj X[:, q] G[i, j][:, c] at those of G[i, j], shape (n_tau, n_k),
-        memoized on ``scale1``.  The links of each column c of G are
-        adjacent, so G multiplies them by broadcasting."""
+        """X[:, q] G[:, c] at the K links (q, c), with X conjugated from
+        ``k_split`` on (the links of G[i, j]), shape (n_tau, n_k), memoized
+        on ``scale1``.  The links of each column c of G are adjacent, so G
+        multiplies them by broadcasting."""
         if scale1 != self._products_scale:
             spread, n_g = self._spread(scale1), self._g.shape[1]
-            conj = slice(self.supports.k_ji[0].size, None)
-            # a new pulse-1 scale overwrites the memo of the last one
-            out = self._products
-            if out is None:
-                out = np.empty((self._w.shape[0], self._k_x.size),
-                               dtype=complex)
+            q = self.supports.k[0]
+            conj = slice(self.supports.k_split, None)
+            out = np.empty((self._w.shape[0], q.size), dtype=complex)
             for start in range(0, out.shape[0], TAU_BLOCK):
                 blk = slice(start, start + TAU_BLOCK)
                 x = self._w[blk] @ spread
                 # "clip" (the indices are in range) writes straight to out
-                np.take(x, self._k_x, axis=1, out=out[blk], mode="clip")
+                np.take(x, q, axis=1, out=out[blk], mode="clip")
                 np.conjugate(out[blk, conj], out=out[blk, conj])
                 per_pair = out[blk].reshape(x.shape[0], n_g, -1)
                 per_pair *= self._g[blk, :, None]

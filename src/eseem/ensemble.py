@@ -32,7 +32,7 @@ class AngleDistribution:
     sample, a Gaussian N(mean, sigma^2) integrated on ``nodes`` Gauss-Hermite
     points (odd, so the mean itself is a node); sigma = 0 is the one node
     ``mean``.  With ``shared_b1`` pulse 1 samples the same B1 value, so each
-    node scales it by theta over the nominal theta2; by default it is fixed.
+    node scales it by theta/``mean``; by default it is fixed.
     """
 
     mean: float = np.pi
@@ -74,30 +74,32 @@ def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def average_trace(exp: EchoExperiment, dist: AngleDistribution) -> EchoTrace:
     """Expectation of the engine trace under the theta2 distribution.
 
-    Each node scales pulse 2, and with ``dist.shared_b1`` pulse 1, by
-    ``theta/pulse2.angle`` (composite segments scale together, matching a
-    common drive-amplitude error).  What does not depend on a node's scales
-    (free evolution and pulse generators, and without ``shared_b1`` the link
-    products of the pulse-1 coherences) is built once for all nodes, and one
-    batched call per pulse propagates every node scale before the loop.
+    Each node scales pulse 2 by ``theta/pulse2.angle`` and, with
+    ``dist.shared_b1``, pulse 1 by ``theta/dist.mean`` (composite segments
+    scale together, matching a common drive-amplitude error).  What does not
+    depend on a node's scales (free evolution and pulse generators, and
+    without ``shared_b1`` the link products of the pulse-1 coherences) is
+    built once for all nodes, and one batched call per pulse propagates
+    every node scale before the loop.
     The trace adds ``sigma_rad``, ``mean_rad``, ``nodes`` and ``shared_b1``
     to the run's labels; its ``max_imag_residual`` is the largest |Im| of
     the averaged amplitude.
     """
     thetas, weights = dist.points()
     scales2 = thetas / exp.pulse2.angle
-    shared = dist.shared_b1
+    scales1 = thetas / dist.mean if dist.shared_b1 else np.ones(1)
     plan = _EchoPlan(exp)
-    plan.tabulate(scales2 if shared else np.ones(1), scales2)
+    plan.tabulate(scales1, scales2)
     acc = acc_im = -0.0  # the exact identity of float addition
-    for scale2, weight in zip(scales2, weights):
-        trace = run_two_pulse_echo(exp, scale1=scale2 if shared else 1.0,
-                                   scale2=scale2, plan=plan)
+    for scale1, scale2, weight in zip(np.broadcast_to(scales1, thetas.shape),
+                                      scales2, weights):
+        trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2,
+                                   plan=plan)
         acc = acc + weight * trace.v
         acc_im = acc_im + weight * trace.v_im
     return _echo_trace(exp, plan.f_mw_hz, acc, acc_im, sigma_rad=dist.sigma,
                        mean_rad=dist.mean, nodes=len(thetas),
-                       shared_b1=shared)
+                       shared_b1=dist.shared_b1)
 
 
 def average_analytic(exp: EchoExperiment,

@@ -14,9 +14,9 @@ Both writers share one table writer that formats ``ROW_BLOCK`` rows per
 ``%`` call, which keeps a long spectrum's memory small.  The reader takes
 ``# key = value`` lines as metadata wherever they stand, skips blank lines,
 names the columns from the first other line and parses the rest with one
-``np.loadtxt`` call; a ragged row or a non-numeric cell is a ``ValueError``.
-A trace whose tau or v column holds a non-finite cell (nan, inf) is one too,
-naming the file, the line and the column of the first.
+``np.loadtxt`` call.  A ragged row or a non-numeric cell is a ``ValueError``
+naming the file and the line of the first, and the column of a cell; so is
+a trace whose tau or v column holds a non-finite cell (nan, inf).
 """
 
 from __future__ import annotations
@@ -119,8 +119,25 @@ def _read_csv(path: str | Path
             columns = [c.strip() for c in line.split(",")]
     if not rows:
         raise ValueError(f"no tabular data in {path}")
-    return meta, columns, np.loadtxt(rows, delimiter=",", comments=None,
-                                     ndmin=2), numbers
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as err:
+        # name the first ragged row or non-numeric cell, as numpy does not
+        width = rows[0].count(",") + 1
+        for row, number in zip(rows, numbers):
+            cells = row.split(",")
+            if len(cells) != width:
+                raise ValueError(f"{path}, line {number}: {len(cells)} "
+                                 f"columns, not {width}") from None
+            for k, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    name = dict(enumerate(columns)).get(k, f"column {k + 1}")
+                    raise ValueError(f"{path}, line {number}: {name} is not a "
+                                     f"number ({cell.strip()})") from None
+        raise ValueError(f"{path}: {err}") from None
+    return meta, columns, data, numbers
 
 
 def read_trace_csv(path: str | Path) -> EchoTrace:

@@ -479,6 +479,30 @@ def test_non_finite_trace_row_exit_code(tmp_path, capsys):
         assert err == f"error: {trace}, line 4: v is not finite (nan)\n"
 
 
+@pytest.mark.parametrize("row, where", [
+    ("np.float64(2e-06),1.5", "tau_s is not a number (np.float64(2e-06))"),
+    ("2e-06", "1 columns, not 2"),
+])
+def test_unreadable_trace_row_exit_code(tmp_path, capfd, row, where):
+    # numpy's own message ("at row 1, column 1") named neither the file nor
+    # its line
+    trace = tmp_path / "bad.csv"
+    trace.write_text(f"# m_i = -1\ntau_s,v\n1e-06,1.0\n{row}\n3e-06,0.5\n")
+    for argv in (["fit", str(trace)],
+                 ["spectrum", str(trace), "--out", str(tmp_path / "s.csv")]):
+        assert main(argv) == 1
+        assert capfd.readouterr() == ("", f"error: {trace}, line 4: {where}\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_unreadable_spectrum_cell_names_its_line(tmp_path):
+    spec = tmp_path / "bad_spectrum.csv"
+    spec.write_text("freq_hz,magnitude\n0.0,1.0\n\n1e4,abc\n")
+    with pytest.raises(ValueError) as err:
+        read_spectrum_csv(spec)
+    assert str(err.value) == f"{spec}, line 4: magnitude is not a number (abc)"
+
+
 @pytest.mark.parametrize("command", ["fit", "spectrum"])
 def test_non_finite_trace_tau_exit_code(tmp_path, capfd, command):
     # a nan tau once gave a spectrum of nan frequencies (exit 0) and a fit

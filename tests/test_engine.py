@@ -641,7 +641,7 @@ def test_k_links_hold_every_entry_that_feeds_g(s, i, m_i):
     # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] is dense within the m_i
     # blocks of finite pulses; every entry at a pair where the dense G is
     # nonzero lies in the cached link set of that G term, and the plan's
-    # table holds K there (conj K for G[i, j])
+    # table holds K there (conj K from k_split on, the links of G[i, j])
     system = nc60_params(s=s, i=i)
     p1, p2 = _pulses("finite")
     tau = np.array([17.3e-6])
@@ -658,21 +658,20 @@ def test_k_links_hold_every_entry_that_feeds_g(s, i, m_i):
     (a, b), (pi, pj) = sup.x, sup.pairs
     k = r2[pi[None, :], a[:, None]] * r2[pj[None, :], b[:, None]].conj()
     plan.tabulate(np.ones(1), np.array([1.07]))
-    table, start = plan._k[1.07], 0
-    for g_pairs, (q, c), dense_g in ((sup.g_ji[0], sup.k_ji, g[pj, pi]),
-                                     (sup.g_ij[0], sup.k_ij, g[pi, pj])):
-        links = set(zip(q, g_pairs[c]))
+    (q, c), split, n_pairs = sup.k, sup.k_split, pi.size
+    # the pair of each link's column of G, and whether it is a G[i, j] one
+    pair, term = np.divmod(sup.g[0][c], n_pairs)[::-1]
+    assert np.array_equal(term, np.arange(q.size) >= split)
+    table = plan._k[1.07].copy()
+    table[split:] = table[split:].conj()
+    assert np.abs(table - k[q, pair]).max() <= 1e-15
+    entries = np.abs(k) > 1e-13 * np.abs(k).max()
+    for t, dense_g in enumerate((g[pj, pi], g[pi, pj])):
         fed = np.abs(dense_g) > 1e-13 * np.abs(g).max()
-        entries = np.abs(k) > 1e-13 * np.abs(k).max()
+        links = set(zip(q[term == t], pair[term == t]))
         assert set(zip(*np.nonzero(entries & fed))) <= links
-        want = k[q, g_pairs[c]]
-        got = table[start:start + q.size]
-        if start:
-            got = got.conj()
-        assert np.abs(got - want).max() <= 1e-15
-        start += q.size
     if (s, i) == (1.5, 1.0):
-        assert start == (60 if m_i == 0 else 48)
+        assert (q.size, split) == ((60, 30) if m_i == 0 else (48, 24))
 
 
 @pytest.mark.parametrize("pulses", ["ideal", "finite", "cp3"])
@@ -769,14 +768,14 @@ def test_plan_w_and_g_equal_the_dense_stack(engine, s, i, m_i):
     (a, b), (k, l), (q, r) = sup.x, sup.rho, sup.links
     w = u1[:, a[q], k[r]] * u1[:, b[q], l[r]].conj()
     assert np.abs(plan._w - w).max() <= 1e-14 * np.abs(w).max()
-    # the plan keeps each G term only at the pairs it reaches, and G is
-    # exactly zero at the others
+    # the plan keeps each G term only at the pairs it reaches, G[j, i] and
+    # then G[i, j] side by side, and G is exactly zero at the others
     (pi, pj) = sup.pairs
-    for got, want, reached in ((plan._g_ji, g[:, pj, pi], sup.g_ji[0]),
-                               (plan._g_ij, g[:, pi, pj], sup.g_ij[0])):
-        assert np.abs(got - want[:, reached]).max() \
-            <= 1e-14 * np.abs(want).max()
-        assert not np.delete(want, reached, axis=1).any()
+    want = np.concatenate([g[:, pj, pi], g[:, pi, pj]], axis=1)
+    reached = sup.g[0]
+    assert np.abs(plan._g - want[:, reached]).max() \
+        <= 1e-14 * np.abs(want).max()
+    assert not np.delete(want, reached, axis=1).any()
 
 
 @pytest.mark.parametrize("leaky_pulse", [1, 2])

@@ -247,6 +247,18 @@ def test_analytic_average_takes_the_trace_arguments(preset, m_i, shared_b1):
     assert np.abs(numeric - average_analytic(exp, dist)).max() <= 1e-8
 
 
+@pytest.mark.parametrize("mean", [2.5, np.pi])
+def test_shared_b1_node_rule_is_theta_over_mean(preset, mean):
+    # with shared_b1 each node scales pulse 1 by theta/mean on the engine as
+    # in the closed form, also when the mean is off pulse 2's nominal angle
+    # (the engine once took theta/pulse2.angle: 0.2 apart at mean 2.5)
+    exp = make_exp(preset, tau=np.linspace(1e-6, 120e-6, 64))
+    dist = AngleDistribution(mean=mean, sigma=0.2, nodes=21, shared_b1=True)
+    numeric = average_trace(exp, dist).v
+    assert np.abs(numeric - average_analytic(exp, dist)).max() \
+        <= 1e-10 * np.abs(numeric).max()
+
+
 def test_analytic_average_refuses_negative_delta():
     with pytest.raises(ValueError, match="non-negative"):
         average_analytic_outer(np.linspace(0, 1e-4, 8), np.pi / 2,
