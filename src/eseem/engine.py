@@ -28,8 +28,10 @@ Engines
 Each engine only supplies free-evolution propagators that start at t = 0.
 ``_Propagator.elements`` gives U(0, tau) for a whole tau grid at once, at
 any set of its elements (exactly the identity's at tau = 0); the echo
-kernel asks for the 28 of 144 that lie inside M blocks, and
-``_Propagator.stack`` is the every-element case, an (n_tau, d, d) stack.
+kernel asks only for those the engine can make nonzero
+(``_Propagator.diagonal``): the 28 of 144 inside M blocks, or the 12 on
+the diagonal on the average-Hamiltonian engine.  ``_Propagator.stack`` is
+the every-element case, an (n_tau, d, d) stack.
 ``_Propagator`` and :class:`EchoExperiment` check the engine with one
 ``_check_engine``.
 The rotating-frame Hamiltonian obeys h_rot(t + t0) = R(t0) h_rot(t) R(t0)^H
@@ -48,6 +50,8 @@ exact-lab-frame
     eigendecomposition of H0's M blocks: the phases exp(-i w_k tau) times the
     requested columns of the flattened projectors v_k v_k^H, one
     (n_tau x d) (d x n_elements) product, times each row's frame phase.
+    The eigenpairs and projectors are built once per distinct H0 in a
+    process (``_lab_spectrum``, keyed on its bytes).
 stepped-rotating-frame
     Time-ordered product of unitary midpoint substeps of the periodic
     rotating-frame Hamiltonian; converges quadratically in the substep to
@@ -56,7 +60,12 @@ stepped-rotating-frame
     factory.  Whole periods come from the eigenphases of the unitary period
     product P, found by one eigh of the Hermitian
     (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3) (``_unitary_eigen``;
-    like ``np.linalg.eigh``, it returns (values, vectors)).
+    like ``np.linalg.eigh``, it returns (values, vectors)).  The tau grid
+    is taken in one pass: the whole periods of every tau in one product,
+    and the remainders' midpoint runs stacked, each with its own substep
+    count, their powers in ``np.linalg.matrix_power``'s order
+    (``_matrix_powers``), so each U(0, tau) is the one-tau result bit for
+    bit.
 
 Echo kernel
 -----------
@@ -69,7 +78,7 @@ Two conservation laws decide which elements can be nonzero.  The free
 evolution conserves M = m_s + m_i (the hyperfine coupling a S.I only trades
 m_s for m_i), and the pulses act on the electron alone, so they conserve
 m_i.  ``_supports`` derives four index sets from the basis once per
-(S, I, m_i); the counts are for S = 3/2, I = 1 (d = 12):
+(S, I, m_i) and U1 pattern; the counts are for S = 3/2, I = 1 (d = 12):
 
 * rho1, the +1 coherences after pulse 1: electron order +1 with m_i
   unchanged (9 of 144);
@@ -103,6 +112,13 @@ only those.  W and G are built ``TAU_BLOCK`` points at a time, which
 bounds the temporaries whatever the grid size, with R(tau) formed once per
 block for both U1 and U2.
 
+On the average-Hamiltonian engine U1 is diagonal, and the same sets taken
+on the diagonal keep only what it can make nonzero: its 12 elements, the 9
+links that carry each rho1 element onto itself, 3 terms of G per line and
+term (k = j and l = i: the nonzeros of D), so 6 columns, and 18 K links,
+``k_split`` = 9; X keeps its 25 columns.  Every term dropped is exactly
+zero there, so the amplitude is the M-block contraction's to roundoff.
+
 Pulse 2 enters through K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q], with the
 refocused elements (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p].  As
 R2 conserves m_i, K can be nonzero only where m_i(a_q) = m_i(i_p) and
@@ -112,7 +128,8 @@ the central one.  The amplitude
 sum_p (R2 X R2^H)[i_p, j_p] G[j_p, i_p] + conj(...) G[i_p, j_p] is then
 one product of the link products X[:, q] G[:, c], an (n_tau, 48) array on
 an outer line and (n_tau, 60) on the central one, with K at the links; K
-and X are conjugated at those of G[i, j], from ``k_split`` on.  G[i, j]
+and X are conjugated at those of G[i, j], from ``k_split`` on; the
+product is taken a ``TAU_BLOCK`` at a time, like its factors.  G[i, j]
 is taken as computed, not as conj G[j, i], so the imaginary part is a real
 roundoff residual, and ``max_imag_residual`` is its largest magnitude; for
 an ensemble average, that of the averaged amplitude.
@@ -323,14 +340,15 @@ def _m_blocks(s: float, i: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return stacks, between
 
 
-def _m_block_eigen(decompose, a: np.ndarray, system: SpinSystemParams
+def _m_block_eigen(decompose, a: np.ndarray, s: float, i: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (d,) and eigenvectors (d, d), exactly zero between M
-    blocks, of ``a``, which must conserve M (:func:`_check_conserved`).
-    ``decompose`` (``np.linalg.eigh`` or :func:`_unitary_eigen`) takes the
-    stack of blocks of each size and returns (values, vectors).
+    blocks, of ``a`` on the basis of (S, I) = (``s``, ``i``), which must
+    conserve M (:func:`_check_conserved`).  ``decompose``
+    (``np.linalg.eigh`` or :func:`_unitary_eigen`) takes the stack of blocks
+    of each size and returns (values, vectors).
     """
-    stacks, between = _m_blocks(system.s, system.i)
+    stacks, between = _m_blocks(s, i)
     _check_conserved(a, between, "free evolution", "M")
     values = np.empty(a.shape[0])
     vectors = np.zeros(a.shape, dtype=complex)
@@ -340,13 +358,58 @@ def _m_block_eigen(decompose, a: np.ndarray, system: SpinSystemParams
     return values, vectors
 
 
+@lru_cache(maxsize=32)
+def _lab_spectrum(h0: bytes, s: float, i: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The M-block eigenvalues w_k and eigenvectors v_k
+    (:func:`_m_block_eigen`) of the lab Hamiltonian whose complex bytes are
+    ``h0``, and row k the projector v_k v_k^H, flattened; read-only and
+    decomposed once per distinct H0, so M is checked on every H0 met."""
+    dim = multiplicity(s) * multiplicity(i)
+    w0, v0 = _m_block_eigen(np.linalg.eigh, np.frombuffer(
+        h0, dtype=complex).reshape(dim, dim), s, i)
+    projectors = (v0.T[:, :, None] * v0.conj().T[:, None, :]
+                  ).reshape(dim, dim * dim)
+    for arr in (w0, v0, projectors):
+        arr.flags.writeable = False
+    return w0, v0, projectors
+
+
+def _matrix_powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``np.linalg.matrix_power(a[k], n[k])`` for each matrix of the stack
+    ``a`` and each exponent of the 1-d int array ``n``, bit for bit: the
+    same products in the same order, (a a) a for n = 3 and otherwise the
+    binary powers of a, multiplied in from the lowest set bit."""
+    if (n == n.max(initial=0)).all():  # one exponent: matrix_power itself
+        return np.linalg.matrix_power(a, int(n.max(initial=0)))
+    out = np.empty_like(a)
+    out[...] = np.eye(a.shape[-1])
+    z = a
+    for bit in range(int(n.max(initial=0)).bit_length()):
+        if bit:
+            z = z @ z
+        on = ((n >> bit) & 1) == 1
+        first = on & ((n & ((1 << bit) - 1)) == 0)
+        if first.any():
+            out[first] = z[first]
+        later = on & ~first
+        if bit == 1 and (n == 3).any():
+            out[n == 3] = z[n == 3] @ out[n == 3]
+            later &= n != 3
+        if later.any():
+            out[later] = out[later] @ z[later]
+    return out
+
+
 class _Propagator:
     """Free-evolution propagator factory for one engine/frame, with the
     expensive diagonalizations cached across tau points.
 
     :meth:`elements` gives U(0, tau) at any set of elements for a tau grid;
     :meth:`stack` is its every-element case.  Every U(0, tau) is exactly
-    zero between M blocks (:func:`_m_block_eigen`).
+    zero between M blocks (:func:`_m_block_eigen`), and ``diagonal`` states
+    whether it is also zero off the diagonal (the average-Hamiltonian
+    engine): the pattern the echo kernel's supports follow.
     """
 
     def __init__(self, engine: str, system: SpinSystemParams,
@@ -362,26 +425,25 @@ class _Propagator:
         # (electron-major basis), for the frame rotation
         self._m_s = projections(system.s)
         self._level = np.repeat(np.arange(self._m_s.size), system.basis.dim_i)
-        if engine == "average-hamiltonian":
+        self.diagonal = engine == "average-hamiltonian"
+        if self.diagonal:
             h = h_avg0(system, f_mw_hz) + h_avg1(system)
             self._phases = np.diag(h).real
         elif engine == "exact-lab-frame":
-            self._w0, self._v0 = _m_block_eigen(np.linalg.eigh,
-                                                h0_lab(system), system)
-            # row k holds the projector v_k v_k^H, flattened
-            self._projectors = (self._v0.T[:, :, None]
-                                * self._v0.conj().T[:, None, :]
-                                ).reshape(dim, dim * dim)
+            self._w0, self._v0, self._projectors = _lab_spectrum(
+                np.asarray(h0_lab(system), dtype=complex).tobytes(),
+                system.s, system.i)
         else:
             self._w, self._v = _m_block_eigen(
-                np.linalg.eigh, h_rot_t(system, 0.0, f_mw_hz), system)
+                np.linalg.eigh, h_rot_t(system, 0.0, f_mw_hz), system.s,
+                system.i)
             period = self._midpoint_run(steps_per_period,
                                         1.0 / (f_mw_hz * steps_per_period))
             # per M block: a dense eigenbasis may mix close eigenphases of
             # two blocks, and raising it to millions of periods spreads that
             # roundoff between the blocks
             self._angles, self._q = _m_block_eigen(_unitary_eigen, period,
-                                                   system)
+                                                   system.s, system.i)
 
     def elements(self, tau, flat: np.ndarray,
                  frame: np.ndarray | None = None) -> np.ndarray:
@@ -390,7 +452,7 @@ class _Propagator:
         elements.  ``frame`` may pass in the diagonal of R(tau) for the
         column tau[:, None], as :meth:`_frame` forms it."""
         tau = np.asarray(tau, dtype=float)
-        if np.any(tau < 0):
+        if (tau < 0).any():
             raise ValueError("tau must be non-negative")
         rows, cols = np.divmod(flat, self._eye.shape[0])
         if self.engine == "average-hamiltonian":
@@ -406,7 +468,7 @@ class _Propagator:
             phases = np.exp(-1j * self._w0 * tau[:, None])
             out = frame[:, rows] * (phases @ self._projectors[:, flat])
         else:
-            out = np.array([self._stepped(t).ravel()[flat] for t in tau])
+            out = self._stepped(tau).reshape(-1, self._eye.size)[:, flat]
         out[tau == 0.0] = self._eye.ravel()[flat]
         return out
 
@@ -428,26 +490,39 @@ class _Propagator:
         return np.exp(1j * TWO_PI * self.f_mw_hz * self._m_s * t
                       )[..., self._level]
 
-    def _midpoint_run(self, n_sub: int, dt: float) -> np.ndarray:
+    def _midpoint_run(self, n_sub, dt) -> np.ndarray:
         """Product of ``n_sub`` midpoint substeps of length ``dt`` from t = 0,
-        R(t_last) (E R(-dt))^(n_sub-1) E R(t_0)^H with t_k = (k + 1/2) dt."""
-        e = (self._v * np.exp(-1j * self._w * dt)) @ self._v.conj().T
-        u = np.linalg.matrix_power(e * self._frame(-dt), n_sub - 1) @ e
-        return ((self._frame((n_sub - 0.5) * dt)[:, None] * u)
-                * self._frame(0.5 * dt).conj())
+        R(t_last) (E R(-dt))^(n_sub-1) E R(t_0)^H with t_k = (k + 1/2) dt;
+        for 1-d arrays ``n_sub`` and ``dt``, a stack of one per pair."""
+        shape, n_sub = np.shape(n_sub), np.reshape(n_sub, -1)
+        dt = np.reshape(dt, (-1, 1))
+        e = (self._v * np.exp(-1j * self._w * dt)[:, None, :]
+             ) @ self._v.conj().T
+        u = _matrix_powers(e * self._frame(-dt)[:, None, :], n_sub - 1) @ e
+        u = ((self._frame((n_sub[:, None] - 0.5) * dt)[:, :, None] * u)
+             * self._frame(0.5 * dt).conj()[:, None, :])
+        return u.reshape(shape + u.shape[1:])
 
-    def _stepped(self, tau: float) -> np.ndarray:
+    def _stepped(self, tau) -> np.ndarray:
+        """U(0, tau) for a scalar ``tau``, or a stack of one per tau of an
+        array: whole periods from the eigenphases, then the remainder's
+        midpoint run, each tau with its own substep count."""
+        tau = np.asarray(tau, dtype=float)
         period = 1.0 / self.f_mw_hz
         dt = period / self.steps_per_period
-        n_periods = int(np.floor(tau / period + 1e-9))
-        remainder = tau - n_periods * period
+        n_periods = np.floor(tau.reshape(-1) / period + 1e-9).astype(int)
+        remainder = tau.reshape(-1) - n_periods * period
         # whole periods from the eigenphases, multiplied exactly
-        u = (self._q * np.exp(1j * n_periods * self._angles)) @ self._q.conj().T
-        if remainder > 1e-16:
+        u = (self._q * np.exp(1j * n_periods[:, None] * self._angles
+                              )[:, None, :]) @ self._q.conj().T
+        rest = remainder > 1e-16
+        if rest.any():
             # R(n_periods * period) is a scalar, so the rest starts at t = 0
-            n_sub = max(1, int(np.ceil(remainder / dt - 1e-9)))
-            u = self._midpoint_run(n_sub, remainder / n_sub) @ u
-        return u
+            n_sub = np.maximum(
+                1, np.ceil(remainder[rest] / dt - 1e-9).astype(int))
+            u[rest] = self._midpoint_run(n_sub, remainder[rest] / n_sub
+                                         ) @ u[rest]
+        return u.reshape(tau.shape + u.shape[1:])
 
 
 def free_evolution(engine: str, system: SpinSystemParams, tau: float,
@@ -482,6 +557,11 @@ def _thermal_deviation(s: float, i: float) -> np.ndarray:
     return out
 
 
+def _blocks(n: int):
+    """Slices of ``TAU_BLOCK`` rows covering n rows."""
+    return (slice(start, start + TAU_BLOCK) for start in range(0, n, TAU_BLOCK))
+
+
 def _dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -489,8 +569,10 @@ def _dagger(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Supports:
-    """The elements the echo kernel contracts for one (S, I, detected m_i),
-    as (row, column) index arrays; the counts are for S = 3/2, I = 1.
+    """The elements the echo kernel contracts for one (S, I, detected m_i)
+    and U1 pattern (``diagonal``, see :attr:`_Propagator.diagonal`), as
+    (row, column) index arrays; the counts are for S = 3/2, I = 1, M blocks
+    first and the diagonal (the average-Hamiltonian engine) in brackets.
 
     rho    electron order +1 with m_i unchanged: rho1 (9)
     x      M up by 1: X = U1 rho1 U1^H (25)
@@ -498,25 +580,25 @@ class _Supports:
            where G = U2^H D U2 can be nonzero (12)
     det    the nonzeros of D = Sy x P_mi (6)
 
-    ``links`` holds the (q, r) with M(a_q) = M(k_r): the rho1 elements r
-    that U1 carries onto each X element q (55).  ``mi_leak`` marks the
-    elements that change m_i.
+    ``links`` holds the (q, r) with U1[a_q, k_r] and U1[b_q, l_r] in the
+    pattern: the rho1 elements r that U1 carries onto each X element q
+    (55 [9]).  ``mi_leak`` marks the elements that change m_i.
 
-    ``u1`` holds the flat indices row * d + column of U1's elements inside
-    M blocks (28 of 144), all that the kernel reads of U1.  ``w`` gives, per
-    link, the positions in ``u1`` of U1[a_q, k_r] and U1[b_q, l_r].
+    ``u1`` holds the flat indices row * d + column of U1's elements in the
+    pattern (28 [12] of 144), all that the kernel reads of U1.  ``w`` gives,
+    per link, the positions in ``u1`` of U1[a_q, k_r] and U1[b_q, l_r].
     ``g`` gives the columns of G, those of G[j, i] then those of G[i, j]:
-    the pair p that G reaches inside M blocks (shifted by the pair count
-    for G[i, j]), the one element e of D that reaches it, and the positions
-    of the two U1 elements it takes (16 columns on an outer line, 20 on the
-    central line).
+    the pair p that G reaches through the pattern (shifted by the pair
+    count for G[i, j]), the one element e of D that reaches it, and the
+    positions of the two U1 elements it takes (16 columns on an outer line,
+    20 on the central line [6 on each]).
 
     ``k`` holds the K links (q, c) of every column c, column by column: the
     X elements q where K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] can be
     nonzero, that is where m_i(a_q) = m_i(i_p) and m_i(b_q) = m_i(j_p), 2S
-    per column (48 on an outer line, 60 on the central line).  The first
-    ``k_split`` (24 or 30) are those of G[j, i]; K and X are conjugated at
-    the rest.
+    per column (48 on an outer line, 60 on the central line [18]).  The
+    first ``k_split`` (24 or 30 [9]) are those of G[j, i]; K and X are
+    conjugated at the rest.
     """
 
     rho: tuple[np.ndarray, np.ndarray]
@@ -533,11 +615,10 @@ class _Supports:
 
 
 @lru_cache(maxsize=None)
-def _supports(s: float, i: float, m_i: float) -> _Supports:
+def _supports(s: float, i: float, m_i: float, diagonal: bool) -> _Supports:
     basis = ProductBasis(s, i)
     order = basis.electron_order()
     nuclear = basis.m_i_diagonal()
-    total = basis.m_s_diagonal() + nuclear
     d_mi = nuclear[:, None] - nuclear[None, :]
     d_m = order + d_mi  # change of M, exact in floats
     line = nuclear == m_i
@@ -545,8 +626,10 @@ def _supports(s: float, i: float, m_i: float) -> _Supports:
     x = np.nonzero(d_m == 1)
     pairs = np.nonzero((order == -1) & (np.abs(d_m) == 1))
     det = np.nonzero((np.abs(order) == 1) & line[:, None] & line)
-    links = np.nonzero(total[x[0], None] == total[rho[0]])
-    inside = d_m == 0
+    # where U1 can be nonzero (_Propagator.diagonal)
+    inside = np.eye(d_m.shape[0], dtype=bool) if diagonal else d_m == 0
+    links = np.nonzero(inside[x[0][:, None], rho[0]]
+                       & inside[x[1][:, None], rho[1]])
     pos = np.full(d_m.shape, -1)
     pos[inside] = np.arange(np.count_nonzero(inside))
     (a, b), (k, l), (q, r) = x, rho, links
@@ -586,11 +669,11 @@ class _EchoPlan:
     table, G[j, i] then G[i, j]), the T2 damping, one batched propagator
     factory per pulse, the per-scale tables of :meth:`tabulate`, and a
     one-entry memo of the link products of the pulse-1 coherences X(tau)
-    with G, keyed on ``scale1``.  W and G come
-    from U1 at its 28 elements inside M blocks (``_Supports.u1``); every
-    engine leaves U1 exactly zero outside them (see :class:`_Propagator`).
-    W, G and the link products are built one ``TAU_BLOCK`` of tau at a
-    time.
+    with G, keyed on ``scale1``.  W and G come from U1 at the elements its
+    engine can make nonzero (``_Supports.u1``: 28 inside M blocks, or the
+    12 on the diagonal); the engine leaves U1 exactly zero outside them
+    (see :class:`_Propagator`).  W, G, the link products and the amplitudes
+    are built one ``TAU_BLOCK`` of tau at a time.
     """
 
     def __init__(self, exp: EchoExperiment):
@@ -598,7 +681,8 @@ class _EchoPlan:
         self.f_mw_hz = microwave_freq_hz(exp)
         prop = _Propagator(exp.engine, system, self.f_mw_hz,
                            exp.steps_per_period)
-        self.supports = sup = _supports(system.s, system.i, exp.detect_m_i)
+        self.supports = sup = _supports(system.s, system.i, exp.detect_m_i,
+                                        prop.diagonal)
         self._sigma0 = _thermal_deviation(system.s, system.i)
         w_a, w_b = sup.w
         (i, j), (d_k, d_l) = sup.pairs, sup.det
@@ -606,21 +690,24 @@ class _EchoPlan:
                                      exp.detect_m_i)[sup.det]
         tau = exp.tau_grid
         p, e, c_k, c_l = sup.g
+        # per column of G: its pair's rows, the one element of D it takes,
+        # and the first column of G[i, j]
+        g_split, pair = np.count_nonzero(p < i.size), p % i.size
+        i, j, d_k, d_l, d_vals = i[pair], j[pair], d_k[e], d_l[e], d_vals[e]
         self._w = np.empty((tau.size, w_a.size), dtype=complex)
         self._g = np.empty((tau.size, p.size), dtype=complex)
-        for start in range(0, tau.size, TAU_BLOCK):
-            blk = slice(start, start + TAU_BLOCK)
+        for blk in _blocks(tau.size):
             rot = prop._frame(tau[blk, None])  # for U1 and for U2
             u1 = prop.elements(tau[blk], sup.u1, rot)
             self._w[blk] = u1[:, w_a] * u1[:, w_b].conj()
             # U2 = R U1 R^H with the diagonal frame rotation R: its phases
             # factor out of G = U2^H D U2, which takes one element e of D at
             # each pair it reaches; G[i, j] has the conjugate pair phases
-            d_rot = rot[:, d_k].conj() * rot[:, d_l] * d_vals
             pair_rot = rot[:, j] * rot[:, i].conj()
-            pair_rot = np.concatenate([pair_rot, pair_rot.conj()], axis=1)
-            self._g[blk] = pair_rot[:, p] * (
-                d_rot[:, e] * u1[:, c_k].conj() * u1[:, c_l])
+            np.conjugate(pair_rot[:, g_split:], out=pair_rot[:, g_split:])
+            self._g[blk] = pair_rot * (
+                rot[:, d_k].conj() * rot[:, d_l] * d_vals
+                * u1[:, c_k].conj() * u1[:, c_l])
         self.damping = _t2_damping(tau, exp.t2_s)
         self._pulse1 = _scaled_propagator(exp.pulse1, system, self.f_mw_hz)
         self._pulse2 = _scaled_propagator(exp.pulse2, system, self.f_mw_hz)
@@ -667,8 +754,7 @@ class _EchoPlan:
             q = self.supports.k[0]
             conj = slice(self.supports.k_split, None)
             out = np.empty((self._w.shape[0], q.size), dtype=complex)
-            for start in range(0, out.shape[0], TAU_BLOCK):
-                blk = slice(start, start + TAU_BLOCK)
+            for blk in _blocks(out.shape[0]):
                 x = self._w[blk] @ spread
                 # "clip" (the indices are in range) writes straight to out
                 np.take(x, q, axis=1, out=out[blk], mode="clip")
@@ -688,9 +774,13 @@ class _EchoPlan:
             self.tabulate(np.array([scale1]), np.array(keys))
         # Tr[(Z + Z^H) G] over the refocused elements Z[i_p, j_p] =
         # (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p]: one product of
-        # the link products with K at its links
+        # the link products with K at its links, a block of tau at a time
         k = np.stack([self._k[s] for s in keys], axis=1)
-        return self._link_products(scale1) @ k
+        products = self._link_products(scale1)
+        out = np.empty((products.shape[0], k.shape[1]), dtype=complex)
+        for blk in _blocks(out.shape[0]):
+            np.matmul(products[blk], k, out=out[blk])
+        return out
 
 
 def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,

@@ -130,14 +130,24 @@ def _read_csv(path: str | Path
                 raise ValueError(f"{path}, line {number}: {len(cells)} "
                                  f"columns, not {width}") from None
             for k, cell in enumerate(cells):
-                try:
-                    float(cell)
-                except ValueError:
+                if not _reads_as_float(cell):
                     name = dict(enumerate(columns)).get(k, f"column {k + 1}")
                     raise ValueError(f"{path}, line {number}: {name} is not a "
                                      f"number ({cell.strip()})") from None
         raise ValueError(f"{path}: {err}") from None
     return meta, columns, data, numbers
+
+
+def _reads_as_float(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads the CSV cell ``cell`` as a number: its
+    parser, not Python's ``float``, which also takes cells such as ``1_0``
+    or non-ASCII digits.  An empty cell is not a number (``np.loadtxt``
+    would skip it as an empty line)."""
+    try:
+        return bool(cell.strip()) and np.loadtxt(
+            [cell], delimiter=",", comments=None).size == 1
+    except ValueError:
+        return False
 
 
 def read_trace_csv(path: str | Path) -> EchoTrace:

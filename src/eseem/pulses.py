@@ -21,6 +21,7 @@ flip-flops on pulse timescales).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,9 +115,10 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
                        f_mw_hz: float | None = None):
     """scales -> the (n, d, d) stack of :func:`rotation_operator` of
     ``pulse`` at each of n scales (a 1-d array), with everything that does
-    not depend on the scale (internal Hamiltonian, segment drive operators,
-    the scatter index, and for an ideal pulse the drives' eigenvectors)
-    built once for repeated calls."""
+    not depend on the scale built once for repeated calls: the internal
+    Hamiltonian and segment drive operators per factory, the spin matrices
+    and scatter index per (S, I) (:func:`_pulse_layout`), and for an ideal
+    pulse the drives' eigenvectors per drive stack (:func:`_drive_eigen`)."""
     # H_int + drive conserves m_i, so each segment exponentiates the 2I+1
     # electron blocks h[:, k, :, k] of the (m_s, m_i, m_s', m_i') view of
     # every scale in one batched call, and the propagator is exactly zero
@@ -124,10 +126,11 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
     # its nominal angle/duration.  An ideal pulse has no internal evolution
     # (one block for every m_i) and unit drive amplitude, so each segment
     # lasts its angle, and its generator is the drive times the scale: one
-    # eigh of each drive serves every scale, which then costs its phases
+    # eigh of each drive stack serves every scale, which then costs its
+    # phases
     d_s, d_i = multiplicity(system.s), multiplicity(system.i)
     dim, nuclear = d_s * d_i, np.arange(d_i)
-    sx, sy, _ = spin_matrices(system.s)
+    sx, sy, flat = _pulse_layout(system.s, system.i)
     angles = [angle for angle, _ in pulse.segments()]
     drives = [sx * np.cos(phase) + sy * np.sin(phase)
               for _, phase in pulse.segments()]
@@ -140,15 +143,12 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
             return expm_hermitian(h_int - scales * w1_nominal * drives[k],
                                   angles[k] / w1_nominal)
     else:
-        w, v = eigh_hermitian(np.stack(drives))
+        w, v = _drive_eigen(np.stack(drives).tobytes(), system.s)
 
         def segment(k, scales):
             # exp(+i scale angle drive), on the drive's eigenvectors
             phases = np.exp(1j * (scales * angles[k]) * w[k])
             return (v[k] * phases) @ v[k].conj().T
-    # where each element of the blocks lands in a flattened propagator
-    flat = np.arange(dim * dim).reshape(
-        d_s, d_i, d_s, d_i)[:, nuclear, :, nuclear]
 
     def propagator(scales: np.ndarray) -> np.ndarray:
         scales = np.asarray(scales, dtype=float).reshape(-1, 1, 1, 1)
@@ -159,3 +159,31 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
         u[:, flat] = blocks
         return u.reshape(-1, dim, dim)
     return propagator
+
+
+@lru_cache(maxsize=None)
+def _pulse_layout(s: float, i: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Sx and Sy of spin ``s``, and where each element of the
+    2I+1 electron blocks of a pulse propagator lands in the flattened
+    product-space matrix of (S, I) = (``s``, ``i``), built once per (S, I)."""
+    d_s, d_i = multiplicity(s), multiplicity(i)
+    nuclear = np.arange(d_i)
+    sx, sy, _ = spin_matrices(s)
+    flat = np.arange((d_s * d_i) ** 2).reshape(
+        d_s, d_i, d_s, d_i)[:, nuclear, :, nuclear]
+    for arr in (sx, sy, flat):
+        arr.flags.writeable = False
+    return sx, sy, flat
+
+
+@lru_cache(maxsize=32)
+def _drive_eigen(drives: bytes, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only :func:`~eseem.spinops.eigh_hermitian` of the stack of
+    segment drives of spin ``s`` whose complex bytes are ``drives``,
+    decomposed once per distinct stack."""
+    d_s = multiplicity(s)
+    w, v = eigh_hermitian(np.frombuffer(drives, dtype=complex)
+                          .reshape(-1, d_s, d_s))
+    w.flags.writeable = v.flags.writeable = False
+    return w, v

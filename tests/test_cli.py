@@ -482,6 +482,9 @@ def test_non_finite_trace_row_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("row, where", [
     ("np.float64(2e-06),1.5", "tau_s is not a number (np.float64(2e-06))"),
     ("2e-06", "1 columns, not 2"),
+    # Python's float reads these two, numpy's parser does not
+    ("2_0e-07,1.5", "tau_s is not a number (2_0e-07)"),
+    ("2e-06,\uff11", "v is not a number (\uff11)"),
 ])
 def test_unreadable_trace_row_exit_code(tmp_path, capfd, row, where):
     # numpy's own message ("at row 1, column 1") named neither the file nor

@@ -212,6 +212,66 @@ def test_stepped_period_powers_match_schur_reference(preset, change,
         assert np.abs(got[k] - ref).max() <= 2e-9
 
 
+def _per_tau_stepped(prop, tau):
+    # the stepped engine's per-tau loop before it took the tau grid in one
+    # pass: np.linalg.matrix_power on each remainder's midpoint run
+    period = 1.0 / prop.f_mw_hz
+    dt = period / prop.steps_per_period
+    n_periods = int(np.floor(tau / period + 1e-9))
+    remainder = tau - n_periods * period
+    u = (prop._q * np.exp(1j * n_periods * prop._angles)) @ prop._q.conj().T
+    if remainder > 1e-16:
+        n_sub = max(1, int(np.ceil(remainder / dt - 1e-9)))
+        step = remainder / n_sub
+        e = (prop._v * np.exp(-1j * prop._w * step)) @ prop._v.conj().T
+        run = np.linalg.matrix_power(e * prop._frame(-step), n_sub - 1) @ e
+        run = ((prop._frame((n_sub - 0.5) * step)[:, None] * run)
+               * prop._frame(0.5 * step).conj())
+        u = run @ u
+    return u
+
+
+@pytest.mark.parametrize("m_i, offset_hz, steps", [(-1.0, 3e5, 40),
+                                                   (0.0, -1e6, 20),
+                                                   (1.0, 0.0, 80)])
+def test_stepped_grid_equals_per_tau_evaluation(preset, m_i, offset_hz,
+                                                steps):
+    # the whole grid in one pass: tau = 0, an exact multiple of the period,
+    # a remainder under 1e-16 (whole periods only), and remainders spread
+    # over one whole period, so every substep count occurs
+    f_mw = line_center_hz(preset, m_i) - offset_hz
+    prop = _Propagator("stepped-rotating-frame", preset, f_mw, steps)
+    period = 1.0 / f_mw
+    tiny = 1000 * period + 5e-17
+    assert 0 < tiny - 1000 * period <= 1e-16
+    tau = np.concatenate([[0.0, 37 * period, tiny, 0.37e-10],
+                          np.linspace(1e-6, 40e-6, 25),
+                          40e-6 + period * np.arange(1, steps + 1) / steps])
+    flat = np.arange(144)
+    got = prop.elements(tau, flat)
+    want = np.array([np.eye(12).ravel() if t == 0.0
+                     else _per_tau_stepped(prop, t).ravel() for t in tau])
+    assert got.tobytes() == want.tobytes()
+    # a scalar tau gives one matrix, and the kernel's elements are a gather
+    assert prop._stepped(tau[5]).tobytes() == want[5].tobytes()
+    inside = engine_module._supports(1.5, 1.0, m_i, False).u1
+    assert prop.elements(tau, inside).tobytes() == want[:, inside].tobytes()
+
+
+def test_matrix_powers_equal_matrix_power_bit_for_bit():
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.normal(size=(12, 12))
+                     + 1j * rng.normal(size=(12, 12)))[0]
+    n = rng.permutation(np.arange(70))
+    a = np.stack([q * np.exp(0.01j * k) for k in range(n.size)])
+    got = engine_module._matrix_powers(a, n)
+    for k in range(n.size):
+        want = np.linalg.matrix_power(a[k], int(n[k]))
+        assert got[k].tobytes() == want.tobytes()
+    one = engine_module._matrix_powers(a[:3], np.full(3, 39))
+    assert one.tobytes() == np.linalg.matrix_power(a[:3], 39).tobytes()
+
+
 def _crossing_params():
     # a = 2 f_I puts (m_s, m_i) = (1/2, +1), (1/2, 0) and (1/2, -1) on one
     # level to first order: three M blocks cross, so a dense eigh of H0 may
@@ -884,3 +944,105 @@ def test_average_raises_on_a_stacked_pulse_across_m_i_blocks(
     monkeypatch.setattr(engine_module, "_scaled_propagator", leaky_factory)
     with pytest.raises(np.linalg.LinAlgError, match="conserve m_i"):
         average_trace(exp, dist)
+
+
+@pytest.mark.parametrize("s, i, m_i", [(1.5, 1.0, 1.0), (1.5, 1.0, 0.0),
+                                       (1.5, 1.0, -1.0), (2.5, 1.5, 0.5)])
+def test_average_hamiltonian_supports_are_the_diagonal(s, i, m_i):
+    # the average-Hamiltonian U1 is diagonal, so the kernel reads its d
+    # diagonal elements, one link per rho1 element (r onto itself), the G
+    # columns of the nonzeros of D, and 2S K links per column
+    system = nc60_params(s=s, i=i)
+    tau = np.linspace(0.0, 60e-6, 5)
+    plans = {engine: _EchoPlan(EchoExperiment(
+        system=system, pulse1=PulseSpec(np.pi / 2), pulse2=PulseSpec(np.pi),
+        tau_grid=tau, detect_m_i=m_i, engine=engine,
+        resonance_offset_hz=3e5)) for engine in ENGINES}
+    diag = plans["average-hamiltonian"].supports
+    blocks = plans["exact-lab-frame"].supports
+    assert plans["stepped-rotating-frame"].supports is blocks
+    assert diag is engine_module._supports(s, i, m_i, True)
+    assert blocks is engine_module._supports(s, i, m_i, False)
+    dim, n_rho, n_det = system.basis.dim, diag.rho[0].size, diag.det[0].size
+    assert np.array_equal(diag.u1, np.arange(dim) * (dim + 1))
+    (q, r), (a, b), (k, l) = diag.links, diag.x, diag.rho
+    assert np.array_equal(r, np.arange(n_rho))
+    assert np.array_equal(a[q], k) and np.array_equal(b[q], l)
+    counts = [diag.u1.size, q.size, diag.g[0].size, diag.k[0].size,
+              diag.k_split]
+    assert counts == [dim, n_rho, n_det, int(2 * s) * n_det,
+                      int(2 * s) * n_det // 2]
+    if (s, i) == (1.5, 1.0):
+        assert counts == [12, 9, 6, 18, 9]
+        assert [blocks.u1.size, blocks.links[0].size, blocks.g[0].size,
+                blocks.k[0].size] == [28, 55, 16 if m_i else 20,
+                                      48 if m_i else 60]
+    # every set is a subset of the M-block one; rho1, X, the pairs and D
+    # are the same
+    for name in ("rho", "x", "pairs", "det"):
+        assert all(np.array_equal(u, v) for u, v in
+                   zip(getattr(diag, name), getattr(blocks, name)))
+    assert set(diag.u1) <= set(blocks.u1)
+    assert set(zip(*diag.links)) <= set(zip(*blocks.links))
+
+
+@pytest.mark.parametrize("pulses", ["ideal", "finite", "cp3"])
+@pytest.mark.parametrize("m_i", [1.0, 0.0, -1.0])
+def test_average_hamiltonian_kernel_equals_the_m_block_contraction(
+        preset, pulses, m_i, monkeypatch):
+    # the diagonal supports drop only terms that are exactly zero on this
+    # engine: the traces and ensemble averages equal those contracted over
+    # the M-block sets to roundoff
+    p1, p2 = _pulses(pulses)
+    exp = EchoExperiment(system=preset, pulse1=p1, pulse2=p2,
+                         tau_grid=np.linspace(0.0, 200e-6, 300),
+                         detect_m_i=m_i, resonance_offset_hz=3e5)
+    dist = AngleDistribution(mean=np.pi, sigma=0.31, nodes=9, shared_b1=True)
+
+    def run():
+        return [np.stack([t.v, t.v_im]) for t in (
+            run_two_pulse_echo(exp, scale1=0.93, scale2=1.07),
+            average_trace(exp, dist), average_trace(exp, replace(
+                dist, shared_b1=False)))]
+
+    diagonal = run()
+    supports = engine_module._supports
+    monkeypatch.setattr(engine_module, "_supports",
+                        lambda s, i, m_i, diagonal: supports(s, i, m_i, False))
+    assert _EchoPlan(exp).supports.u1.size == 28
+    for got, want in zip(diagonal, run()):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want[0]).max()
+
+
+@pytest.mark.parametrize("engine", ["average-hamiltonian", "exact-lab-frame"])
+def test_a_second_plan_does_no_new_eigh(engine, monkeypatch):
+    # the lab Hamiltonian's M-block spectrum and the ideal drives' eigenpairs
+    # are decomposed once per distinct generator: another plan on the same
+    # system and drives (other angles, line, frame and grid) decomposes
+    # nothing; another H0 is decomposed (and checked) on its own
+    p = nc60_params()
+
+    def plan(system, theta2, m_i, offset):
+        return _EchoPlan(EchoExperiment(
+            system=system, pulse1=PulseSpec(np.pi / 2),
+            pulse2=PulseSpec(theta2), tau_grid=np.linspace(0.0, 60e-6, 7),
+            detect_m_i=m_i, engine=engine, resonance_offset_hz=offset))
+
+    first = plan(p, np.pi, 1.0, 0.0)
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(h, *args, **kwargs):
+        eighs.append(np.shape(h))
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    second = plan(p, 2.1, -1.0, -4e5)
+    assert eighs == []
+    second.tabulate(np.array([0.9, 1.0]), np.array([0.8, 1.1]))
+    assert eighs == []
+    assert first._pulse1(np.ones(1)).tobytes() \
+        == second._pulse1(np.ones(1)).tobytes()
+    plan(replace(p, a_hz=p.a_hz * 1.01), np.pi, 1.0, 0.0)
+    # the M blocks of a new H0 (sizes 1, 2 and 3), on the exact engine only
+    assert len(eighs) == (3 if engine == "exact-lab-frame" else 0)

@@ -89,8 +89,8 @@ def test_stack_rows_are_the_single_calls(s, i, segments, model):
                                    PulseSpec(2.5, phase=0.7), composite_pi()])
 def test_ideal_factory_decomposes_each_drive_once(pulse, monkeypatch):
     # an ideal pulse's generator is its drive times the scale: one checked
-    # eigh of the segment drives when the factory is built, and each scale
-    # then costs only its phases
+    # eigh per distinct stack of segment drives per process, and every
+    # factory and scale then costs only its phases
     import eseem.pulses as pulses_module
     p = nc60_params()
     checks, eighs = [], []
@@ -104,6 +104,7 @@ def test_ideal_factory_decomposes_each_drive_once(pulse, monkeypatch):
         eighs.append(np.shape(h))
         return eigh(h, *args, **kwargs)
 
+    pulses_module._drive_eigen.cache_clear()
     monkeypatch.setattr(pulses_module, "eigh_hermitian", counted_check)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     factory = _scaled_propagator(pulse, p)
@@ -111,7 +112,12 @@ def test_ideal_factory_decomposes_each_drive_once(pulse, monkeypatch):
     assert checks == eighs == [(n_seg, 4, 4)]
     scales = np.array([0.3, 1.0, 1.7])
     stack = factory(scales)
+    again = _scaled_propagator(pulse, nc60_params(a_hz=1e6), 9.6e9)
+    assert np.array_equal(again(scales), stack)
     assert len(checks) == len(eighs) == 1
+    # another drive stack is decomposed on its own
+    _scaled_propagator(PulseSpec(pulse.angle, phase=pulse.phase + 0.1), p)
+    assert checks == eighs == [(n_seg, 4, 4), (1, 4, 4)]
     for u, scale in zip(stack, scales):
         electron = np.eye(4)
         for angle, phase in pulse.segments():
