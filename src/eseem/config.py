@@ -12,8 +12,11 @@ options): ``tau.points`` at ``MAX_TAU_POINTS`` = 65536, since a run keeps
 products per tau point and peaks at 1.95 to 2.20 KB (128 to 144 MB at the
 cap, by tracemalloc on the exact engine), and
 ``ensemble.nodes`` at ``ensemble.MAX_ENSEMBLE_NODES`` = 369, since numpy's
-Gauss-Hermite rule overflows above it.  ``run.steps_per_period``
-must be at least the engine's ``MIN_STEPS_PER_PERIOD``.
+Gauss-Hermite rule overflows above it.
+
+The rotating frame has one setting, ``run.resonance_offset_hz`` (line
+minus frame, 0 puts the frame on the detected line); the spin system holds
+only the Hamiltonian's constants.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ENGINES, MIN_STEPS_PER_PERIOD, EchoExperiment
+from .engine import ENGINES, EchoExperiment
 from .ensemble import MAX_ENSEMBLE_NODES, AngleDistribution
 from .pulses import PULSE_MODELS, PulseSpec, composite_pi
 from .spinops import projection
@@ -113,8 +116,7 @@ SCHEMA = {
     "system": {"s": (_parse_spin, REQUIRED, Range(0.5)),
                "i": (_parse_spin, REQUIRED),
                "a_hz": (float, REQUIRED), "f_e_hz": (float, REQUIRED),
-               "f_i_hz": (float, None), "g": (float, 2.0036),
-               "f_mw_hz": (float, None)},
+               "f_i_hz": (float, None), "g": (float, 2.0036)},
     "sequence": {"theta1_deg": (float, REQUIRED, Range(0, 360, open_lo=True)),
                  "theta2_deg": (float, REQUIRED, Range(0, 360, open_lo=True)),
                  "phase1_deg": (float, 0.0), "phase2_deg": (float, 0.0),
@@ -131,8 +133,7 @@ SCHEMA = {
     "run": {"engine": (str, "average-hamiltonian", ENGINES),
             "detect_m_i": (_parse_spins, REQUIRED),
             "t2_s": (float, None, Range(0, open_lo=True)),
-            "resonance_offset_hz": (float, None),
-            "steps_per_period": (int, 40, Range(MIN_STEPS_PER_PERIOD))},
+            "resonance_offset_hz": (float, 0.0)},
 }
 
 
@@ -241,9 +242,6 @@ def parse_config(path: str | Path) -> RunConfig:
         if line in lines:
             raise ConfigError("run.detect_m_i", f"line {line:g} listed twice")
         lines.append(line)
-    if run["resonance_offset_hz"] is not None and system.f_mw_hz is not None:
-        raise ConfigError("run.resonance_offset_hz",
-                          "give either this or system.f_mw_hz, not both")
 
     ens = values["ensemble"]
     if ens["nodes"] % 2 == 0:

@@ -33,7 +33,8 @@ kernel asks only for those the engine can make nonzero
 the diagonal on the average-Hamiltonian engine.  ``_Propagator.stack`` is
 the every-element case, an (n_tau, d, d) stack.
 ``_Propagator`` and :class:`EchoExperiment` check the engine with one
-``_check_engine``.
+``_check_engine``.  The experiment alone places the rotating frame, its
+``resonance_offset_hz`` below the detected line (:func:`microwave_freq_hz`).
 The rotating-frame Hamiltonian obeys h_rot(t + t0) = R(t0) h_rot(t) R(t0)^H
 with the diagonal R(t) = exp(+i*w_mw*Sz*t), so for every engine
 U(t0, t0 + tau) = R(t0) U(0, tau) R(t0)^H; ``_Propagator.translate`` applies
@@ -54,18 +55,19 @@ exact-lab-frame
     process (``_lab_spectrum``, keyed on its bytes).
 stepped-rotating-frame
     Time-ordered product of unitary midpoint substeps of the periodic
-    rotating-frame Hamiltonian; converges quadratically in the substep to
-    the exact engine.  h_rot(t) = R(t) H' R(t)^H, so each substep is
-    R(t_k) E R(t_k)^H with one E = exp(-i H' dt): one eigh of H' per
-    factory.  Whole periods come from the eigenphases of the unitary period
-    product P, found by one eigh of the Hermitian
-    (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3) (``_unitary_eigen``;
-    like ``np.linalg.eigh``, it returns (values, vectors)).  The tau grid
-    is taken in one pass: the whole periods of every tau in one product,
-    and the remainders' midpoint runs stacked, each with its own substep
-    count, their powers in ``np.linalg.matrix_power``'s order
-    (``_matrix_powers``), so each U(0, tau) is the one-tau result bit for
-    bit.
+    rotating-frame Hamiltonian, ``STEPS_PER_PERIOD`` = 40 per microwave
+    period (a fixed numerical setting, not an option); converges
+    quadratically in the substep to the exact engine.
+    h_rot(t) = R(t) H' R(t)^H, so each substep is R(t_k) E R(t_k)^H with one
+    E = exp(-i H' dt): one eigh of H' per factory.  Whole periods come from
+    the eigenphases of the unitary period product P, found by one eigh of
+    the Hermitian (P + P^H)/2 + c (P - P^H)/(2i), c = 1/sqrt(3)
+    (``_unitary_eigen``; like ``np.linalg.eigh``, it returns (values,
+    vectors)).  The tau grid is taken in one pass: the whole periods of
+    every tau in one product, and the remainders' midpoint runs stacked,
+    each with its own substep count, their powers in
+    ``np.linalg.matrix_power``'s order (``_matrix_powers``), so each
+    U(0, tau) is the one-tau result bit for bit.
 
 Echo kernel
 -----------
@@ -161,7 +163,9 @@ from .system import SpinSystemParams
 
 ENGINES = ("average-hamiltonian", "exact-lab-frame", "stepped-rotating-frame")
 
-MIN_STEPS_PER_PERIOD = 20
+# the stepped engine's midpoint substeps per microwave period, read when
+# its propagator is built
+STEPS_PER_PERIOD = 40
 
 # tau points per block when the plan builds W and G from U1, and the link
 # products from W and G (see "Echo kernel" above): it bounds the (block, 28)
@@ -216,13 +220,12 @@ class EchoExperiment:
     tau_grid: np.ndarray
     detect_m_i: float
     engine: str = "average-hamiltonian"
-    resonance_offset_hz: float | None = None
+    resonance_offset_hz: float = 0.0
     t2_s: float | None = None
-    steps_per_period: int = 40
 
     def __post_init__(self):
         self.tau_grid = np.asarray(self.tau_grid, dtype=float)
-        _check_engine(self.engine, self.steps_per_period)
+        _check_engine(self.engine)
         if self.tau_grid.ndim != 1 or self.tau_grid.size == 0:
             raise ValueError("tau_grid must be a non-empty 1-d array")
         if np.any(self.tau_grid < 0) or np.any(np.diff(self.tau_grid) <= 0):
@@ -230,18 +233,14 @@ class EchoExperiment:
         self.detect_m_i = projection(self.system.i, self.detect_m_i)
         if self.t2_s is not None and self.t2_s <= 0:
             raise ValueError("t2_s must be positive")
+        if not np.isfinite(self.resonance_offset_hz):
+            raise ValueError("resonance_offset_hz must be finite")
 
 
-def _check_engine(engine: str, steps_per_period: int) -> None:
-    """Raise ``ValueError`` unless ``engine`` is one of ``ENGINES`` and
-    ``steps_per_period`` (the stepped engine's substeps per microwave
-    period) is at least ``MIN_STEPS_PER_PERIOD``."""
+def _check_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless ``engine`` is one of ``ENGINES``."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if steps_per_period < MIN_STEPS_PER_PERIOD:
-        raise ValueError(
-            f"stepped engine substep too coarse: need >= "
-            f"{MIN_STEPS_PER_PERIOD} steps per microwave period")
 
 
 def _ideal_echo(p: SpinSystemParams, tau, *, m_i: float = 1.0,
@@ -256,21 +255,10 @@ def _ideal_echo(p: SpinSystemParams, tau, *, m_i: float = 1.0,
 
 
 def microwave_freq_hz(exp: EchoExperiment) -> float:
-    """Rotating-frame frequency for the run.
-
-    ``resonance_offset_hz`` positions the frame relative to the detected
-    line center (offset = line - frame); if unset, an explicit
-    ``system.f_mw_hz`` is used; otherwise the frame sits exactly on the
-    detected line.
-    """
-    if exp.resonance_offset_hz is not None and exp.system.f_mw_hz is not None:
-        raise ValueError("give either resonance_offset_hz or f_mw_hz, not both")
-    center = line_center_hz(exp.system, exp.detect_m_i)
-    if exp.resonance_offset_hz is not None:
-        return center - exp.resonance_offset_hz
-    if exp.system.f_mw_hz is not None:
-        return exp.system.f_mw_hz
-    return center
+    """Rotating-frame frequency for the run: ``resonance_offset_hz`` below
+    the detected line center (offset = line - frame), on the line itself by
+    default."""
+    return line_center_hz(exp.system, exp.detect_m_i) - exp.resonance_offset_hz
 
 
 def detection_operator(system: SpinSystemParams, m_i: float) -> np.ndarray:
@@ -412,13 +400,11 @@ class _Propagator:
     engine): the pattern the echo kernel's supports follow.
     """
 
-    def __init__(self, engine: str, system: SpinSystemParams,
-                 f_mw_hz: float, steps_per_period: int = 40):
-        _check_engine(engine, steps_per_period)
+    def __init__(self, engine: str, system: SpinSystemParams, f_mw_hz: float):
+        _check_engine(engine)
         self.engine = engine
         self.system = system
         self.f_mw_hz = f_mw_hz
-        self.steps_per_period = steps_per_period
         dim = system.basis.dim
         self._eye = np.eye(dim, dtype=complex)
         # the 2S+1 distinct m_s and the level of each basis state
@@ -434,11 +420,12 @@ class _Propagator:
                 np.asarray(h0_lab(system), dtype=complex).tobytes(),
                 system.s, system.i)
         else:
+            self._steps = STEPS_PER_PERIOD
             self._w, self._v = _m_block_eigen(
                 np.linalg.eigh, h_rot_t(system, 0.0, f_mw_hz), system.s,
                 system.i)
-            period = self._midpoint_run(steps_per_period,
-                                        1.0 / (f_mw_hz * steps_per_period))
+            period = self._midpoint_run(self._steps,
+                                        1.0 / (f_mw_hz * self._steps))
             # per M block: a dense eigenbasis may mix close eigenphases of
             # two blocks, and raising it to millions of periods spreads that
             # roundoff between the blocks
@@ -509,7 +496,7 @@ class _Propagator:
         midpoint run, each tau with its own substep count."""
         tau = np.asarray(tau, dtype=float)
         period = 1.0 / self.f_mw_hz
-        dt = period / self.steps_per_period
+        dt = period / self._steps
         n_periods = np.floor(tau.reshape(-1) / period + 1e-9).astype(int)
         remainder = tau.reshape(-1) - n_periods * period
         # whole periods from the eigenphases, multiplied exactly
@@ -526,16 +513,15 @@ class _Propagator:
 
 
 def free_evolution(engine: str, system: SpinSystemParams, tau: float,
-                   t_start: float = 0.0, *, f_mw_hz: float | None = None,
-                   steps_per_period: int = 40) -> np.ndarray:
+                   t_start: float = 0.0, *, f_mw_hz: float | None = None
+                   ) -> np.ndarray:
     """Unitary free-evolution propagator over [t_start, t_start + tau].
 
-    ``f_mw_hz`` defaults to the system's frame (or the bare electron Zeeman
-    frequency).  For one-off calls; batch users should reuse
-    :class:`_Propagator` via :func:`run_two_pulse_echo`.
+    ``f_mw_hz`` defaults to the bare electron Zeeman frequency.  For one-off
+    calls; batch users should reuse :class:`_Propagator` via
+    :func:`run_two_pulse_echo`.
     """
-    prop = _Propagator(engine, system, _f_mw_effective(system, f_mw_hz),
-                       steps_per_period)
+    prop = _Propagator(engine, system, _f_mw_effective(system, f_mw_hz))
     return prop.translate(t_start, prop.stack([tau])[0])
 
 
@@ -679,8 +665,7 @@ class _EchoPlan:
     def __init__(self, exp: EchoExperiment):
         system = exp.system
         self.f_mw_hz = microwave_freq_hz(exp)
-        prop = _Propagator(exp.engine, system, self.f_mw_hz,
-                           exp.steps_per_period)
+        prop = _Propagator(exp.engine, system, self.f_mw_hz)
         self.supports = sup = _supports(system.s, system.i, exp.detect_m_i,
                                         prop.diagonal)
         self._sigma0 = _thermal_deviation(system.s, system.i)

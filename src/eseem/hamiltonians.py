@@ -85,18 +85,16 @@ def h0_lab(p: SpinSystemParams) -> np.ndarray:
 
 
 def _f_mw_effective(p: SpinSystemParams, f_mw_hz: float | None) -> float:
-    if f_mw_hz is not None:
-        return f_mw_hz
-    if p.f_mw_hz is not None:
-        return p.f_mw_hz
-    return p.f_e_hz
+    """The frame frequency ``f_mw_hz``, or the bare electron Zeeman one."""
+    return p.f_e_hz if f_mw_hz is None else f_mw_hz
 
 
 def h_avg0(p: SpinSystemParams, f_mw_hz: float | None = None) -> np.ndarray:
     """Secular average Hamiltonian Om*Sz - wI*Iz + a*Sz*Iz (angular units).
 
-    ``Om = 2*pi*(f_e - f_mw)`` is the rotating-frame electron offset.
-    Diagonal in the product basis; supports no echo modulation on its own.
+    ``Om = 2*pi*(f_e - f_mw)`` is the rotating-frame electron offset;
+    ``f_mw_hz`` defaults to f_e.  Diagonal in the product basis; supports
+    no echo modulation on its own.
     """
     f_mw = _f_mw_effective(p, f_mw_hz)
     ops = _product_operators(p.s, p.i)

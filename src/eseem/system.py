@@ -43,11 +43,10 @@ class SpinSystemParams:
         static field implied by ``f_e_hz`` and ``g``.
     g : float
         Electron g-factor, used only for field-unit conversions.
-    f_mw_hz : float or None
-        Microwave (rotating-frame) frequency.  Usually left ``None`` and
-        resolved per experiment from the detected line and a resonance
-        offset; ``None`` here means "on the bare electron Zeeman frequency"
-        for standalone Hamiltonian construction.
+
+    The microwave (rotating-frame) frequency is not a constant of the pair:
+    each experiment places it by its resonance offset from the detected
+    line (:func:`eseem.engine.microwave_freq_hz`).
     """
 
     s: float
@@ -56,7 +55,6 @@ class SpinSystemParams:
     f_e_hz: float
     f_i_hz: float | None = None
     g: float = 2.0036
-    f_mw_hz: float | None = None
 
     def __post_init__(self):
         validate_spin(self.s)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eseem.cli import main
 from eseem.config import (SCHEMA, ConfigError, Range, load_preset,
                           parse_config, preset_path)
 from eseem.engine import EchoTrace
@@ -84,12 +85,6 @@ def test_bad_values_report_paths(tmp_path):
         parse_config(write_cfg(tmp_path, GOOD_CFG.replace(
             "a_hz = 15.8e6", "a_hz = fifteen")))
     assert err.value.field == "system.a_hz"
-    # too coarse for the stepped engine, whatever engine the run uses
-    for steps in ("10", "0", "-40"):
-        with pytest.raises(ConfigError) as err:
-            parse_config(write_cfg(tmp_path, GOOD_CFG.replace(
-                "t2_s = 210e-6", f"t2_s = 210e-6\nsteps_per_period = {steps}")))
-        assert err.value.field == "run.steps_per_period"
 
 
 FINITE = "phase2_deg = 45\npulse_model = finite\n"
@@ -128,17 +123,27 @@ def test_readme_lists_every_schema_key():
                 assert str(spec[2]) in rows[f"{block}.{key}"], key
 
 
-def test_frame_frequency_exclusivity(tmp_path):
-    text = GOOD_CFG.replace("f_e_hz = 9.67e9",
-                            "f_e_hz = 9.67e9\nf_mw_hz = 9.6e9")
+@pytest.mark.parametrize("old, new, field", [
+    ("f_e_hz = 9.67e9", "f_e_hz = 9.67e9\nf_mw_hz = 9.6e9", "system.f_mw_hz"),
+    ("t2_s = 210e-6", "t2_s = 210e-6\nsteps_per_period = 40",
+     "run.steps_per_period"),
+], ids=["system.f_mw_hz", "run.steps_per_period"])
+def test_removed_settings_exit_2_naming_the_field(tmp_path, capsys, old,
+                                                   new, field):
+    # run.resonance_offset_hz alone places the frame, and the stepped
+    # engine's substep count is engine.STEPS_PER_PERIOD: neither old key
+    # is a setting any more, so each is an unknown key
+    cfg = write_cfg(tmp_path, GOOD_CFG.replace(old, new))
     with pytest.raises(ConfigError) as err:
-        parse_config(write_cfg(tmp_path, text))
-    assert "resonance_offset_hz" in err.value.field
-    # with the offset removed, an explicit frame frequency is accepted
-    ok = text.replace("resonance_offset_hz = 0\n", "")
-    cfg = parse_config(write_cfg(tmp_path, ok, name="ok.cfg"))
-    assert cfg.experiments[0].resonance_offset_hz is None
-    assert cfg.experiments[0].system.f_mw_hz == pytest.approx(9.6e9)
+        parse_config(cfg)
+    assert err.value.field == field
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{field}: unknown" in capsys.readouterr().err
+    # without the key the run places the frame on the detected line
+    assert parse_config(write_cfg(tmp_path, GOOD_CFG.replace(
+        "resonance_offset_hz = 0\n", ""), name="ok.cfg")
+        ).experiments[0].resonance_offset_hz == 0.0
 
 
 def test_composite_parsing(tmp_path):

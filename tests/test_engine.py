@@ -125,14 +125,15 @@ def test_exact_engine_agrees_with_secular_at_third_order(preset):
     assert np.abs(ex - ah).max() >= 1e-4  # the third-order physics is there
 
 
-def test_stepped_engine_quadratic_convergence(preset):
+def test_stepped_engine_quadratic_convergence(preset, monkeypatch):
     f_mw = line_center_hz(preset, 1.0)
     tau = 5.2e-6
     exact = free_evolution("exact-lab-frame", preset, tau, f_mw_hz=f_mw)
     err = {}
     for spp in (20, 40, 80):
+        monkeypatch.setattr(engine_module, "STEPS_PER_PERIOD", spp)
         stepped = free_evolution("stepped-rotating-frame", preset, tau,
-                                 f_mw_hz=f_mw, steps_per_period=spp)
+                                 f_mw_hz=f_mw)
         err[spp] = np.abs(stepped - exact).max()
     assert err[40] <= err[20] / 3.0
     assert err[80] <= err[40] / 3.0
@@ -140,7 +141,7 @@ def test_stepped_engine_quadratic_convergence(preset):
 
 # Reference: the per-substep loop the frame-factorized stepped engine
 # replaced, kept verbatim apart from reading the propagator's settings from
-# outside.
+# outside and the substep count from the engine's constant.
 
 def _reference_substep_product(prop, t0, n_sub, dt):
     u = np.eye(prop.system.basis.dim, dtype=complex)
@@ -161,14 +162,14 @@ def _reference_unitary_power(u, n):
 
 
 def _reference_stepped(prop, t_start, tau):
+    steps = engine_module.STEPS_PER_PERIOD
     period = 1.0 / prop.f_mw_hz
-    dt = period / prop.steps_per_period
+    dt = period / steps
     n_periods = int(np.floor(tau / period + 1e-9))
     remainder = tau - n_periods * period
     u = np.eye(prop.system.basis.dim, dtype=complex)
     if n_periods > 0:
-        base = _reference_substep_product(prop, t_start,
-                                          prop.steps_per_period, dt)
+        base = _reference_substep_product(prop, t_start, steps, dt)
         u = _reference_unitary_power(base, n_periods)
     if remainder > 1e-16:
         n_sub = max(1, int(np.ceil(remainder / dt - 1e-9)))
@@ -178,11 +179,12 @@ def _reference_stepped(prop, t_start, tau):
 
 
 @pytest.mark.parametrize("steps", [20, 40, 80])
-def test_stepped_engine_matches_substep_loop(preset, steps):
+def test_stepped_engine_matches_substep_loop(preset, steps, monkeypatch):
     # frame 0.3 MHz off the m_i = -1 line; tau from under one microwave
     # period to 60 us, each from t = 0 and from t = tau
+    monkeypatch.setattr(engine_module, "STEPS_PER_PERIOD", steps)
     f_mw = line_center_hz(preset, -1.0) - 3e5
-    prop = _Propagator("stepped-rotating-frame", preset, f_mw, steps)
+    prop = _Propagator("stepped-rotating-frame", preset, f_mw)
     tau = np.array([0.37e-10, 0.9e-9, 1.3e-6, 17.3e-6, 60e-6])
     for t_start in (np.zeros_like(tau), tau):
         got = prop.translate(t_start, prop.stack(tau))
@@ -203,8 +205,8 @@ def test_stepped_period_powers_match_schur_reference(preset, change,
     p = replace(preset, **change)
     f_mw = line_center_hz(p, -1.0) + offset_hz
     prop = _Propagator("stepped-rotating-frame", p, f_mw)
-    period = prop._midpoint_run(prop.steps_per_period,
-                                1.0 / (f_mw * prop.steps_per_period))
+    steps = engine_module.STEPS_PER_PERIOD
+    period = prop._midpoint_run(steps, 1.0 / (f_mw * steps))
     n = np.round(np.linspace(0.0, 200e-6 * f_mw, 21)).astype(int)
     got = prop.stack(n / f_mw)
     for k in range(n.size):
@@ -216,7 +218,7 @@ def _per_tau_stepped(prop, tau):
     # the stepped engine's per-tau loop before it took the tau grid in one
     # pass: np.linalg.matrix_power on each remainder's midpoint run
     period = 1.0 / prop.f_mw_hz
-    dt = period / prop.steps_per_period
+    dt = period / engine_module.STEPS_PER_PERIOD
     n_periods = int(np.floor(tau / period + 1e-9))
     remainder = tau - n_periods * period
     u = (prop._q * np.exp(1j * n_periods * prop._angles)) @ prop._q.conj().T
@@ -235,12 +237,13 @@ def _per_tau_stepped(prop, tau):
                                                    (0.0, -1e6, 20),
                                                    (1.0, 0.0, 80)])
 def test_stepped_grid_equals_per_tau_evaluation(preset, m_i, offset_hz,
-                                                steps):
+                                                steps, monkeypatch):
     # the whole grid in one pass: tau = 0, an exact multiple of the period,
     # a remainder under 1e-16 (whole periods only), and remainders spread
     # over one whole period, so every substep count occurs
+    monkeypatch.setattr(engine_module, "STEPS_PER_PERIOD", steps)
     f_mw = line_center_hz(preset, m_i) - offset_hz
-    prop = _Propagator("stepped-rotating-frame", preset, f_mw, steps)
+    prop = _Propagator("stepped-rotating-frame", preset, f_mw)
     period = 1.0 / f_mw
     tiny = 1000 * period + 5e-17
     assert 0 < tiny - 1000 * period <= 1e-16
@@ -330,9 +333,6 @@ def test_free_evolution_basics(preset):
     phases = np.diag(h_avg0(preset, f_mw_hz=f_mw) + h_avg1(preset)).real
     assert np.allclose(np.diag(diag), np.exp(-1j * phases * tau))
     with pytest.raises(ValueError):
-        free_evolution("stepped-rotating-frame", preset, 1e-6,
-                       f_mw_hz=f_mw, steps_per_period=10)
-    with pytest.raises(ValueError):
         free_evolution("magic", preset, 1e-6, f_mw_hz=f_mw)
 
 
@@ -389,8 +389,7 @@ def test_detection_operator_structure(preset):
 
 @pytest.mark.parametrize("m_i", [1.0, 0.0, -1.0])
 def test_microwave_frequency_defaults_to_the_detected_line(preset, m_i):
-    # no offset and no system.f_mw_hz: the frame sits on the line itself,
-    # as a zero offset puts it
+    # no offset: the frame sits on the line itself, as a zero offset puts it
     exp = EchoExperiment(system=preset, pulse1=PulseSpec(np.pi / 2),
                          pulse2=PulseSpec(np.pi),
                          tau_grid=np.linspace(1e-6, 20e-6, 4), detect_m_i=m_i)
@@ -413,13 +412,6 @@ def test_microwave_frequency_resolution(preset):
     exp_off = make_exp(preset, m_i=1.0, resonance_offset_hz=5e3)
     assert microwave_freq_hz(exp_off) == pytest.approx(
         line_center_hz(preset, 1.0) - 5e3)
-    p2 = nc60_params(f_mw_hz=9.6e9)
-    exp2 = EchoExperiment(system=p2, pulse1=PulseSpec(np.pi / 2),
-                          pulse2=PulseSpec(np.pi),
-                          tau_grid=np.array([1e-6]), detect_m_i=1.0)
-    assert microwave_freq_hz(exp2) == 9.6e9
-    with pytest.raises(ValueError):
-        microwave_freq_hz(make_exp(p2, resonance_offset_hz=0.0))
 
 
 def test_experiment_validation(preset):
@@ -433,6 +425,9 @@ def test_experiment_validation(preset):
         make_exp(preset, engine="nope")
     with pytest.raises(ValueError, match="t2_s"):
         make_exp(preset, t2_s=0.0)  # at construction, before any run
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="resonance_offset_hz"):
+            make_exp(preset, resonance_offset_hz=bad)
     with pytest.raises(ValueError):
         EchoTrace(tau_s=np.array([1e-6]), v=np.array([1.0, 2.0]))
 
@@ -539,7 +534,7 @@ def _reference_echo_amplitude(u1, u2, r1, r2, sigma0, det_op, sel_p, sel_m):
 def _reference_amplitudes(exp, scale1=1.0, scale2=1.0):
     system = exp.system
     f_mw = microwave_freq_hz(exp)
-    prop = _Propagator(exp.engine, system, f_mw, exp.steps_per_period)
+    prop = _Propagator(exp.engine, system, f_mw)
     r1 = rotation_operator(exp.pulse1, system, scale1, f_mw)
     r2 = rotation_operator(exp.pulse2, system, scale2, f_mw)
     order = system.basis.electron_order()

@@ -307,17 +307,6 @@ def test_stick_intensity_sum_independent_of_a():
             assert got == pytest.approx(10.0, rel=1e-5)
 
 
-def test_system_frame_frequency_is_the_default_frame(preset):
-    # system.f_mw_hz sets the frame when no f_mw_hz is passed; a passed one
-    # wins over it
-    framed = nc60_params(f_mw_hz=9.6e9)
-    assert np.array_equal(h_avg0(framed), h_avg0(preset, f_mw_hz=9.6e9))
-    assert np.array_equal(h_rot_t(framed, 3e-11),
-                          h_rot_t(preset, 3e-11, f_mw_hz=9.6e9))
-    assert np.array_equal(h_avg0(framed, f_mw_hz=9.5e9),
-                          h_avg0(preset, f_mw_hz=9.5e9))
-
-
 def test_labeled_eigh_orders_by_dominant_basis_state(preset):
     w, v = labeled_eigh(h0_lab(preset))
     assert np.array_equal(np.argmax(np.abs(v), axis=0), np.arange(w.size))
