@@ -6,36 +6,66 @@ exact and perturbative density-matrix propagation, evaluates the matching
 closed-form modulation expressions, averages over B1-inhomogeneity
 ensembles, and extracts modulation frequencies and decay constants from
 the resulting traces.
+
+Importing the package loads no submodule and no numpy (PEP 562): each
+public name and each submodule is imported when it is first read, so a
+process pays only for the layers it uses.  A name is read from its home
+module on every access, not cached here.  The command line loads by
+command:
+
+* every command loads ``config`` and what it builds on (``engine``,
+  ``ensemble``, ``pulses``, ``hamiltonians``, ``spinops``, ``system``),
+  and ``spectral`` for the options' choices;
+* ``simulate``, ``spectrum`` and ``fit`` add ``fileio``; ``analytic`` and
+  ``sweep`` add ``fileio`` and ``analytic``; ``--svg`` adds ``svgplot``;
+* ``validate`` adds ``validation`` and ``analytic``.
+
+The ``eseem`` console script (``eseem.console:main``) also pins the BLAS
+libraries to one thread unless the environment sets them; ``import eseem``
+and ``python -m eseem.cli`` keep the library default.
 """
 
-from .analytic import (ModulationCoefficients, coefficients, v_center,
-                       v_general, v_outer)
-from .engine import (EchoExperiment, EchoTrace, free_evolution,
-                     microwave_freq_hz, run_two_pulse_echo, validate_aht)
-from .ensemble import (AngleDistribution, apply_t2, average_analytic_outer,
-                       average_trace, i1_i2_ratio)
-from .hamiltonians import (StickLine, delta_hz, epr_stick_spectrum, h0_lab,
-                           h_avg0, h_avg1, h_rot_t, line_center_hz)
-from .pulses import PulseSpec, composite_pi, electron_rotation, rotation_operator
-from .spectral import (FitResult, PeakList, Spectrum, fft_magnitude,
-                       find_peaks, fit_decay)
-from .spinops import (ProductBasis, expm_hermitian, kron, multiplicity,
-                      projections, projector_mi, spin_matrices)
-from .system import SpinSystemParams, nc60_params
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleDistribution", "EchoExperiment", "EchoTrace", "FitResult",
-    "ModulationCoefficients", "PeakList", "ProductBasis", "PulseSpec",
-    "SpinSystemParams", "Spectrum", "StickLine",
-    "apply_t2", "average_analytic_outer", "average_trace", "coefficients",
-    "composite_pi", "delta_hz", "electron_rotation",
-    "epr_stick_spectrum", "expm_hermitian", "fft_magnitude", "find_peaks",
-    "fit_decay", "free_evolution", "h0_lab", "h_avg0", "h_avg1", "h_rot_t",
-    "i1_i2_ratio", "kron", "line_center_hz", "microwave_freq_hz",
-    "multiplicity", "nc60_params", "projections", "projector_mi",
-    "rotation_operator", "run_two_pulse_echo",
-    "spin_matrices", "v_center", "v_general", "v_outer", "validate_aht",
-    "__version__",
-]
+# public name -> its home module
+_HOMES = {
+    **dict.fromkeys(("ModulationCoefficients", "coefficients", "v_center",
+                     "v_general", "v_outer"), "analytic"),
+    **dict.fromkeys(("EchoExperiment", "EchoTrace", "free_evolution",
+                     "microwave_freq_hz", "run_two_pulse_echo",
+                     "validate_aht"), "engine"),
+    **dict.fromkeys(("AngleDistribution", "apply_t2",
+                     "average_analytic_outer", "average_trace",
+                     "i1_i2_ratio"), "ensemble"),
+    **dict.fromkeys(("StickLine", "delta_hz", "epr_stick_spectrum", "h0_lab",
+                     "h_avg0", "h_avg1", "h_rot_t", "line_center_hz"),
+                    "hamiltonians"),
+    **dict.fromkeys(("PulseSpec", "composite_pi", "electron_rotation",
+                     "rotation_operator"), "pulses"),
+    **dict.fromkeys(("FitResult", "PeakList", "Spectrum", "fft_magnitude",
+                     "find_peaks", "fit_decay"), "spectral"),
+    **dict.fromkeys(("ProductBasis", "expm_hermitian", "kron", "multiplicity",
+                     "projections", "projector_mi", "spin_matrices"),
+                    "spinops"),
+    **dict.fromkeys(("SpinSystemParams", "nc60_params"), "system"),
+}
+
+_SUBMODULES = ("analytic", "cli", "config", "console", "engine", "ensemble",
+               "fileio", "hamiltonians", "pulses", "spectral", "spinops",
+               "svgplot", "system", "validation")
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        return getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

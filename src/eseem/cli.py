@@ -10,6 +10,11 @@ fit        fit a damped (two-cosine) decay model to a trace CSV
 validate   run the full invariant suite
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
+
+Importing the module loads the config layer (and what it builds on) only.
+The parser loads ``spectral`` for its options' choices, and each handler
+imports the layers its command uses, so ``fileio``, ``analytic``,
+``svgplot`` and ``validation`` load only for the commands that need them.
 """
 
 from __future__ import annotations
@@ -20,21 +25,12 @@ import sys
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analytic import coefficients, general_s_weights, v_general
 from .config import SCHEMA, ConfigError, RunConfig, load_preset, parse_config
-from .engine import EchoExperiment, EchoTrace
-from .ensemble import (AngleDistribution, apply_t2, average_analytic,
-                       average_trace, averaged_component_weights)
-from .fileio import (_write_table, read_trace_csv, write_spectrum_csv,
-                     write_trace_csv)
-from .hamiltonians import TWO_PI, delta_hz
-from .spectral import (BASELINES, FIT_MODELS, WINDOWS, fft_magnitude,
-                       find_peaks, fit_decay)
-from .svgplot import write_line_svg
-from .validation import run_checks
+
+if TYPE_CHECKING:
+    from .engine import EchoExperiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -77,6 +73,7 @@ def _out_path(base: str, m_i: float, multi: bool) -> Path:
 
 def _maybe_svg(args, path: Path, x, y, xlabel, ylabel, title) -> None:
     if getattr(args, "svg", False):
+        from .svgplot import write_line_svg
         write_line_svg(path.with_suffix(".svg"), x, y, xlabel, ylabel, title)
 
 
@@ -84,6 +81,8 @@ def _write_line_traces(args, average, title: str) -> int:
     """Write ``average(exp, distribution)`` for each detected line of the
     config: a CSV echoing it (its name tagged with the line when there are
     several), with ``--svg`` a plot, and a "wrote" line."""
+    from .fileio import write_trace_csv
+
     cfg = _load_config(args)
     multi = len(cfg.experiments) > 1
     for exp in cfg.experiments:
@@ -100,6 +99,8 @@ def _write_line_traces(args, average, title: str) -> int:
 def _check_closed_form(exp: EchoExperiment) -> None:
     """Raise ``ConfigError`` unless the closed form describes ``exp``; the
     engines' echo carries a factor cos(2 phase2 - phase1)."""
+    from .hamiltonians import TWO_PI
+
     turns = (2 * exp.pulse2.phase - exp.pulse1.phase) / TWO_PI
     phase = "phase2_deg" if exp.pulse2.phase else "phase1_deg"
     for key, bad, need in (
@@ -115,10 +116,17 @@ def _check_closed_form(exp: EchoExperiment) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .ensemble import average_trace
+
     return _write_line_traces(args, average_trace, "two-pulse echo")
 
 
 def cmd_analytic(args) -> int:
+    from .analytic import coefficients, general_s_weights, v_general
+    from .engine import EchoTrace
+    from .ensemble import apply_t2, average_analytic
+    from .hamiltonians import delta_hz
+
     def closed_form(exp: EchoExperiment, dist) -> EchoTrace:
         s, m_i, d = exp.system.s, exp.detect_m_i, delta_hz(exp.system)
         meta = {"model": "closed-form", "delta_hz": d, "m_i": m_i,
@@ -140,6 +148,9 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .fileio import read_trace_csv, write_spectrum_csv
+    from .spectral import fft_magnitude, find_peaks
+
     trace = read_trace_csv(args.trace)
     baseline = args.baseline
     if baseline == "auto":
@@ -168,6 +179,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
+    from .ensemble import AngleDistribution, averaged_component_weights
+    from .fileio import _write_table
+    from .hamiltonians import delta_hz
+
     cfg = _load_config(args)
     exp = cfg.experiments[0]  # the lines share what a sweep reads
     _check_closed_form(exp)
@@ -202,6 +219,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .fileio import read_trace_csv
+    from .spectral import fit_decay
+
     trace = read_trace_csv(args.trace)
     result = fit_decay(trace, model=args.model)
     payload = {"model": result.model, "params": result.params,
@@ -227,6 +247,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validation import run_checks
+
     results = run_checks()
     failed = [r for r in results if not r.passed]
     if args.json:
@@ -247,6 +269,8 @@ def cmd_validate(args) -> int:
 
 @cache  # parse_args leaves the parser unchanged: one per process
 def build_parser() -> argparse.ArgumentParser:
+    from .spectral import BASELINES, FIT_MODELS, WINDOWS
+
     parser = argparse.ArgumentParser(
         prog="eseem",
         description="Two-pulse echo envelope modulation toolkit for "

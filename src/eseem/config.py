@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ENGINES, EchoExperiment
+from .engine import ENGINES, STEPS_PER_PERIOD, EchoExperiment
 from .ensemble import MAX_ENSEMBLE_NODES, AngleDistribution
 from .pulses import PULSE_MODELS, PulseSpec, composite_pi
 from .spinops import projection
@@ -39,6 +39,14 @@ PRESET_NAMES = ("nc60", "nc60_mi_minus1", "nc60_mi_0", "nc60_composite")
 
 # size cap, see the module docstring
 MAX_TAU_POINTS = 65536
+
+# keys that were settings once -> what replaces them; an unknown-key error
+# names this instead of the nearest known name
+REMOVED_KEYS = {
+    "system.f_mw_hz": "the frame is set by run.resonance_offset_hz",
+    "run.steps_per_period": "the stepped engine takes a fixed "
+                            f"{STEPS_PER_PERIOD} substeps per period",
+}
 
 
 class ConfigError(ValueError):
@@ -201,9 +209,12 @@ def parse_config(path: str | Path) -> RunConfig:
     if unknown:
         from difflib import get_close_matches
         field_path, name, known = unknown[0]
-        hint = get_close_matches(name, known, n=1)
-        raise ConfigError(field_path, f"unknown {name!r}" + (
-            f"; did you mean {hint[0]!r}?" if hint else ""))
+        if field_path in REMOVED_KEYS:
+            note = f"; removed: {REMOVED_KEYS[field_path]}"
+        else:
+            hint = get_close_matches(name, known, n=1)
+            note = f"; did you mean {hint[0]!r}?" if hint else ""
+        raise ConfigError(field_path, f"unknown {name!r}{note}")
     values = {block: {key: _value(f"{block}.{key}",
                                   raw.get(block, {}).get(key, ""), *spec)
                       for key, spec in keys.items()}

@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import coefficients
 from .engine import (EchoExperiment, EchoTrace, _echo_trace, _EchoPlan,
                      _t2_damping, run_two_pulse_echo)
 from .hamiltonians import TWO_PI, delta_hz
@@ -139,6 +138,8 @@ def averaged_component_weights(dist: AngleDistribution,
     ``dist.shared_b1`` each node scales t1 = ``theta1`` by t/``dist.mean``,
     as :func:`average_trace` does (the config sets mean = ``pulse2.angle``).
     """
+    from .analytic import coefficients  # only closed-form runs load it
+
     thetas, weights = dist.points()
     # -0.0 is the exact identity of float addition, so a one-node rule
     # returns its terms unchanged, signed zeros included

@@ -24,12 +24,15 @@ from __future__ import annotations
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ConfigError
 from .engine import EchoTrace
-from .spectral import Spectrum
+
+if TYPE_CHECKING:  # writing a trace does not load the spectral layer
+    from .spectral import Spectrum
 
 FLOAT_FMT = "%.17g"
 # rows formatted per write call; bounds the memory a long table takes

@@ -593,19 +593,41 @@ print([main(["simulate", "--config", cfg, "--out", trace]),
 """
 
 
+# what a fresh interpreter loads: `import eseem` no submodule and no numpy,
+# `import eseem.cli` none of the layers only some commands use; every public
+# name and every submodule still resolves on the package
+IMPORT_HYGIENE = """
+import sys
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.startswith(prefix))
+import eseem
+print(loaded("eseem."), loaded("numpy"))
+import eseem.cli
+print([m for m in loaded("eseem.") if m.split(".")[1]
+       in ("spectral", "fileio", "svgplot", "validation")])
+print([n for n in eseem.__all__
+       if getattr(eseem, n) is None or n not in dir(eseem)])
+print(eseem.validation.__name__)
+"""
+
+
 def test_import_loads_no_scipy(tmp_path):
     # the package needs no scipy: importing it loads none, no module under
     # src/eseem imports it, and the stepped engine, the exponential baseline
-    # and both fit models run with every scipy import blocked
+    # and both fit models run with every scipy import blocked; importing it
+    # loads only what is used (IMPORT_HYGIENE)
     package = Path(eseem.__file__).parent
     code = ("import sys, eseem, eseem.cli; print(sorted(m for m in "
             "sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(package.parent), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    for script, expected in (
+            (code, ["[]"]),
+            (IMPORT_HYGIENE, ["[] []", "[]", "[]", "eseem.validation"])):
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.splitlines() == expected
     for path in package.rglob("*.py"):
         text = path.read_text()
         assert "import scipy" not in text and "from scipy" not in text, path
@@ -619,6 +641,20 @@ def test_import_loads_no_scipy(tmp_path):
          str(tmp_path / "s.csv")], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0]", run.stdout
+
+
+def test_console_script_pins_unset_blas_threads(monkeypatch):
+    # the console entry sets each unset thread variable to 1 before the
+    # command runs, and keeps a count the environment sets
+    import eseem.cli
+    import eseem.console
+    environ = {"OPENBLAS_NUM_THREADS": "2"}
+    monkeypatch.setattr(os, "environ", environ)
+    seen = {}
+    monkeypatch.setattr(eseem.cli, "main", lambda: seen.update(environ) or 0)
+    assert eseem.console.main() == 0
+    assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
 
 
 def test_sweep_header_comes_from_the_table_writer(tmp_path, monkeypatch):

@@ -123,23 +123,29 @@ def test_readme_lists_every_schema_key():
                 assert str(spec[2]) in rows[f"{block}.{key}"], key
 
 
-@pytest.mark.parametrize("old, new, field", [
-    ("f_e_hz = 9.67e9", "f_e_hz = 9.67e9\nf_mw_hz = 9.6e9", "system.f_mw_hz"),
+@pytest.mark.parametrize("old, new, field, message", [
+    ("f_e_hz = 9.67e9", "f_e_hz = 9.67e9\nf_mw_hz = 9.6e9", "system.f_mw_hz",
+     "system.f_mw_hz: unknown 'f_mw_hz'; removed: the frame is set by "
+     "run.resonance_offset_hz"),
     ("t2_s = 210e-6", "t2_s = 210e-6\nsteps_per_period = 40",
-     "run.steps_per_period"),
+     "run.steps_per_period",
+     "run.steps_per_period: unknown 'steps_per_period'; removed: the "
+     "stepped engine takes a fixed 40 substeps per period"),
 ], ids=["system.f_mw_hz", "run.steps_per_period"])
 def test_removed_settings_exit_2_naming_the_field(tmp_path, capsys, old,
-                                                   new, field):
+                                                   new, field, message):
     # run.resonance_offset_hz alone places the frame, and the stepped
     # engine's substep count is engine.STEPS_PER_PERIOD: neither old key
-    # is a setting any more, so each is an unknown key
+    # is a setting any more, so each is an unknown key whose message names
+    # what replaced it, not the nearest known name (f_mw_hz is near f_i_hz)
     cfg = write_cfg(tmp_path, GOOD_CFG.replace(old, new))
     with pytest.raises(ConfigError) as err:
         parse_config(cfg)
     assert err.value.field == field
+    assert str(err.value) == message
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")]) == 2
-    assert f"{field}: unknown" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     # without the key the run places the frame on the detected line
     assert parse_config(write_cfg(tmp_path, GOOD_CFG.replace(
         "resonance_offset_hz = 0\n", ""), name="ok.cfg")
