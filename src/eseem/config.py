@@ -15,8 +15,9 @@ cap, by tracemalloc on the exact engine), and
 Gauss-Hermite rule overflows above it.
 
 The rotating frame has one setting, ``run.resonance_offset_hz`` (line
-minus frame, 0 puts the frame on the detected line); the spin system holds
-only the Hamiltonian's constants.
+minus frame, 0 puts the frame on the detected line), and an offset that
+puts the frame at or below 0 Hz is refused; the spin system holds only the
+Hamiltonian's constants.
 """
 
 from __future__ import annotations
@@ -262,9 +263,14 @@ def parse_config(path: str | Path) -> RunConfig:
 
     echo = {f"{block}.{key}": value
             for block, items in raw.items() for key, value in items.items()}
-    experiments = [EchoExperiment(system=system, pulse1=pulse1, pulse2=pulse2,
-                                  tau_grid=tau_grid, detect_m_i=m_i, **run)
-                   for m_i in lines]
+    try:
+        experiments = [EchoExperiment(system=system, pulse1=pulse1,
+                                      pulse2=pulse2, tau_grid=tau_grid,
+                                      detect_m_i=m_i, **run)
+                       for m_i in lines]
+    except ValueError as err:  # the one check left is the frame's
+        raise ConfigError("run.resonance_offset_hz",
+                          f"{err} (offset = line centre - frame)")
     return RunConfig(experiments=experiments, distribution=dist, echo=echo)
 
 

@@ -84,21 +84,15 @@ def h0_lab(p: SpinSystemParams) -> np.ndarray:
                      + p.a_hz * (ops.flip_flop + ops.sz_iz))
 
 
-def _f_mw_effective(p: SpinSystemParams, f_mw_hz: float | None) -> float:
-    """The frame frequency ``f_mw_hz``, or the bare electron Zeeman one."""
-    return p.f_e_hz if f_mw_hz is None else f_mw_hz
-
-
-def h_avg0(p: SpinSystemParams, f_mw_hz: float | None = None) -> np.ndarray:
+def h_avg0(p: SpinSystemParams, f_mw_hz: float) -> np.ndarray:
     """Secular average Hamiltonian Om*Sz - wI*Iz + a*Sz*Iz (angular units).
 
-    ``Om = 2*pi*(f_e - f_mw)`` is the rotating-frame electron offset;
-    ``f_mw_hz`` defaults to f_e.  Diagonal in the product basis; supports
-    no echo modulation on its own.
+    ``Om = 2*pi*(f_e - f_mw)`` is the electron offset in the frame at
+    ``f_mw_hz``.  Diagonal in the product basis; supports no echo
+    modulation on its own.
     """
-    f_mw = _f_mw_effective(p, f_mw_hz)
     ops = _product_operators(p.s, p.i)
-    return TWO_PI * ((p.f_e_hz - f_mw) * ops.sz - p.f_i_hz * ops.iz
+    return TWO_PI * ((p.f_e_hz - f_mw_hz) * ops.sz - p.f_i_hz * ops.iz
                      + p.a_hz * ops.sz_iz)
 
 
@@ -115,8 +109,9 @@ def h_avg1(p: SpinSystemParams) -> np.ndarray:
 
 
 def h_rot_t(p: SpinSystemParams, t: float | np.ndarray,
-            f_mw_hz: float | None = None) -> np.ndarray:
-    """Rotating-frame Hamiltonian at time ``t`` (angular units).
+            f_mw_hz: float) -> np.ndarray:
+    """Hamiltonian at time ``t`` in the frame at ``f_mw_hz`` (angular
+    units).
 
     Exact unitary transform of :func:`h0_lab` by exp(+i*w_mw*Sz*t), minus
     the frame term w_mw*Sz:
@@ -129,12 +124,10 @@ def h_rot_t(p: SpinSystemParams, t: float | np.ndarray,
     h0_lab - w_mw*Sz, and its average over one microwave period is
     :func:`h_avg0`.
     """
-    f_mw = _f_mw_effective(p, f_mw_hz)
-    w_mw = TWO_PI * f_mw
     ops = _product_operators(p.s, p.i)
-    wt = w_mw * np.asarray(t, dtype=float)[..., None, None]
+    wt = TWO_PI * f_mw_hz * np.asarray(t, dtype=float)[..., None, None]
     osc = ops.flip_flop * np.cos(wt) + ops.cross * np.sin(wt)
-    return TWO_PI * ((p.f_e_hz - f_mw) * ops.sz - p.f_i_hz * ops.iz
+    return TWO_PI * ((p.f_e_hz - f_mw_hz) * ops.sz - p.f_i_hz * ops.iz
                      + p.a_hz * (ops.sz_iz + osc))
 
 

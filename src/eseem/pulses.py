@@ -104,9 +104,11 @@ def rotation_operator(pulse: PulseSpec, system: SpinSystemParams,
         U_seg = exp(-i*(H_int + H_drive)*t_seg),
         H_drive = -(w1)*(Sx cos(phi) + Sy sin(phi)),  w1 = theta_seg/t_seg
 
-    (the drive sign matches :func:`electron_rotation`).  An ideal pulse is
-    the case H_int = 0, w1 = 1: a nuclear-space identity, and the limit the
-    finite propagator converges to as the duration shrinks at fixed angle.
+    (the drive sign matches :func:`electron_rotation`), with H_int taken in
+    the frame at ``f_mw_hz``, which a finite pulse needs.  An ideal pulse is
+    the case H_int = 0, w1 = 1, which reads no frame: a nuclear-space
+    identity, and the limit the finite propagator converges to as the
+    duration shrinks at fixed angle.
     """
     return _scaled_propagator(pulse, system, f_mw_hz)(np.array([scale]))[0]
 
@@ -135,6 +137,8 @@ def _scaled_propagator(pulse: PulseSpec, system: SpinSystemParams,
     drives = [sx * np.cos(phase) + sy * np.sin(phase)
               for _, phase in pulse.segments()]
     if pulse.model == "finite":
+        if f_mw_hz is None:
+            raise ValueError("a finite pulse needs the frame, f_mw_hz")
         w1_nominal = pulse.angle / pulse.duration_s
         h_int = (h_avg0(system, f_mw_hz) + h_avg1(system)).reshape(
             d_s, d_i, d_s, d_i)[:, nuclear, :, nuclear]

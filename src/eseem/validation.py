@@ -404,7 +404,7 @@ def _aht_agreement() -> tuple[float, float]:
     rep = validate_aht(p, tau_max=30e-6, n_points=25)
     # validate_aht floors freq_rel_bound at 1e-10
     measured = max(rep["freq_rel_dev_exact"] / rep["freq_rel_bound"],
-                   rep["freq_rel_dev_stepped"] / 0.01)
+                   rep["freq_rel_dev_stepped"] / rep["freq_rel_bound_stepped"])
     return float(measured), 1.0
 
 

@@ -7,7 +7,9 @@ every change to: v at every 8th tau, to 17 digits, of
 * the ideal pi/2 - pi echo on the average-Hamiltonian engine on nc60's
   lines m_i = -1, 0 and +1, 512 tau from 1 to 200 us;
 * the three presets as shipped (exact engine), each with ``shared_b1``
-  false and true.
+  false and true;
+* the ideal pi/2 - pi echo on the stepped-rotating-frame engine on the
+  same lines and grid.
 
 ``arrays()`` is the one definition of these traces, for this script and
 the test.  Regenerate by hand, and only when a change is meant to move
@@ -36,7 +38,8 @@ EVERY = 8  # keep v at every 8th tau
 # the largest deviation a test accepts, relative to the array's max|v|.
 # The exact engine's phases round apart by about 1e-9 of max|v| between
 # LAPACK builds (2 ulp on the eigenvalues of H0 moved a preset average by
-# 1.7e-9), so its arrays are held at the 40-digit fixture's 1e-8
+# 1.7e-9), so its arrays are held at the 40-digit fixture's 1e-8, and so
+# are the stepped engine's, which diagonalize as the exact engine does
 AH_TOL = 1e-12
 EXACT_TOL = 1e-8
 
@@ -49,6 +52,13 @@ def _preset_average(name: str, shared_b1: bool, engine: str | None = None):
     return average_trace(exp, replace(cfg.distribution, shared_b1=shared_b1))
 
 
+def _ideal(m_i: float, engine: str = "average-hamiltonian"):
+    return run_two_pulse_echo(EchoExperiment(
+        system=nc60_params(), pulse1=PulseSpec(np.pi / 2),
+        pulse2=PulseSpec(np.pi), tau_grid=TAU, detect_m_i=m_i,
+        engine=engine)).v
+
+
 def arrays() -> dict:
     """Column name -> (tau, v, tolerance), v of the whole trace."""
     out = {}
@@ -58,15 +68,15 @@ def arrays() -> dict:
             out[f"ah_{name}_shared{int(shared)}"] = (trace.tau_s, trace.v,
                                                      AH_TOL)
     for m_i, label in LINES:
-        trace = run_two_pulse_echo(EchoExperiment(
-            system=nc60_params(), pulse1=PulseSpec(np.pi / 2),
-            pulse2=PulseSpec(np.pi), tau_grid=TAU, detect_m_i=m_i))
-        out[f"ah_ideal_mi_{label}"] = (trace.tau_s, trace.v, AH_TOL)
+        out[f"ah_ideal_mi_{label}"] = (TAU, _ideal(m_i), AH_TOL)
     for name in PRESETS:
         for shared in (False, True):
             trace = _preset_average(name, shared)
             out[f"exact_{name}_shared{int(shared)}"] = (trace.tau_s, trace.v,
                                                         EXACT_TOL)
+    for m_i, label in LINES:
+        out[f"stepped_ideal_mi_{label}"] = (
+            TAU, _ideal(m_i, "stepped-rotating-frame"), EXACT_TOL)
     return out
 
 

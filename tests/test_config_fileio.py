@@ -11,6 +11,7 @@ from eseem.config import (SCHEMA, ConfigError, Range, load_preset,
 from eseem.engine import EchoTrace
 from eseem.fileio import (FLOAT_FMT, ROW_BLOCK, read_spectrum_csv,
                           read_trace_csv, write_spectrum_csv, write_trace_csv)
+from eseem.hamiltonians import line_center_hz
 from eseem.spectral import Spectrum, fft_magnitude
 
 GOOD_CFG = """
@@ -150,6 +151,30 @@ def test_removed_settings_exit_2_naming_the_field(tmp_path, capsys, old,
     assert parse_config(write_cfg(tmp_path, GOOD_CFG.replace(
         "resonance_offset_hz = 0\n", ""), name="ok.cfg")
         ).experiments[0].resonance_offset_hz == 0.0
+
+
+@pytest.mark.parametrize("engine", ["average-hamiltonian",
+                                    "stepped-rotating-frame"])
+@pytest.mark.parametrize("above", [0.0, 1e10], ids=["centre", "above"])
+def test_frame_at_or_below_zero_exits_2(tmp_path, capsys, engine, above):
+    # an offset at the m_i = -1 line centre puts the frame at 0 Hz, and
+    # one above it puts the frame below 0 Hz: refused on every engine
+    system = parse_config(write_cfg(tmp_path, GOOD_CFG, name="ok.cfg")
+                          ).experiments[0].system
+    centre = line_center_hz(system, -1.0)
+    text = GOOD_CFG.replace("engine = average-hamiltonian",
+                            f"engine = {engine}").replace(
+        "resonance_offset_hz = 0", f"resonance_offset_hz = {centre + above!r}")
+    cfg = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert err.value.field == "run.resonance_offset_hz"
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("configuration error: run.resonance_offset_hz: "
+                             "frame frequency ")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_composite_parsing(tmp_path):

@@ -3,10 +3,11 @@
 The file, written by ``tests/make_golden.py``, holds v at every 8th tau of
 the three presets on the average-Hamiltonian engine, the ideal
 average-Hamiltonian echo on nc60's three lines (both held at 1e-12 of
-max|v|), and the three presets as shipped on the exact engine (held at
-1e-8, the tolerance of the 40-digit fixture, since the exact engine's
-phase roundoff differs between LAPACK builds), each preset averaged with
-``shared_b1`` false and true.
+max|v|), the three presets as shipped on the exact engine, each averaged
+with ``shared_b1`` false and true, and the ideal stepped-rotating-frame
+echo on nc60's three lines (both held at 1e-8, the tolerance of the
+40-digit fixture, since the phase roundoff of the engines that
+diagonalize differs between LAPACK builds).
 
 Regenerating the file changes test data: only an issue that names the
 arrays that move, and by how much, may regenerate it, and its change

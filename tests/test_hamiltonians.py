@@ -191,8 +191,10 @@ def test_h_rot_t_array_equals_scalar_calls(preset):
 
 
 @pytest.mark.parametrize("build", [
-    h0_lab, h_avg0, h_avg1, lambda p: h_rot_t(p, 3.7e-11),
-    lambda p: h_rot_t(p, np.array([0.0, 3.7e-11]))])
+    h0_lab, lambda p: h_avg0(p, p.f_e_hz), h_avg1,
+    lambda p: h_rot_t(p, 3.7e-11, p.f_e_hz),
+    lambda p: h_rot_t(p, np.array([0.0, 3.7e-11]), p.f_e_hz)],
+    ids=["h0_lab", "h_avg0", "h_avg1", "<lambda>0", "<lambda>1"])
 def test_builders_return_fresh_writable_arrays(preset, build):
     first = build(preset)
     before = first.copy()

@@ -159,6 +159,17 @@ def test_finite_pulse_approaches_ideal_for_short_durations():
     assert np.abs(shorter - ideal).max() <= 1e-4
 
 
+def test_finite_pulse_needs_a_frame():
+    # an ideal pulse reads no frame; a finite one evolves under h_avg0 in
+    # the frame, which no default supplies
+    p = nc60_params()
+    pulse = PulseSpec(angle=np.pi, model="finite", duration_s=112e-9)
+    with pytest.raises(ValueError, match="f_mw_hz"):
+        rotation_operator(pulse, p)
+    with pytest.raises(ValueError, match="f_mw_hz"):
+        _scaled_propagator(pulse, p)
+
+
 def test_finite_pulse_realistic_duration_is_unitary():
     p = nc60_params()
     u = rotation_operator(
