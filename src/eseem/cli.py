@@ -88,8 +88,7 @@ def _write_line_traces(args, average, title: str) -> int:
     for exp in cfg.experiments:
         trace = average(exp, cfg.distribution)
         path = _out_path(args.out, exp.detect_m_i, multi)
-        write_trace_csv(path, trace, extra_meta=cfg.echo,
-                        im_residual=getattr(args, "im_residual", False))
+        write_trace_csv(path, trace, extra_meta=cfg.echo)
         _maybe_svg(args, path, trace.tau_s * 1e6, trace.v, "tau (us)",
                    "echo amplitude", f"{title}, m_i={exp.detect_m_i:+g}")
         print(f"wrote {path}")
@@ -97,22 +96,15 @@ def _write_line_traces(args, average, title: str) -> int:
 
 
 def _check_closed_form(exp: EchoExperiment) -> None:
-    """Raise ``ConfigError`` unless the closed form describes ``exp``; the
-    engines' echo carries a factor cos(2 phase2 - phase1)."""
-    from .hamiltonians import TWO_PI
+    """Raise ``ConfigError`` unless the closed form describes ``exp``
+    (:func:`~eseem.ensemble.closed_form_mismatch`)."""
+    from .ensemble import closed_form_mismatch
 
-    turns = (2 * exp.pulse2.phase - exp.pulse1.phase) / TWO_PI
-    phase = "phase2_deg" if exp.pulse2.phase else "phase1_deg"
-    for key, bad, need in (
-            ("system.s", exp.system.s != 1.5, "s = 3/2"),
-            ("system.i", exp.system.i != 1.0, "i = 1"),
-            ("sequence.composite", exp.pulse2.composite is not None,
-             "one rotation per pulse"),
-            (f"sequence.{phase}", abs(turns - round(turns)) > 1e-9,
-             "2 phase2_deg - phase1_deg a multiple of 360")):
-        if bad:
-            raise ConfigError(key, f"the closed form needs {need}; "
-                                   "simulate takes this run")
+    mismatch = closed_form_mismatch(exp)
+    if mismatch:
+        key, need = mismatch
+        raise ConfigError(key, f"the closed form needs {need}; "
+                               "simulate takes this run")
 
 
 def cmd_simulate(args) -> int:
@@ -284,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the density-matrix engines")
     add_config_opts(p_sim)
     p_sim.add_argument("--out", required=True, help="output trace CSV")
-    p_sim.add_argument("--im-residual", action="store_true",
-                       help="include the imaginary-part diagnostic column")
     p_sim.add_argument("--svg", action="store_true",
                        help="also write an SVG line plot")
     p_sim.set_defaults(func=cmd_simulate)

@@ -8,8 +8,8 @@ the dotted field path, which the CLI maps to exit code 2.
 
 Two sizes are capped before anything is allocated (fixed limits, not
 options): ``tau.points`` at ``MAX_TAU_POINTS`` = 65536, since a run keeps
-1.91 KB (outer line) to 2.16 KB (central line) of propagator and link
-products per tau point and peaks at 1.95 to 2.20 KB (128 to 144 MB at the
+1.39 KB (outer line) to 1.52 KB (central line) of propagator and link
+products per tau point and peaks at 1.42 to 1.55 KB (93 to 101 MB at the
 cap, by tracemalloc on the exact engine), and
 ``ensemble.nodes`` at ``ensemble.MAX_ENSEMBLE_NODES`` = 369, since numpy's
 Gauss-Hermite rule overflows above it.

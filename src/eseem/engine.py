@@ -102,47 +102,46 @@ Per experiment (``_EchoPlan``), everything that does not depend on the
 pulse scales of an ensemble node is built once: the products
 W[tau, e] = U1[a_q, k_r] conj U1[b_q, l_r] over the 55 links e = (q, r)
 between an X element q = (a, b) and a rho1 element r = (k, l) in the same
-M block, so that X = W @ (rho1 spread over the links); one table G of
-G[j, i] and then G[i, j] (the Hermitian completion) at the pairs each
-reaches, from the gathered U1 elements and their frame phases; the T2
-damping (1 without T2); and one factory per pulse that maps an array of
-scales to a stack of propagators.  W and G read U1 only inside M blocks,
-its 28 elements.  Of the 6 x 12 terms D[k, l] conj U2[k, j] U2[l, i] of G
-at the refocused pairs, only those with k in the M block of j and l in
-that of i survive, at most one per pair: 8 on an outer line and 10 on the
-central one, and G is exactly zero at the other pairs, so each term keeps
-only those.  W and G are built ``TAU_BLOCK`` points at a time, which
-bounds the temporaries whatever the grid size, with R(tau) formed once per
-block for both U1 and U2.
+M block, so that X = W @ (rho1 spread over the links); one table of
+G[j, i] at the transposed pairs it reaches, from the gathered U1 elements
+and their frame phases; the T2 damping (1 without T2); and one factory per
+pulse that maps an array of scales to a stack of propagators.  W and G read
+U1 only inside M blocks, its 28 elements.  Of the 6 x 12 terms
+D[k, l] conj U2[k, j] U2[l, i] of G[j, i] at the refocused pairs, only
+those with k in the M block of j and l in that of i survive, at most one
+per pair: 8 on an outer line and 10 on the central one, and G is exactly
+zero at the other pairs, so the table keeps only those columns.  W and G
+are built ``TAU_BLOCK`` points at a time, which bounds the temporaries
+whatever the grid size, with R(tau) formed once per block for both U1 and
+U2.
 
 On the average-Hamiltonian engine U1 is diagonal, and the same sets taken
 on the diagonal keep only what it can make nonzero: its 12 elements, the 9
-links that carry each rho1 element onto itself, 3 terms of G per line and
-term (k = j and l = i: the nonzeros of D), so 6 columns, and 18 K links,
-``k_split`` = 9; X keeps its 25 columns.  Every term dropped is exactly
-zero there, so the amplitude is the M-block contraction's to roundoff.
+links that carry each rho1 element onto itself, 3 columns of G per line
+(k = j and l = i: the order +1 nonzeros of D) and 9 K links; X keeps its 25
+columns.  Every term dropped is exactly zero there, so the amplitude is
+the M-block contraction's to roundoff.
 
 Pulse 2 enters through K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q], with the
-refocused elements (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p].  As
-R2 conserves m_i, K can be nonzero only where m_i(a_q) = m_i(i_p) and
-m_i(b_q) = m_i(j_p): each column c of G meets 2S elements q of X, its K
-links, 24 of the 300 entries of K per G term on an outer line and 30 on
-the central one.  The amplitude
-sum_p (R2 X R2^H)[i_p, j_p] G[j_p, i_p] + conj(...) G[i_p, j_p] is then
-one product of the link products X[:, q] G[:, c], an (n_tau, 48) array on
-an outer line and (n_tau, 60) on the central one, with K at the links; K
-and X are conjugated at those of G[i, j], from ``k_split`` on; the
-product is taken a ``TAU_BLOCK`` at a time, like its factors.  G[i, j]
-is taken as computed, not as conj G[j, i], so the imaginary part is a real
-roundoff residual, and ``max_imag_residual`` is its largest magnitude; for
-an ensemble average, that of the averaged amplitude.
+refocused elements Z[i_p, j_p] = (R2 X R2^H)[i_p, j_p]
+= sum_q X[a_q, b_q] K[q, p].  As R2 conserves m_i, K can be nonzero only
+where m_i(a_q) = m_i(i_p) and m_i(b_q) = m_i(j_p): each column c of G meets
+2S elements q of X, its K links, 24 of the 300 entries of K on an outer
+line and 30 on the central one.  The echo pathway leaves Z + Z^H, so the
+amplitude is Tr[(Z + Z^H) G] = sum_p Z[i_p, j_p] G[j_p, i_p] plus the
+same sum over conj Z[i_p, j_p] G[i_p, j_p].  G is Hermitian (D is), so
+that second sum is the conjugate of the first, and the kernel contracts
+one half: V = 2 Re sum_p Z[i_p, j_p] G[j_p, i_p], one product of the link
+products X[:, q] G[:, c], an (n_tau, 24) array on an outer line and
+(n_tau, 30) on the central one, with K at the links, taken a
+``TAU_BLOCK`` at a time, like its factors.
 
 Per ensemble average, ``_EchoPlan.tabulate`` takes the node scales and
 calls each pulse factory once, for all nodes together, and keeps per
 scale the +1 coherences rho1 after pulse 1 and K at its links after
 pulse 2.  The link products are built one ``TAU_BLOCK`` at a time and
 memoized on the pulse-1 scale, which stays fixed over the nodes unless
-both pulses share the B1 factor, so each node costs one (n_tau, 48|60)
+both pulses share the B1 factor, so each node costs one (n_tau, 24|30)
 product with its K; ``_EchoPlan.amplitudes`` takes any number of pulse-2
 scales in that one product.  With a shared B1 factor each node has its
 own pulse-1 scale and builds its own link products.
@@ -197,7 +196,6 @@ class EchoTrace:
     tau_s: np.ndarray
     v: np.ndarray
     metadata: dict = field(default_factory=dict)
-    v_im: np.ndarray | None = None
 
     def __post_init__(self):
         self.tau_s = np.asarray(self.tau_s, dtype=float)
@@ -557,18 +555,16 @@ class _Supports:
     ``u1`` holds the flat indices row * d + column of U1's elements in the
     pattern (28 [12] of 144), all that the kernel reads of U1.  ``w`` gives,
     per link, the positions in ``u1`` of U1[a_q, k_r] and U1[b_q, l_r].
-    ``g`` gives the columns of G, those of G[j, i] then those of G[i, j]:
-    the pair p that G reaches through the pattern (shifted by the pair
-    count for G[i, j]), the one element e of D that reaches it, and the
-    positions of the two U1 elements it takes (16 columns on an outer line,
-    20 on the central line [6 on each]).
+    ``g`` gives the columns of G[j, i], the one Hermitian half the kernel
+    contracts: the pair p that G reaches through the pattern, the one
+    element e of D that reaches it, and the positions of the two U1
+    elements it takes (8 columns on an outer line, 10 on the central line
+    [3 on each]).
 
     ``k`` holds the K links (q, c) of every column c, column by column: the
     X elements q where K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] can be
     nonzero, that is where m_i(a_q) = m_i(i_p) and m_i(b_q) = m_i(j_p), 2S
-    per column (48 on an outer line, 60 on the central line [18]).  The
-    first ``k_split`` (24 or 30 [9]) are those of G[j, i]; K and X are
-    conjugated at the rest.
+    per column (24 on an outer line, 30 on the central line [9]).
     """
 
     rho: tuple[np.ndarray, np.ndarray]
@@ -581,7 +577,6 @@ class _Supports:
     w: tuple[np.ndarray, np.ndarray]
     g: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     k: tuple[np.ndarray, np.ndarray]
-    k_split: int
 
 
 @lru_cache(maxsize=None)
@@ -603,26 +598,23 @@ def _supports(s: float, i: float, m_i: float, diagonal: bool) -> _Supports:
     pos = np.full(d_m.shape, -1)
     pos[inside] = np.arange(np.count_nonzero(inside))
     (a, b), (k, l), (q, r) = x, rho, links
-    # G[j, i] (t = 0), then G[i, j] (t = 1): G[rows_p, cols_p] sums
-    # D[dk_e, dl_e] conj U1[dk_e, rows_p] U1[dl_e, cols_p] over e (times
-    # frame phases); inside M blocks dk_e has the M of rows_p and the
+    # G[j_p, i_p] sums D[dk_e, dl_e] conj U1[dk_e, j_p] U1[dl_e, i_p] over e
+    # (times frame phases); inside M blocks dk_e has the M of j_p and the
     # detected m_i, so at most one e reaches p
-    (dk, dl), rows, cols = det, np.array(pairs[::-1]), np.array(pairs)
-    t, e, p = np.nonzero(inside[dk[:, None], rows[:, None]]
-                         & inside[dl[:, None], cols[:, None]])
-    g = (p + t * pairs[0].size, e, pos[dk[e], rows[t, p]],
-         pos[dl[e], cols[t, p]])
+    (dk, dl), (i_p, j_p) = det, pairs
+    e, p = np.nonzero(inside[dk[:, None], j_p] & inside[dl[:, None], i_p])
+    g = (p, e, pos[dk[e], j_p[p]], pos[dl[e], i_p[p]])
     # K links: the pulses conserve m_i, so R2[i_p, a_q] needs
     # m_i(a_q) = m_i(i_p); each column meets 2S elements of X, one m_s step
-    c, q_k = np.nonzero((nuclear[pairs[0][p], None] == nuclear[a])
-                        & (nuclear[pairs[1][p], None] == nuclear[b]))
+    c, q_k = np.nonzero((nuclear[i_p[p], None] == nuclear[a])
+                        & (nuclear[j_p[p], None] == nuclear[b]))
     if not np.array_equal(c, np.repeat(np.arange(p.size), int(2 * s))):
         raise AssertionError("K links are not 2S per pair")
     sup = _Supports(
         rho=rho, x=x, pairs=pairs, det=det, links=links,
         mi_leak=d_mi != 0,
         u1=np.flatnonzero(inside), w=(pos[a[q], k[r]], pos[b[q], l[r]]),
-        g=g, k=(q_k, c), k_split=int(np.count_nonzero(t[c] == 0)))
+        g=g, k=(q_k, c))
     for value in vars(sup).values():  # one instance serves every plan
         for arr in value if isinstance(value, tuple) else (value,):
             if isinstance(arr, np.ndarray):
@@ -635,8 +627,8 @@ class _EchoPlan:
     scales of an ensemble node, built once; see "Echo kernel" above.
 
     Holds the supports, the products W(tau) of U1 elements along the links,
-    G(tau) = U2^H D U2 at the pairs each of its two terms reaches (one
-    table, G[j, i] then G[i, j]), the T2 damping, one batched propagator
+    G(tau) = U2^H D U2 at the transposed pairs G[j, i] it reaches, the T2
+    damping, one batched propagator
     factory per pulse, the per-scale tables of :meth:`tabulate`, and a
     one-entry memo of the link products of the pulse-1 coherences X(tau)
     with G, keyed on ``scale1``.  W and G come from U1 at the elements its
@@ -659,10 +651,8 @@ class _EchoPlan:
                                      exp.detect_m_i)[sup.det]
         tau = exp.tau_grid
         p, e, c_k, c_l = sup.g
-        # per column of G: its pair's rows, the one element of D it takes,
-        # and the first column of G[i, j]
-        g_split, pair = np.count_nonzero(p < i.size), p % i.size
-        i, j, d_k, d_l, d_vals = i[pair], j[pair], d_k[e], d_l[e], d_vals[e]
+        # per column of G: its pair's rows and the one element of D it takes
+        i, j, d_k, d_l, d_vals = i[p], j[p], d_k[e], d_l[e], d_vals[e]
         self._w = np.empty((tau.size, w_a.size), dtype=complex)
         self._g = np.empty((tau.size, p.size), dtype=complex)
         for blk in _blocks(tau.size):
@@ -671,10 +661,8 @@ class _EchoPlan:
             self._w[blk] = u1[:, w_a] * u1[:, w_b].conj()
             # U2 = R U1 R^H with the diagonal frame rotation R: its phases
             # factor out of G = U2^H D U2, which takes one element e of D at
-            # each pair it reaches; G[i, j] has the conjugate pair phases
-            pair_rot = rot[:, j] * rot[:, i].conj()
-            np.conjugate(pair_rot[:, g_split:], out=pair_rot[:, g_split:])
-            self._g[blk] = pair_rot * (
+            # each pair it reaches
+            self._g[blk] = rot[:, j] * rot[:, i].conj() * (
                 rot[:, d_k].conj() * rot[:, d_l] * d_vals
                 * u1[:, c_k].conj() * u1[:, c_l])
         self.damping = _t2_damping(tau, exp.t2_s)
@@ -686,8 +674,7 @@ class _EchoPlan:
     def tabulate(self, scales1: np.ndarray, scales2: np.ndarray) -> None:
         """Propagate each pulse at all of its node scales (1-d arrays) in one
         batched call, and keep per scale what the amplitudes read of it: the
-        +1 coherences rho1 after pulse 1, and K after pulse 2 at its links
-        (those of G[j, i], then the conjugate at those of G[i, j]).
+        +1 coherences rho1 after pulse 1, and K after pulse 2 at its links.
         Replaces the tables of the previous call."""
         sup = self.supports
         (a, b), (k, l), (i, j) = sup.x, sup.rho, sup.pairs
@@ -697,9 +684,8 @@ class _EchoPlan:
         rho = (r1 @ self._sigma0 @ _dagger(r1))[:, k, l]
         # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q], p the pair of column c
         q, c = sup.k
-        p = sup.g[0][c] % i.size
+        p = sup.g[0][c]
         k2 = r2[:, i[p], a[q]] * r2[:, j[p], b[q]].conj()
-        np.conjugate(k2[:, sup.k_split:], out=k2[:, sup.k_split:])
         self._rho1 = dict(zip(scales1.tolist(), rho))
         self._k = dict(zip(scales2.tolist(), k2))
 
@@ -714,41 +700,40 @@ class _EchoPlan:
         return spread
 
     def _link_products(self, scale1: float) -> np.ndarray:
-        """X[:, q] G[:, c] at the K links (q, c), with X conjugated from
-        ``k_split`` on (the links of G[i, j]), shape (n_tau, n_k), memoized
-        on ``scale1``.  The links of each column c of G are adjacent, so G
-        multiplies them by broadcasting."""
+        """X[:, q] G[:, c] at the K links (q, c), shape (n_tau, n_k),
+        memoized on ``scale1``.  The links of each column c of G are
+        adjacent, so G multiplies them by broadcasting."""
         if scale1 != self._products_scale:
             spread, n_g = self._spread(scale1), self._g.shape[1]
             q = self.supports.k[0]
-            conj = slice(self.supports.k_split, None)
             out = np.empty((self._w.shape[0], q.size), dtype=complex)
             for blk in _blocks(out.shape[0]):
                 x = self._w[blk] @ spread
                 # "clip" (the indices are in range) writes straight to out
                 np.take(x, q, axis=1, out=out[blk], mode="clip")
-                np.conjugate(out[blk, conj], out=out[blk, conj])
                 per_pair = out[blk].reshape(x.shape[0], n_g, -1)
                 per_pair *= self._g[blk, :, None]
             self._products, self._products_scale = out, scale1
         return self._products
 
     def amplitudes(self, scale1: float, scales2: np.ndarray) -> np.ndarray:
-        """Complex echo amplitudes at every tau for the pulse-1 scale
-        ``scale1`` and each pulse-2 scale of the 1-d array ``scales2``, shape
-        (n_tau, n), read from the tables of :meth:`tabulate`; scales missing
-        from them are tabulated on their own."""
+        """Echo amplitudes, before damping, at every tau for the pulse-1
+        scale ``scale1`` and each pulse-2 scale of the 1-d array
+        ``scales2``, shape (n_tau, n), read from the tables of
+        :meth:`tabulate`; scales missing from them are tabulated on their
+        own."""
         keys = np.asarray(scales2, dtype=float).tolist()
         if scale1 not in self._rho1 or any(s not in self._k for s in keys):
             self.tabulate(np.array([scale1]), np.array(keys))
-        # Tr[(Z + Z^H) G] over the refocused elements Z[i_p, j_p] =
-        # (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p]: one product of
-        # the link products with K at its links, a block of tau at a time
+        # 2 Re sum_p Z[i_p, j_p] G[j_p, i_p] over the refocused elements
+        # Z[i_p, j_p] = (R2 X R2^H)[i_p, j_p] = sum_q X[a_q, b_q] K[q, p]:
+        # one product of the link products with K at its links, a block of
+        # tau at a time
         k = np.stack([self._k[s] for s in keys], axis=1)
         products = self._link_products(scale1)
-        out = np.empty((products.shape[0], k.shape[1]), dtype=complex)
+        out = np.empty((products.shape[0], k.shape[1]))
         for blk in _blocks(out.shape[0]):
-            np.matmul(products[blk], k, out=out[blk])
+            out[blk] = 2.0 * (products[blk] @ k).real
         return out
 
 
@@ -767,8 +752,7 @@ def run_two_pulse_echo(exp: EchoExperiment, *, scale1: float = 1.0,
     if plan is None:
         plan = _EchoPlan(exp)
     amp = plan.amplitudes(scale1, np.array([scale2]))[:, 0]
-    return _echo_trace(exp, plan.f_mw_hz, amp.real * plan.damping,
-                       amp.imag.copy())
+    return _echo_trace(exp, plan.f_mw_hz, amp * plan.damping)
 
 
 def _t2_damping(tau, t2_s: float | None):
@@ -777,15 +761,14 @@ def _t2_damping(tau, t2_s: float | None):
 
 
 def _echo_trace(exp: EchoExperiment, f_mw_hz: float, v: np.ndarray,
-                v_im: np.ndarray, **meta) -> EchoTrace:
-    """The trace of ``exp`` at amplitudes ``v`` and residual ``v_im``, labelled
-    with its run facts, ``f_mw_hz``, max |v_im| and ``meta``."""
+                **meta) -> EchoTrace:
+    """The trace of ``exp`` at amplitudes ``v``, labelled with its run facts,
+    ``f_mw_hz`` and ``meta``."""
     meta = {"engine": exp.engine, "m_i": exp.detect_m_i,
             "theta1_rad": exp.pulse1.angle, "theta2_rad": exp.pulse2.angle,
             "pulse2_composite": exp.pulse2.composite is not None,
-            "f_mw_hz": f_mw_hz, "t2_s": exp.t2_s,
-            "max_imag_residual": float(np.abs(v_im).max()), **meta}
-    return EchoTrace(tau_s=exp.tau_grid.copy(), v=v, metadata=meta, v_im=v_im)
+            "f_mw_hz": f_mw_hz, "t2_s": exp.t2_s, **meta}
+    return EchoTrace(tau_s=exp.tau_grid.copy(), v=v, metadata=meta)
 
 
 def _fit_single_cosine(tau: np.ndarray, v: np.ndarray, f0: float) -> float:

@@ -81,24 +81,41 @@ def average_trace(exp: EchoExperiment, dist: AngleDistribution) -> EchoTrace:
     built once for all nodes, and one batched call per pulse propagates
     every node scale before the loop.
     The trace adds ``sigma_rad``, ``mean_rad``, ``nodes`` and ``shared_b1``
-    to the run's labels; its ``max_imag_residual`` is the largest |Im| of
-    the averaged amplitude.
+    to the run's labels.
     """
     thetas, weights = dist.points()
     scales2 = thetas / exp.pulse2.angle
     scales1 = thetas / dist.mean if dist.shared_b1 else np.ones(1)
     plan = _EchoPlan(exp)
     plan.tabulate(scales1, scales2)
-    acc = acc_im = -0.0  # the exact identity of float addition
+    acc = -0.0  # the exact identity of float addition
     for scale1, scale2, weight in zip(np.broadcast_to(scales1, thetas.shape),
                                       scales2, weights):
         trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2,
                                    plan=plan)
         acc = acc + weight * trace.v
-        acc_im = acc_im + weight * trace.v_im
-    return _echo_trace(exp, plan.f_mw_hz, acc, acc_im, sigma_rad=dist.sigma,
+    return _echo_trace(exp, plan.f_mw_hz, acc, sigma_rad=dist.sigma,
                        mean_rad=dist.mean, nodes=len(thetas),
                        shared_b1=dist.shared_b1)
+
+
+def closed_form_mismatch(exp: EchoExperiment) -> tuple[str, str] | None:
+    """The first condition of the closed form that ``exp`` breaks, as (its
+    config field, what the closed form needs), or None when the closed form
+    describes ``exp``.  The engines' echo carries a factor
+    cos(2 phase2 - phase1), which the closed form takes as 1."""
+    turns = (2 * exp.pulse2.phase - exp.pulse1.phase) / TWO_PI
+    phase = "phase2_deg" if exp.pulse2.phase else "phase1_deg"
+    for key, bad, need in (
+            ("system.s", exp.system.s != 1.5, "s = 3/2"),
+            ("system.i", exp.system.i != 1.0, "i = 1"),
+            ("sequence.composite", exp.pulse2.composite is not None,
+             "one rotation per pulse"),
+            (f"sequence.{phase}", abs(turns - round(turns)) > 1e-9,
+             "2 phase2_deg - phase1_deg a multiple of 360")):
+        if bad:
+            return key, need
+    return None
 
 
 def average_analytic(exp: EchoExperiment,
@@ -106,7 +123,12 @@ def average_analytic(exp: EchoExperiment,
     """The closed-form route to :func:`average_trace` (S = 3/2, I = 1): it
     reads tau, the line, theta1 and delta from ``exp``.  The flat central
     line (m_i = 0) is w0 + w1 + w2, the outer-line law at tau = 0, since
-    A0 + A1 + A2 = 5/2 at every theta2."""
+    A0 + A1 + A2 = 5/2 at every theta2.  Raises ``ValueError`` naming the
+    config field of the first condition of :func:`closed_form_mismatch`
+    that ``exp`` breaks."""
+    mismatch = closed_form_mismatch(exp)
+    if mismatch:
+        raise ValueError("%s: the closed form needs %s" % mismatch)
     theta1 = exp.pulse1.angle
     if exp.detect_m_i != 0.0:
         return average_analytic_outer(exp.tau_grid, theta1, dist,
@@ -173,7 +195,7 @@ def i1_i2_ratio(dist: AngleDistribution) -> float:
 def apply_t2(trace: EchoTrace, t2_s: float) -> EchoTrace:
     """Damp a trace by the phenomenological echo decay exp(-2*tau/T2), the
     damping the engine applies to a run with ``t2_s``, and label it with
-    ``t2_s``; the imaginary residual is not carried over."""
+    ``t2_s``."""
     if t2_s <= 0:
         raise ValueError("t2_s must be positive")
     return EchoTrace(tau_s=trace.tau_s.copy(),

@@ -1,6 +1,6 @@
 """CSV reading/writing for traces and spectra.
 
-Trace schema: ``tau_s,v`` (plus ``v_im_residual`` on request); spectrum
+Trace schema: ``tau_s,v`` (the reader ignores other columns); spectrum
 schema: ``freq_hz,magnitude``.  Values are written with 17 significant
 digits so float64 round-trips bit-exactly.  Header comment lines echo the
 full run configuration for provenance; the ``generated`` timestamp line is
@@ -78,14 +78,9 @@ def _write_table(path: str | Path, meta: dict, columns: list[str],
 
 
 def write_trace_csv(path: str | Path, trace: EchoTrace,
-                    extra_meta: dict | None = None,
-                    im_residual: bool = False) -> None:
-    cols, data = ["tau_s", "v"], [trace.tau_s, trace.v]
-    if im_residual:
-        cols.append("v_im_residual")
-        data.append(trace.v_im if trace.v_im is not None
-                    else np.zeros_like(trace.v))
-    _write_table(path, {**trace.metadata, **(extra_meta or {})}, cols, data)
+                    extra_meta: dict | None = None) -> None:
+    _write_table(path, {**trace.metadata, **(extra_meta or {})},
+                 ["tau_s", "v"], [trace.tau_s, trace.v])
 
 
 def write_spectrum_csv(path: str | Path, spec: Spectrum,

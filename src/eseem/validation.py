@@ -279,7 +279,7 @@ def _closed_form_grid() -> tuple[float, float]:
     plan = _EchoPlan(_ideal_echo(p, tau))
     worst = 0.0
     for thetas in np.split(np.linspace(2 * np.pi / 720, 2 * np.pi, 720), 16):
-        v = plan.amplitudes(1.0, thetas / np.pi).real
+        v = plan.amplitudes(1.0, thetas / np.pi)
         ref = v_outer(tau[:, None], np.pi / 2, thetas, d)
         worst = max(worst, float(np.abs(v - ref).max()))
     return worst, 1e-8

@@ -785,7 +785,7 @@ def test_source_date_epoch_makes_output_reproducible(fast_cfg, tmp_path,
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (first, second):
         assert main(["simulate", "--config", str(fast_cfg), "--out",
-                     str(out), "--im-residual"]) == 0
+                     str(out)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().splitlines()[0] == \
         "# generated = 2023-11-14T22:13:20+00:00"
@@ -794,6 +794,42 @@ def test_source_date_epoch_makes_output_reproducible(fast_cfg, tmp_path,
         assert main(["simulate", "--config", str(fast_cfg), "--out",
                      str(first)]) == 2
         assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+
+
+def test_simulate_has_no_residual_option(fast_cfg, tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--config", str(fast_cfg), "--out", str(out),
+              "--im-residual"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --im-residual" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trace_with_a_residual_column_reads_as_without(fast_cfg, tmp_path,
+                                                       capsys):
+    # trace files that carry the v_im_residual column (and its header line)
+    # of earlier versions read, and analyse, as the same file without them
+    plain, legacy = tmp_path / "plain.csv", tmp_path / "legacy.csv"
+    assert main(["simulate", "--config", str(fast_cfg), "--out",
+                 str(plain)]) == 0
+    lines = plain.read_text().splitlines()
+    cut = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+    legacy.write_text("\n".join(
+        lines[:cut] + ["# max_imag_residual = 4.4408920985006262e-16",
+                       lines[cut] + ",v_im_residual"]
+        + [ln + ",-2.2204460492503131e-16" for ln in lines[cut + 1:]])
+        + "\n")
+    want, got = read_trace_csv(plain), read_trace_csv(legacy)
+    assert got.tau_s.tobytes() == want.tau_s.tobytes()
+    assert got.v.tobytes() == want.v.tobytes()
+    capsys.readouterr()
+    for command in (["spectrum", "--out", str(tmp_path / "s.csv")], ["fit"]):
+        reports = []
+        for trace in (plain, legacy):
+            assert main([command[0], str(trace), *command[1:], "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
 
 
 def test_validate_command(capsys, monkeypatch):

@@ -207,17 +207,16 @@ def test_trace_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     tau = np.linspace(1e-6, 2e-4, 97)
     v = rng.normal(size=97) * np.pi
-    trace = EchoTrace(tau_s=tau, v=v, metadata={"engine": "test", "m_i": 1.0},
-                      v_im=np.full(97, 1e-16))
+    trace = EchoTrace(tau_s=tau, v=v, metadata={"engine": "test", "m_i": 1.0})
     path = tmp_path / "t.csv"
-    write_trace_csv(path, trace, extra_meta={"note": "x"}, im_residual=True)
+    write_trace_csv(path, trace, extra_meta={"note": "x"})
     back = read_trace_csv(path)
     assert np.array_equal(back.tau_s, tau)
     assert np.array_equal(back.v, v)
     assert back.metadata["engine"] == "test"
     assert back.metadata["note"] == "x"
     text = path.read_text()
-    assert "v_im_residual" in text
+    assert "\ntau_s,v\n" in text
     assert text.splitlines()[0].startswith("# generated")
 
 
@@ -269,14 +268,13 @@ EDGE_FLOATS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
 def test_writers_match_per_row_reference(tmp_path, n):
     values = np.resize(EDGE_FLOATS, n)
     tau = np.arange(n, dtype=float) * 1e-6
-    v_im = values[::-1].copy()
-    trace = EchoTrace(tau_s=tau, v=values, metadata={"k": 1}, v_im=v_im)
+    trace = EchoTrace(tau_s=tau, v=values, metadata={"k": 1})
     path = tmp_path / "t.csv"
-    write_trace_csv(path, trace, im_residual=True)
+    write_trace_csv(path, trace)
     text = path.read_text()
     head = "\n".join(text.splitlines()[:3]) + "\n"
-    assert head.endswith("tau_s,v,v_im_residual\n")
-    assert text == head + per_row_rows(tau, values, v_im)
+    assert head.endswith("tau_s,v\n")
+    assert text == head + per_row_rows(tau, values)
     spec = Spectrum(freq_hz=tau, magnitude=values, window="hann",
                     zero_pad_factor=1, n_time=n, dt_s=1e-6)
     write_spectrum_csv(path, spec)

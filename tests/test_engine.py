@@ -43,7 +43,6 @@ def test_outer_line_modulation_law(preset):
         trace = run_two_pulse_echo(make_exp(preset, m_i=m_i))
         ref = 2 + 3 * np.cos(2 * TWO_PI * d * trace.tau_s)
         assert np.abs(trace.v - ref).max() <= 1e-9
-        assert trace.metadata["max_imag_residual"] <= 1e-9
 
 
 def test_center_line_flat_at_exact_amplitude(preset):
@@ -454,7 +453,6 @@ def test_detect_m_i_stored_as_exact_projection(preset, engine):
     want = run_two_pulse_echo(make_exp(preset, m_i=-1.0, engine=engine,
                                        tau=tau))
     assert got.v.tobytes() == want.v.tobytes()
-    assert got.v_im.tobytes() == want.v_im.tobytes()
     assert got.metadata == want.metadata
     assert got.metadata["m_i"] == -1.0
     with pytest.raises(ValueError, match="projection -1.5 invalid for spin 1"):
@@ -551,6 +549,14 @@ def _reference_amplitudes(exp, scale1=1.0, scale2=1.0):
         order == 1, order == -1) for tau in exp.tau_grid])
 
 
+def _assert_matches_reference(v, ref, rel=1e-12):
+    """The real trace ``v`` equals the complex dense amplitude ``ref``
+    within ``rel`` of max|ref|, and so does ref's own imaginary part."""
+    tol = rel * np.abs(ref).max()
+    assert np.abs(ref.imag).max() <= tol
+    assert np.abs(v - ref.real).max() <= tol
+
+
 def _pulses(kind):
     if kind == "ideal":
         return PulseSpec(np.pi / 2), PulseSpec(np.pi)
@@ -572,17 +578,15 @@ def test_batched_kernel_matches_per_tau_loop(preset, engine, pulses):
                          detect_m_i=-1.0, engine=engine,
                          resonance_offset_hz=3e5)
     ref = _reference_amplitudes(exp, scale1=0.93, scale2=1.07)
-    trace = run_two_pulse_echo(exp, scale1=0.93, scale2=1.07)
-    got = trace.v + 1j * trace.v_im
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    _assert_matches_reference(
+        run_two_pulse_echo(exp, scale1=0.93, scale2=1.07).v, ref)
     # one shared plan whose pulse-1 memo holds another scale1: a memo miss,
     # then a hit
     plan = _EchoPlan(exp)
     run_two_pulse_echo(exp, scale1=1.0, scale2=0.9, plan=plan)
     for _ in range(2):
         trace = run_two_pulse_echo(exp, scale1=0.93, scale2=1.07, plan=plan)
-        got = trace.v + 1j * trace.v_im
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        _assert_matches_reference(trace.v, ref)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -643,9 +647,8 @@ def test_plan_matches_dense_reference_on_random_experiments(data):
     assert sizes == [2 * s * (2 * i + 1), n_m[1:] @ n_m[:-1], 8 * s * i, 4 * s]
     ref = _reference_amplitudes(exp, scale1, scale2)
     trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2, plan=plan)
-    got = trace.v + 1j * trace.v_im
     assert np.abs(ref).max() > 0.1
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    _assert_matches_reference(trace.v, ref)
 
 
 def _pattern(mat):
@@ -699,9 +702,9 @@ def test_supports_are_the_dense_nonzero_patterns(preset):
                                        (2.5, 1.5, 0.5)])
 def test_k_links_hold_every_entry_that_feeds_g(s, i, m_i):
     # K[q, p] = R2[i_p, a_q] conj R2[j_p, b_q] is dense within the m_i
-    # blocks of finite pulses; every entry at a pair where the dense G is
-    # nonzero lies in the cached link set of that G term, and the plan's
-    # table holds K there (conj K from k_split on, the links of G[i, j])
+    # blocks of finite pulses; every entry at a pair where the dense G[j, i]
+    # is nonzero lies in the cached link set, and the plan's table holds K
+    # there
     system = nc60_params(s=s, i=i)
     p1, p2 = _pulses("finite")
     tau = np.array([17.3e-6])
@@ -718,20 +721,14 @@ def test_k_links_hold_every_entry_that_feeds_g(s, i, m_i):
     (a, b), (pi, pj) = sup.x, sup.pairs
     k = r2[pi[None, :], a[:, None]] * r2[pj[None, :], b[:, None]].conj()
     plan.tabulate(np.ones(1), np.array([1.07]))
-    (q, c), split, n_pairs = sup.k, sup.k_split, pi.size
-    # the pair of each link's column of G, and whether it is a G[i, j] one
-    pair, term = np.divmod(sup.g[0][c], n_pairs)[::-1]
-    assert np.array_equal(term, np.arange(q.size) >= split)
-    table = plan._k[1.07].copy()
-    table[split:] = table[split:].conj()
-    assert np.abs(table - k[q, pair]).max() <= 1e-15
+    q, c = sup.k
+    pair = sup.g[0][c]  # the pair of each link's column of G
+    assert np.abs(plan._k[1.07] - k[q, pair]).max() <= 1e-15
     entries = np.abs(k) > 1e-13 * np.abs(k).max()
-    for t, dense_g in enumerate((g[pj, pi], g[pi, pj])):
-        fed = np.abs(dense_g) > 1e-13 * np.abs(g).max()
-        links = set(zip(q[term == t], pair[term == t]))
-        assert set(zip(*np.nonzero(entries & fed))) <= links
+    fed = np.abs(g[pj, pi]) > 1e-13 * np.abs(g).max()
+    assert set(zip(*np.nonzero(entries & fed))) <= set(zip(q, pair))
     if (s, i) == (1.5, 1.0):
-        assert (q.size, split) == ((60, 30) if m_i == 0 else (48, 24))
+        assert q.size == (30 if m_i == 0 else 24)
 
 
 @pytest.mark.parametrize("pulses", ["ideal", "finite", "cp3"])
@@ -753,7 +750,7 @@ def test_amplitudes_of_many_scales_equal_one_column_calls(engine, pulses):
             assert np.abs(many[:, col] - one[:, 0]).max() \
                 <= 1e-15 * np.abs(one).max()
             trace = run_two_pulse_echo(exp, scale1=scale1, scale2=scale2)
-            assert np.array_equal(trace.v_im, one[:, 0].imag)
+            assert np.array_equal(trace.v, one[:, 0])
 
 
 def test_exact_engine_bound_holds_at_a_level_crossing():
@@ -763,10 +760,8 @@ def test_exact_engine_bound_holds_at_a_level_crossing():
                          pulse2=PulseSpec(np.pi), tau_grid=tau,
                          detect_m_i=1.0, engine="exact-lab-frame",
                          resonance_offset_hz=0.0)
-    ref = _reference_amplitudes(exp)
-    trace = run_two_pulse_echo(exp)
-    got = trace.v + 1j * trace.v_im
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    _assert_matches_reference(run_two_pulse_echo(exp).v,
+                              _reference_amplitudes(exp))
 
 
 @pytest.mark.parametrize("column, m_i", [(1, -1.0), (2, 0.0), (3, 1.0)])
@@ -828,10 +823,10 @@ def test_plan_w_and_g_equal_the_dense_stack(engine, s, i, m_i):
     (a, b), (k, l), (q, r) = sup.x, sup.rho, sup.links
     w = u1[:, a[q], k[r]] * u1[:, b[q], l[r]].conj()
     assert np.abs(plan._w - w).max() <= 1e-14 * np.abs(w).max()
-    # the plan keeps each G term only at the pairs it reaches, G[j, i] and
-    # then G[i, j] side by side, and G is exactly zero at the others
+    # the plan keeps G[j, i] only at the pairs it reaches, and G is exactly
+    # zero at the others
     (pi, pj) = sup.pairs
-    want = np.concatenate([g[:, pj, pi], g[:, pi, pj]], axis=1)
+    want = g[:, pj, pi]
     reached = sup.g[0]
     assert np.abs(plan._g - want[:, reached]).max() \
         <= 1e-14 * np.abs(want).max()
@@ -950,8 +945,9 @@ def test_average_raises_on_a_stacked_pulse_across_m_i_blocks(
                                        (1.5, 1.0, -1.0), (2.5, 1.5, 0.5)])
 def test_average_hamiltonian_supports_are_the_diagonal(s, i, m_i):
     # the average-Hamiltonian U1 is diagonal, so the kernel reads its d
-    # diagonal elements, one link per rho1 element (r onto itself), the G
-    # columns of the nonzeros of D, and 2S K links per column
+    # diagonal elements, one link per rho1 element (r onto itself), the
+    # G[j, i] columns of the order +1 nonzeros of D (half of them), and 2S K
+    # links per column
     system = nc60_params(s=s, i=i)
     tau = np.linspace(0.0, 60e-6, 5)
     plans = {engine: _EchoPlan(EchoExperiment(
@@ -968,15 +964,13 @@ def test_average_hamiltonian_supports_are_the_diagonal(s, i, m_i):
     (q, r), (a, b), (k, l) = diag.links, diag.x, diag.rho
     assert np.array_equal(r, np.arange(n_rho))
     assert np.array_equal(a[q], k) and np.array_equal(b[q], l)
-    counts = [diag.u1.size, q.size, diag.g[0].size, diag.k[0].size,
-              diag.k_split]
-    assert counts == [dim, n_rho, n_det, int(2 * s) * n_det,
-                      int(2 * s) * n_det // 2]
+    counts = [diag.u1.size, q.size, diag.g[0].size, diag.k[0].size]
+    assert counts == [dim, n_rho, n_det // 2, int(2 * s) * n_det // 2]
     if (s, i) == (1.5, 1.0):
-        assert counts == [12, 9, 6, 18, 9]
+        assert counts == [12, 9, 3, 9]
         assert [blocks.u1.size, blocks.links[0].size, blocks.g[0].size,
-                blocks.k[0].size] == [28, 55, 16 if m_i else 20,
-                                      48 if m_i else 60]
+                blocks.k[0].size] == [28, 55, 8 if m_i else 10,
+                                      24 if m_i else 30]
     # every set is a subset of the M-block one; rho1, X, the pairs and D
     # are the same
     for name in ("rho", "x", "pairs", "det"):
@@ -1000,7 +994,7 @@ def test_average_hamiltonian_kernel_equals_the_m_block_contraction(
     dist = AngleDistribution(mean=np.pi, sigma=0.31, nodes=9, shared_b1=True)
 
     def run():
-        return [np.stack([t.v, t.v_im]) for t in (
+        return [t.v for t in (
             run_two_pulse_echo(exp, scale1=0.93, scale2=1.07),
             average_trace(exp, dist), average_trace(exp, replace(
                 dist, shared_b1=False)))]
@@ -1011,7 +1005,7 @@ def test_average_hamiltonian_kernel_equals_the_m_block_contraction(
                         lambda s, i, m_i, diagonal: supports(s, i, m_i, False))
     assert _EchoPlan(exp).supports.u1.size == 28
     for got, want in zip(diagonal, run()):
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want[0]).max()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("engine", ["average-hamiltonian", "exact-lab-frame"])
